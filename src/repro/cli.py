@@ -4,7 +4,7 @@ Commands:
 
 - ``run``     generate the calibrated world, analyse the corpus — with
               ``--jobs N`` across a sharded worker pool (``--executor
-              thread|process``; process scales past the GIL), with
+              thread|process``; process runs separate worker processes), with
               ``--checkpoint DIR`` durably, and with ``--profile``
               timing every pipeline stage — print the headline
               statistics (optionally export the artifacts).
@@ -818,18 +818,18 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--jobs", type=_positive_int, default=1,
                             help="workers, each with a private CrawlerBox "
                                  "(records are identical for any jobs count); "
-                                 "throughput scales with physical cores under "
-                                 "--executor process — asking for more jobs than "
-                                 "cores just adds scheduling overhead")
+                                 "asking for more jobs than cores just adds "
+                                 "scheduling overhead")
     run_parser.add_argument("--executor", choices=("auto", "thread", "process"),
                             default="auto",
-                            help="worker backend: 'process' scales past the GIL "
-                                 "(workers serialize their own records and ship "
-                                 "batched frames; expect near-linear speedup up to "
-                                 "the core count, amortized further by the warm "
-                                 "pool across resumes); 'thread' starts instantly "
-                                 "but tops out near one core of analysis; 'auto' "
-                                 "picks process when --jobs > 1")
+                            help="worker backend: 'process' runs workers in "
+                                 "separate processes (each serializes its own "
+                                 "records and ships batched frames); 'thread' "
+                                 "runs them in this process and tops out near one "
+                                 "core of analysis; 'auto' picks process when "
+                                 "--jobs > 1.  Multi-core speedup is unmeasured: "
+                                 "on a 1-core host both backends stay at jobs=1 "
+                                 "throughput for jobs 1-8 (bench_runner_scaling)")
     run_parser.add_argument("--batch-size", type=_positive_int, default=None,
                             metavar="N",
                             help="messages per dispatch to a process worker "

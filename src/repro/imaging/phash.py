@@ -17,7 +17,6 @@ bit-identical to a naive per-block double loop by construction (see
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dctn
 
 from repro.imaging.image import Image
 
@@ -65,6 +64,10 @@ def phash(image: Image) -> int:
     and the top-left 8x8 low-frequency block (excluding the DC term for
     the median) is thresholded at its median.
     """
+    # Imported here, not at module level: scipy.fft adds about 0.35 s to
+    # every process that merely imports the browser.
+    from scipy.fft import dctn
+
     small = _resize_gray(image, 32, 32)
     spectrum = dctn(small, norm="ortho")
     block = spectrum[:8, :8].copy()

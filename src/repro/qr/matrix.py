@@ -7,6 +7,7 @@ Matrices are numpy boolean arrays (True = dark module) indexed
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.qr.tables import (
     ALIGNMENT_POSITIONS,
@@ -169,46 +170,39 @@ def apply_mask(matrix: np.ndarray, reserved: np.ndarray, mask_id: int) -> np.nda
     return matrix ^ mask
 
 
-def _penalty_runs(line: np.ndarray) -> int:
-    score = 0
-    run_value = bool(line[0])
-    run_length = 1
-    for value in line[1:]:
-        if bool(value) == run_value:
-            run_length += 1
-        else:
-            if run_length >= 5:
-                score += 3 + (run_length - 5)
-            run_value = bool(value)
-            run_length = 1
-    if run_length >= 5:
-        score += 3 + (run_length - 5)
-    return score
-
-
+#: The 1:1:3:1:1 finder-like sequence with four light modules on one side.
 _FINDER_PATTERN = np.array([1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0], dtype=bool)
 
 
-def _penalty_finder_like(line: np.ndarray) -> int:
-    score = 0
-    window = len(_FINDER_PATTERN)
-    for start in range(len(line) - window + 1):
-        chunk = line[start : start + window]
-        if np.array_equal(chunk, _FINDER_PATTERN) or np.array_equal(
-            chunk, _FINDER_PATTERN[::-1]
-        ):
-            score += 40
-    return score
+def _penalty_runs(lines: np.ndarray) -> int:
+    """N1 over every line at once: each run of ``k >= 5`` scores ``k - 2``.
+
+    A run boundary sits wherever a module differs from its predecessor,
+    plus one at each line end.  Laid out as ``(n, size + 1)``, the end of
+    one line and the start of the next are adjacent in the flattened
+    mask, so the spurious run between them has length 1 and never scores.
+    """
+    n, size = lines.shape
+    change = np.ones((n, size + 1), dtype=bool)
+    change[:, 1:size] = lines[:, 1:] != lines[:, :-1]
+    lengths = np.diff(np.flatnonzero(change))
+    return int((lengths[lengths >= 5] - 2).sum())
+
+
+def _penalty_finder_like(lines: np.ndarray) -> int:
+    """N3 over every line at once: 40 per window matching the pattern or
+    its reverse (the pattern is not a palindrome, so never both)."""
+    windows = sliding_window_view(lines, len(_FINDER_PATTERN), axis=1)
+    forward = (windows == _FINDER_PATTERN).all(axis=-1)
+    backward = (windows == _FINDER_PATTERN[::-1]).all(axis=-1)
+    return 40 * int((forward | backward).sum())
 
 
 def penalty_score(matrix: np.ndarray) -> int:
     """The four-rule mask evaluation score of ISO/IEC 18004 section 8.8.2."""
-    score = 0
+    lines = np.concatenate((matrix, matrix.T))  # every row, then every column
     # N1: runs of the same color.
-    for row in matrix:
-        score += _penalty_runs(row)
-    for col in matrix.T:
-        score += _penalty_runs(col)
+    score = _penalty_runs(lines)
     # N2: 2x2 blocks of the same color.
     same = (
         (matrix[:-1, :-1] == matrix[:-1, 1:])
@@ -217,10 +211,7 @@ def penalty_score(matrix: np.ndarray) -> int:
     )
     score += 3 * int(same.sum())
     # N3: finder-like patterns.
-    for row in matrix:
-        score += _penalty_finder_like(row)
-    for col in matrix.T:
-        score += _penalty_finder_like(col)
+    score += _penalty_finder_like(lines)
     # N4: dark-module proportion.
     dark_percent = matrix.mean() * 100.0
     score += 10 * int(abs(dark_percent - 50.0) // 5)

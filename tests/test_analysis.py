@@ -50,6 +50,25 @@ class TestStats:
     def test_kurtosis_needs_samples(self):
         with pytest.raises(ValueError):
             stats.excess_kurtosis([1.0, 2.0])
+        with pytest.raises(ValueError):
+            stats.excess_kurtosis([1.0, 2.0, 4.0])
+        assert math.isfinite(stats.excess_kurtosis([1.0, 2.0, 4.0, 8.0]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kurtosis_matches_scipy(self, seed):
+        """The numpy formula equals scipy's bias-corrected Fisher kurtosis."""
+        from scipy.stats import kurtosis
+
+        rng = random.Random(seed)
+        n = rng.choice([4, 5, 7, 30, 300, 2000])
+        shift, spread = rng.uniform(-1e3, 1e3), rng.uniform(1e-2, 1e3)
+        values = [shift + spread * rng.expovariate(1.0) ** rng.choice([1, 2, 3])
+                  for _ in range(n)]
+        expected = float(kurtosis(values, fisher=True, bias=False))
+        assert abs(stats.excess_kurtosis(values) - expected) <= 1e-12 * abs(expected)
+
+    def test_kurtosis_of_constant_sample_is_nan(self):
+        assert math.isnan(stats.excess_kurtosis([3.0] * 6))
 
     def test_paired_t_test_significant(self):
         a = [10.0, 12.0, 9.0, 11.0, 13.0, 10.5, 9.5, 12.5]

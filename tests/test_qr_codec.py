@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.qr.decoder import QRDecodeError, decode_qr_matrix
 from repro.qr.encoder import QRCapacityError, build_codewords, encode_qr, select_mode, select_version
@@ -15,6 +16,7 @@ from repro.qr.matrix import (
     data_module_coordinates,
     mask_condition,
     penalty_score,
+    place_format_information,
     read_format_information,
 )
 from repro.qr.tables import (
@@ -187,3 +189,95 @@ _QR_TEXT = st.text(
 def test_qr_roundtrip_property(payload, level):
     matrix = encode_qr(payload, level)
     assert decode_qr_matrix(matrix) == payload
+
+
+# -- penalty-score equivalence ---------------------------------------------
+#
+# ``penalty_score`` evaluates N1 (runs) and N3 (finder-like windows) over
+# the whole matrix with numpy.  The straightforward per-line loops below
+# are the reference it must equal exactly: the scores are integers, so
+# any difference would change which mask ``encode_qr`` picks.
+
+_FINDER_LIKE = np.array([1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0], dtype=bool)
+
+
+def _penalty_runs_reference(line):
+    score = 0
+    run_value = bool(line[0])
+    run_length = 1
+    for value in line[1:]:
+        if bool(value) == run_value:
+            run_length += 1
+        else:
+            if run_length >= 5:
+                score += 3 + (run_length - 5)
+            run_value = bool(value)
+            run_length = 1
+    if run_length >= 5:
+        score += 3 + (run_length - 5)
+    return score
+
+
+def _penalty_finder_like_reference(line):
+    score = 0
+    window = len(_FINDER_LIKE)
+    for start in range(len(line) - window + 1):
+        chunk = line[start : start + window]
+        if np.array_equal(chunk, _FINDER_LIKE) or np.array_equal(chunk, _FINDER_LIKE[::-1]):
+            score += 40
+    return score
+
+
+def _penalty_score_reference(matrix):
+    lines = list(matrix) + list(matrix.T)
+    score = sum(_penalty_runs_reference(line) for line in lines)
+    for row in range(matrix.shape[0] - 1):
+        for col in range(matrix.shape[1] - 1):
+            block = matrix[row : row + 2, col : col + 2]
+            if block.all() or not block.any():
+                score += 3
+    score += sum(_penalty_finder_like_reference(line) for line in lines)
+    dark_percent = matrix.mean() * 100.0
+    score += 10 * int(abs(dark_percent - 50.0) // 5)
+    return score
+
+
+_QR_SIZES = [matrix_size(version) for version in range(1, 11)]
+
+
+@st.composite
+def _module_matrices(draw):
+    size = draw(st.sampled_from(_QR_SIZES))
+    matrix = draw(hnp.arrays(bool, (size, size)))
+    indices = st.integers(min_value=0, max_value=size - 1)
+    for row in draw(st.lists(indices, max_size=4)):
+        matrix[row, :] = draw(st.booleans())
+    for col in draw(st.lists(indices, max_size=4)):
+        matrix[:, col] = draw(st.booleans())
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=_module_matrices())
+def test_penalty_score_matches_reference_property(matrix):
+    assert penalty_score(matrix) == _penalty_score_reference(matrix)
+
+
+@pytest.mark.parametrize("version", range(1, 11))
+def test_penalty_score_matches_reference_on_every_mask(version):
+    """Every mask candidate of a real symbol scores as the reference does,
+    so ``encode_qr`` picks the same mask it always picked."""
+    level = list(ECLevel)[version % len(ECLevel)]
+    encoded = encode_qr(f"QR{version}", level, version=version)
+    _, chosen = read_format_information(encoded)
+    _, reserved = build_function_patterns(version)
+    unmasked = apply_mask(encoded, reserved, chosen)
+    reference_scores = []
+    for mask_id in range(8):
+        candidate = apply_mask(unmasked, reserved, mask_id)
+        place_format_information(candidate, level, mask_id)
+        if mask_id == chosen:
+            assert np.array_equal(candidate, encoded)
+        reference_scores.append(_penalty_score_reference(candidate))
+        assert penalty_score(candidate) == reference_scores[-1], mask_id
+    assert chosen == reference_scores.index(min(reference_scores))
