@@ -1,6 +1,6 @@
 """Chaos soak: the hostile fault profile must never kill a message.
 
-Runs the sharded process-backend runner (jobs=4) over a corpus slice
+Runs the sharded process-transport runner (jobs=4) over a corpus slice
 with ``faults=hostile`` — the simulated internet injecting NXDOMAIN
 flaps, SERVFAILs, connect timeouts, TLS handshake failures, 5xx/429
 storms, mid-body stalls, truncation, and redirect loops — and asserts
@@ -12,7 +12,7 @@ the resilience contract end to end:
 - :class:`~repro.web.resilient.FaultTelemetry` attached to every
   record, with the aggregate fault mix persisted as metrics;
 - determinism: the jobs=4 process run exports byte-identical records
-  to a jobs=1 thread run with the same fault seed.
+  to a jobs=1 inline run with the same fault seed.
 
 The soak is expensive (every retry re-crawls), so it only runs when
 ``REPRO_CHAOS_SOAK`` is set — CI's chaos-soak job sets it; the default
@@ -46,7 +46,7 @@ SOAK_ENABLED = bool(os.environ.get("REPRO_CHAOS_SOAK"))
 
 def _make_runner(corpus, executor: str, jobs: int):
     return CorpusRunner(
-        box_factory=lambda worker_id: CrawlerBox.for_world(corpus.world),
+        box=CrawlerBox.for_world(corpus.world) if executor == "inline" else None,
         jobs=jobs,
         executor=executor,
         config=RunnerConfig(seed=BENCH_SEED, scale=BENCH_SCALE,
@@ -59,8 +59,8 @@ def _soak(corpus, sample, executor: str, jobs: int):
     from repro.web.faults import FaultEngine, fault_profile
 
     # Process workers rebuild their world (fault engine included) from
-    # the RunnerConfig; the thread backend shares *this* corpus's
-    # network, so install the same engine here — and remove it after,
+    # the RunnerConfig; the inline transport analyses on *this*
+    # corpus's network, so install the same engine here — and remove it after,
     # the corpus fixture is shared with the other benches.
     previous = corpus.world.network.faults
     corpus.world.network.install_faults(
@@ -115,10 +115,10 @@ def bench_chaos_soak(benchmark, full_corpus, comparison):
     comparison.note("injected fault mix: " + ", ".join(
         f"{kind}={count}" for kind, count in sorted(stats.get("kinds", {}).items())))
 
-    # Same fault seed, jobs=1 thread backend: must be byte-identical.
-    _, _, serial_export = _soak(full_corpus, sample, "thread", 1)
+    # Same fault seed, jobs=1 inline transport: must be byte-identical.
+    _, _, serial_export = _soak(full_corpus, sample, "inline", 1)
     identical = export == serial_export
-    comparison.row("jobs=4 process == jobs=1 thread (byte-identical)", True, identical)
+    comparison.row("jobs=4 process == jobs=1 inline (byte-identical)", True, identical)
     comparison.metric("byte_identical", identical)
 
     assert not violations, "; ".join(violations)
@@ -155,9 +155,9 @@ def main(argv=None) -> int:
     for violation in violations:
         print(f"  VIOLATION: {violation}")
 
-    _, _, serial_export = _soak(corpus, sample, "thread", 1)
+    _, _, serial_export = _soak(corpus, sample, "inline", 1)
     identical = export == serial_export
-    print(f"  jobs={args.jobs} process == jobs=1 thread = {identical}")
+    print(f"  jobs={args.jobs} process == jobs=1 inline = {identical}")
     return 0 if not violations and identical else 1
 
 

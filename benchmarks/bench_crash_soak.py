@@ -9,7 +9,7 @@ durability layer promises to survive.  After every kill the harness
 asserts the checkpoint scans clean (no interior corruption; a torn tail
 is tolerated by construction), salvages it with ``fsck --repair``, and
 resumes the repaired copy — which gets shot again, >= 25 times per
-backend.  A final uninterrupted resume exports the run; the soak passes
+executor.  A final uninterrupted resume exports the run; the soak passes
 only if that export is byte-identical to an uninterrupted baseline on
 *both* executors.
 
@@ -41,7 +41,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "bench_crash_soak.json"
 
 MIN_KILLS = 25
-EXECUTORS = ("process", "thread")
+EXECUTORS = ("process", "inline")
 
 #: The soak's subject is the storage layer, not corpus size: a slice of
 #: the study keeps per-kill relaunch overhead bounded while still
@@ -89,9 +89,10 @@ def soak_backend(executor: str, workdir: pathlib.Path, min_kills: int) -> dict:
     """Kill/repair/resume until ``min_kills`` kills, then finish clean."""
     workdir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(f"{SOAK_SEED}:{executor}")
+    jobs = "1" if executor == "inline" else "2"
     checkpoint = workdir / "ckpt-0"
     arguments = ["run", "--scale", str(SOAK_SCALE), "--seed", str(SOAK_SEED),
-                 "--jobs", "2", "--executor", executor,
+                 "--jobs", jobs, "--executor", executor,
                  "--checkpoint", str(checkpoint)]
     kills, kill_points = 0, []
     started = time.perf_counter()
@@ -114,11 +115,11 @@ def soak_backend(executor: str, workdir: pathlib.Path, min_kills: int) -> dict:
             ["fsck", str(checkpoint), "--repair", str(repaired)]) == 0, (
             f"[{executor}] fsck --repair failed after kill #{kills}")
         checkpoint = repaired
-        arguments = ["resume", str(checkpoint), "--jobs", "2",
+        arguments = ["resume", str(checkpoint), "--jobs", jobs,
                      "--executor", executor]
 
     export_path = workdir / "final.json"
-    code, output = _launch(["resume", str(checkpoint), "--jobs", "2",
+    code, output = _launch(["resume", str(checkpoint), "--jobs", jobs,
                             "--executor", executor,
                             "--export", str(export_path)])
     assert code == 0, f"[{executor}] final resume failed:\n{output}"
@@ -187,7 +188,7 @@ def bench_crash_soak(benchmark, comparison, tmp_path):
     assert not violations, "; ".join(violations)
 
     benchmark.pedantic(
-        lambda: soak_backend("thread", tmp_path / "bench-lap", 2),
+        lambda: soak_backend("inline", tmp_path / "bench-lap", 2),
         rounds=1, iterations=1)
 
 

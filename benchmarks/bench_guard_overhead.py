@@ -47,8 +47,7 @@ def _run_once(corpus, sample, config, checkpoint_dir, crc: bool):
     """One checkpointed jobs=1 run; returns (elapsed, export JSON)."""
     box = CrawlerBox.for_world(corpus.world, config=config)
     store = CheckpointStore(checkpoint_dir, crc=crc)
-    runner = CorpusRunner(box_factory=lambda worker_id: box, jobs=1,
-                          checkpoint=store)
+    runner = CorpusRunner(box, checkpoint=store)
     started = time.perf_counter()
     result = runner.run(sample)
     elapsed = time.perf_counter() - started

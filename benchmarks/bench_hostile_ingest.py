@@ -3,7 +3,7 @@
 Appends a seeded hostile corpus (:mod:`repro.dataset.hostile` — MIME
 bombs, base64 bombs, rfc822 recursion, header bombs, runaway scripts)
 to a calibrated-corpus slice and runs the sharded runner over it on
-*both* backends, asserting the hostile-input contract end to end:
+*both* transports, asserting the hostile-input contract end to end:
 
 - zero dead letters and zero worker crashes: every hostile message
   becomes a durable record;
@@ -12,7 +12,7 @@ to a calibrated-corpus slice and runs the sharded runner over it on
   EXPECTED_VIOLATIONS`), or degraded by the work budget with a
   machine-readable ``BudgetExceeded`` stage error;
 - determinism: the jobs=4 process run exports byte-identical records
-  to a jobs=1 thread run.
+  to a jobs=1 inline run.
 
 The post-run quarantine report is written to
 ``benchmarks/results/hostile_ingest_quarantine.txt`` — CI's
@@ -61,8 +61,8 @@ def _messages(corpus):
 def _make_runner(corpus, executor: str, jobs: int):
     pipeline = PipelineConfig(budget_work_units=WORK_BUDGET)
     return CorpusRunner(
-        box_factory=lambda worker_id: CrawlerBox.for_world(
-            corpus.world, config=pipeline),
+        box=CrawlerBox.for_world(corpus.world, config=pipeline)
+        if executor == "inline" else None,
         jobs=jobs,
         executor=executor,
         config=RunnerConfig(
@@ -140,10 +140,10 @@ def bench_hostile_ingest(benchmark, full_corpus, comparison):
     comparison.metric("quarantined", result.stats.quarantined)
     comparison.metric("budget_stage_failures", result.stats.budget_stage_failures)
 
-    serial = _make_runner(full_corpus, "thread", 1).run(messages)
+    serial = _make_runner(full_corpus, "inline", 1).run(messages)
     identical = (json.dumps(export_records(result.records))
                  == json.dumps(export_records(serial.records)))
-    comparison.row("jobs=4 process == jobs=1 thread (byte-identical)",
+    comparison.row("jobs=4 process == jobs=1 inline (byte-identical)",
                    True, identical)
     comparison.metric("byte_identical", identical)
 
@@ -191,10 +191,10 @@ def main(argv=None) -> int:
     for violation in violations:
         print(f"  VIOLATION: {violation}")
 
-    serial = _make_runner(corpus, "thread", 1).run(messages)
+    serial = _make_runner(corpus, "inline", 1).run(messages)
     identical = (json.dumps(export_records(result.records))
                  == json.dumps(export_records(serial.records)))
-    print(f"  jobs={args.jobs} process == jobs=1 thread = {identical}")
+    print(f"  jobs={args.jobs} process == jobs=1 inline = {identical}")
 
     print(_write_report(result))
     print(f"  report written to {REPORT_PATH}")

@@ -1,17 +1,17 @@
-"""Runner scaling: messages/sec through the sharded worker pool.
+"""Runner scaling: messages/sec through the inline and process transports.
 
-Measures CorpusRunner throughput over a representative corpus slice at
-``jobs`` = 1, 2, 4, 8 for *both* execution backends and verifies the
-determinism guarantee: every worker count, on either backend, exports
+Measures CorpusRunner throughput over a representative corpus slice on
+the *inline* transport (``jobs`` = 1, in this process) and the
+*process* transport at ``jobs`` = 1, 2, 4, 8, and verifies the
+determinism guarantee: every worker count, on either transport, exports
 byte-identical records.
 
-Interpretation note: the analysis pipeline is pure CPython, so the GIL
-serializes the *thread* backend — thread sharding buys resilience,
-bounded memory, and checkpointing rather than raw speedup on a stock
-interpreter.  The *process* backend rebuilds the world per worker from
-a picklable :class:`RunnerConfig` and is where ``--jobs N`` actually
-scales.  Process measurements prewarm the worker pool first, so timed
-runs capture analysis throughput, not corpus regeneration.
+Interpretation note: the analysis pipeline is pure CPython, so only
+the *process* transport — each worker rebuilds the world from a
+picklable :class:`RunnerConfig` — can take ``--jobs N`` past one core.
+Process measurements prewarm the worker pool first, so timed runs
+capture analysis throughput, not corpus regeneration; the inline row
+is the single-process baseline they are compared against.
 
 Honest reporting on small hosts: a speedup ratio measured with more
 workers than schedulable cores is noise, not signal — CI containers
@@ -26,6 +26,8 @@ Also runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_runner_scaling.py \
         --executor process --jobs 1,4
+    PYTHONPATH=src python benchmarks/bench_runner_scaling.py \
+        --executor inline --jobs 1
 """
 
 import argparse
@@ -57,7 +59,7 @@ _GATE_JOBS = 4
 
 def _make_runner(corpus, executor: str, jobs: int, seed: int, scale: float):
     return CorpusRunner(
-        box_factory=lambda worker_id: CrawlerBox.for_world(corpus.world),
+        box=CrawlerBox.for_world(corpus.world) if executor == "inline" else None,
         jobs=jobs,
         executor=executor,
         config=RunnerConfig(seed=seed, scale=scale),
@@ -122,12 +124,12 @@ def bench_runner_scaling(benchmark, full_corpus, comparison):
     comparison.metric("cpu_count", os.cpu_count())
 
     results = {}
-    for executor in ("thread", "process"):
+    for executor, job_counts in (("inline", (1,)), ("process", JOB_COUNTS)):
         throughputs, exports = _measure(
-            full_corpus, sample, executor, JOB_COUNTS, BENCH_SEED, BENCH_SCALE)
+            full_corpus, sample, executor, job_counts, BENCH_SEED, BENCH_SCALE)
         results[executor] = (throughputs, exports)
 
-        for jobs in JOB_COUNTS:
+        for jobs in job_counts:
             comparison.row(
                 f"[{executor}] messages/sec at jobs={jobs}",
                 "n/a",
@@ -136,8 +138,8 @@ def bench_runner_scaling(benchmark, full_corpus, comparison):
             )
             comparison.metric(f"{executor}_jobs{jobs}_msgs_per_sec",
                               throughputs[jobs])
-        identical = all(exports[jobs] == exports[JOB_COUNTS[0]]
-                        for jobs in JOB_COUNTS)
+        identical = all(exports[jobs] == exports[job_counts[0]]
+                        for jobs in job_counts)
         comparison.row(
             f"[{executor}] records byte-identical across job counts",
             True, identical)
@@ -145,9 +147,9 @@ def bench_runner_scaling(benchmark, full_corpus, comparison):
         comparison.note("")
         assert identical
 
-    # The two backends must agree with each other, not just internally.
-    cross = results["thread"][1][JOB_COUNTS[0]] == results["process"][1][JOB_COUNTS[0]]
-    comparison.row("thread and process records byte-identical", True, cross)
+    # The two transports must agree with each other, not just internally.
+    cross = results["inline"][1][1] == results["process"][1][JOB_COUNTS[0]]
+    comparison.row("inline and process records byte-identical", True, cross)
     comparison.metric("cross_executor_byte_identical", cross)
     assert cross
 
@@ -169,7 +171,7 @@ def bench_runner_scaling(benchmark, full_corpus, comparison):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--executor", choices=("thread", "process"),
+    parser.add_argument("--executor", choices=("inline", "process"),
                         default="process")
     parser.add_argument("--jobs", default="1,2,4,8",
                         help="comma-separated worker counts (default 1,2,4,8)")
@@ -180,6 +182,8 @@ def main(argv=None) -> int:
                              "(what the CI scaling job archives)")
     args = parser.parse_args(argv)
     job_counts = tuple(int(part) for part in args.jobs.split(","))
+    if args.executor == "inline" and job_counts != (1,):
+        parser.error("--executor inline runs in this process: use --jobs 1")
 
     from repro.dataset import CorpusGenerator
 

@@ -133,8 +133,9 @@ def _drive(directory, executor: str, count: int,
            clients: int = 0, ops: int = 0) -> dict:
     """One daemon lifecycle; with a profile, a hostile fleet churns
     around the honest reporter for the whole run."""
+    jobs = 1 if executor == "inline" else JOBS
     config = ServeConfig(
-        seed=BENCH_SEED, scale=BENCH_SCALE, jobs=JOBS, executor=executor,
+        seed=BENCH_SEED, scale=BENCH_SCALE, jobs=jobs, executor=executor,
         **HARDENED,
     )
     daemon = ServeDaemon(config, directory)
@@ -221,7 +222,7 @@ def _drive(directory, executor: str, count: int,
         # Session cap + executor workers + fixed daemon threads + the
         # fleet's own client threads + sampler/driver slack.
         "thread_bound": threads_before + HARDENED["max_sessions"]
-        + JOBS + clients + 6,
+        + jobs + clients + 6,
     }
 
 
@@ -295,7 +296,7 @@ def _check(result: dict) -> list[str]:
 @pytest.mark.skipif(not CHURN_ENABLED,
                     reason="set REPRO_SERVE_CHURN=1 to run the connection-churn soak")
 def bench_serve_churn(benchmark, comparison):
-    executors = ("thread", "process")
+    executors = ("inline", "process")
     results = {
         executor: run_bench(executor, FAULT_PROFILE, FAULT_SEED,
                             MESSAGES, CHAOS_CLIENTS, OPS_PER_CLIENT)
@@ -334,7 +335,7 @@ def bench_serve_churn(benchmark, comparison):
     assert not violations, "; ".join(violations)
 
     benchmark.pedantic(
-        lambda: run_bench("thread", FAULT_PROFILE, FAULT_SEED,
+        lambda: run_bench("inline", FAULT_PROFILE, FAULT_SEED,
                           max(4, MESSAGES // 4), 2, 8),
         rounds=1, iterations=1)
 
@@ -348,8 +349,9 @@ def main(argv=None) -> int:
     parser.add_argument("--client-fault-seed", type=int, default=FAULT_SEED,
                         help=f"fleet schedule seed (default {FAULT_SEED})")
     parser.add_argument("--executor", default="both",
-                        choices=("both", "thread", "process"),
-                        help="analysis backend(s) to churn (default both)")
+                        choices=("both", "inline", "process"),
+                        help="analysis transport(s) to churn (default both; "
+                             "inline runs one job)")
     parser.add_argument("--messages", type=int, default=MESSAGES,
                         help=f"honest submissions per run (default {MESSAGES})")
     parser.add_argument("--chaos-clients", type=int, default=CHAOS_CLIENTS,
@@ -360,12 +362,12 @@ def main(argv=None) -> int:
                         help="machine-readable results path")
     args = parser.parse_args(argv)
 
-    executors = ("thread", "process") if args.executor == "both" \
+    executors = ("inline", "process") if args.executor == "both" \
         else (args.executor,)
     print(f"serve churn: {args.messages} honest messages, "
           f"fleet {args.chaos_clients}x{args.ops} ops, "
           f"profile={args.client_faults}, fault_seed={args.client_fault_seed}, "
-          f"executors={','.join(executors)}, jobs={JOBS}, "
+          f"executors={','.join(executors)}, process jobs={JOBS}, "
           f"seed={BENCH_SEED}, scale={BENCH_SCALE}")
 
     results, violations = {}, []

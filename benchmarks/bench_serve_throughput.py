@@ -41,8 +41,8 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2024"))
 SERVE_ENABLED = bool(os.environ.get("REPRO_SERVE_BENCH"))
 
 MESSAGES = int(os.environ.get("REPRO_SERVE_BENCH_MESSAGES", "120"))
-JOBS = int(os.environ.get("REPRO_SERVE_BENCH_JOBS", "4"))
-EXECUTOR = os.environ.get("REPRO_SERVE_BENCH_EXECUTOR", "thread")
+JOBS = int(os.environ.get("REPRO_SERVE_BENCH_JOBS", "1"))
+EXECUTOR = os.environ.get("REPRO_SERVE_BENCH_EXECUTOR", "inline")
 
 RESULTS_PATH = (pathlib.Path(__file__).parent / "results"
                 / "bench_serve_throughput.json")

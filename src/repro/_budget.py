@@ -23,8 +23,8 @@ Design:
   ``failed`` with a machine-readable reason and degrades its
   dependents — the worker survives and the record is kept.
 - The active budget travels via a thread-local instead of threading a
-  parameter through every hot-path signature; ``jobs=N`` thread workers
-  each see only their own message's budget.
+  parameter through every hot-path signature; concurrent analyses on
+  different threads each see only their own message's budget.
 
 Determinism: work units are a pure function of the message being
 analyzed, so a work-unit limit degrades the *same* stages on every

@@ -2,9 +2,9 @@
 
 Commands:
 
-- ``run``     generate the calibrated world, analyse the corpus — with
-              ``--jobs N`` across a sharded worker pool (``--executor
-              thread|process``; process runs separate worker processes), with
+- ``run``     generate the calibrated world, analyse the corpus — in
+              this process, or with ``--jobs N`` across N worker
+              processes (``--executor auto|inline|process``), with
               ``--checkpoint DIR`` durably, and with ``--profile``
               timing every pipeline stage — print the headline
               statistics (optionally export the artifacts).
@@ -37,6 +37,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+
+from repro.runner.runner import EXECUTORS
 
 
 def _positive_int(value: str) -> int:
@@ -173,20 +175,20 @@ def _build_runner(corpus, seed: int, scale: float, jobs: int, checkpoint_dir,
                   batch_size: int | None = None,
                   durability: str = "batch",
                   storage_faults: str = "off", storage_fault_seed: int = 0):
-    """A CorpusRunner over ``corpus`` with per-worker CrawlerBoxes.
+    """A CorpusRunner over ``corpus``.
 
     ``stages`` (a validated ``--stages`` selection) reaches both
-    backends: the thread backend's box factory and the process
-    backend's :class:`RunnerConfig`, so every worker builds the same
-    plan.  ``faults``/``fault_seed`` likewise reach both backends: the
-    engine installed here serves the thread backend's shared network,
-    and the same parameters travel in the RunnerConfig so each process
-    worker rebuilds an identical engine.
+    transports: the inline run's live CrawlerBox and the process
+    workers' :class:`RunnerConfig`, so every worker builds the same
+    plan.  ``faults``/``fault_seed`` likewise reach both: the engine
+    installed here serves the inline box's network, and the same
+    parameters travel in the RunnerConfig so each process worker
+    rebuilds an identical engine.
 
     ``budget`` (the CLI's ``--budget``; None = pipeline default, 0 =
     unlimited), ``guard_limits`` (parsed ``--guard-limit`` pairs) and
     ``hostile`` (a ``"<seed>:<copies>"`` hostile-corpus spec) likewise
-    reach both backends via PipelineConfig/RunnerConfig.
+    reach both transports via PipelineConfig/RunnerConfig.
 
     ``storage_faults``/``storage_fault_seed`` stay in the *parent*: only
     this process writes durable state (checkpoint, manifest, export), so
@@ -195,7 +197,13 @@ def _build_runner(corpus, seed: int, scale: float, jobs: int, checkpoint_dir,
     """
     from repro import CrawlerBox
     from repro.core.pipeline import build_pipeline_config
-    from repro.runner import CheckpointStore, CorpusRunner, RunnerConfig, StageProfiler
+    from repro.runner import (
+        CheckpointStore,
+        CorpusRunner,
+        RunnerConfig,
+        StageProfiler,
+        resolve_executor,
+    )
     from repro.storage.durable import install_storage_faults
 
     if faults != "off":
@@ -234,10 +242,16 @@ def _build_runner(corpus, seed: int, scale: float, jobs: int, checkpoint_dir,
         run_info["budget"] = budget
     if guard_limits:
         run_info["guard_limits"] = [[key, value] for key, value in guard_limits]
-    return CorpusRunner(
-        box_factory=lambda worker_id: CrawlerBox.for_world(
+    # Only an inline run analyses here; process workers build their own.
+    box = (
+        CrawlerBox.for_world(
             corpus.world, profiler=profiler, stages=stages, config=pipeline_config
-        ),
+        )
+        if resolve_executor(executor, jobs) == "inline"
+        else None
+    )
+    return CorpusRunner(
+        box=box,
         jobs=jobs,
         executor=executor,
         config=RunnerConfig(seed=seed, scale=scale, stages=stages,
@@ -281,8 +295,6 @@ def _finish_run(result, corpus, export_path) -> int:
               f"{letter.error}")
         for attempt, error in enumerate(letter.history, start=1):
             print(f"  attempt {attempt}: {error}")
-        if letter.backoff_seconds:
-            print(f"  total backoff slept: {letter.backoff_seconds:.3f}s")
     if export_path:
         from repro.core.export import save_records
 
@@ -348,7 +360,7 @@ def cmd_run(args) -> int:
         print("Guard limits: " + ", ".join(
             f"{key}={value}" for key, value in args.guard_limit))
     print(f"Running CrawlerBox over the corpus "
-          f"(jobs={args.jobs}, executor={runner.resolve_executor()}) ...")
+          f"(jobs={args.jobs}, executor={runner.executor}) ...")
     _install_drain_handlers(runner)
     started = time.time()
     result = runner.run(messages)
@@ -381,7 +393,8 @@ def cmd_resume(args) -> int:
               f"the manifest; clients resubmit anything that was rejected "
               f"while it drained)")
         return 1
-    jobs = args.jobs if args.jobs is not None else manifest.jobs
+    jobs = args.jobs if args.jobs is not None else (
+        1 if args.executor == "inline" else manifest.jobs)
     # Fault settings default to what the interrupted run used, so a
     # plain `resume` reproduces the same weather; --faults overrides.
     faults = args.faults if args.faults is not None else manifest.faults
@@ -424,8 +437,6 @@ def cmd_resume(args) -> int:
               f"{letter['attempts']} attempts: {letter['error']}")
         for attempt, error in enumerate(letter.get("history") or (), start=1):
             print(f"    attempt {attempt}: {error}")
-        if letter.get("backoff_seconds"):
-            print(f"    total backoff slept: {letter['backoff_seconds']:.3f}s")
 
     corpus = CorpusGenerator(seed=manifest.seed, scale=manifest.scale).generate()
     messages = corpus.messages
@@ -820,16 +831,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(records are identical for any jobs count); "
                                  "asking for more jobs than cores just adds "
                                  "scheduling overhead")
-    run_parser.add_argument("--executor", choices=("auto", "thread", "process"),
+    run_parser.add_argument("--executor", choices=EXECUTORS,
                             default="auto",
-                            help="worker backend: 'process' runs workers in "
+                            help="transport: 'inline' analyses in this process "
+                                 "(--jobs 1 only); 'process' runs workers in "
                                  "separate processes (each serializes its own "
-                                 "records and ships batched frames); 'thread' "
-                                 "runs them in this process and tops out near one "
-                                 "core of analysis; 'auto' picks process when "
-                                 "--jobs > 1.  Multi-core speedup is unmeasured: "
-                                 "on a 1-core host both backends stay at jobs=1 "
-                                 "throughput for jobs 1-8 (bench_runner_scaling)")
+                                 "records and ships batched frames); 'auto' is "
+                                 "inline at --jobs 1 and process above.  "
+                                 "Multi-core speedup is unmeasured: on a 1-2 core "
+                                 "host process runs stay at inline throughput for "
+                                 "jobs 1-8 (bench_runner_scaling)")
     run_parser.add_argument("--batch-size", type=_positive_int, default=None,
                             metavar="N",
                             help="messages per dispatch to a process worker "
@@ -865,8 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="override one ingestion-guard structural cap "
                                  "(repeatable), e.g. --guard-limit max_parts=64 "
                                  "--guard-limit max_depth=10; unknown keys list "
-                                 "the vocabulary; reaches thread and process "
-                                 "workers identically")
+                                 "the vocabulary; reaches inline and process "
+                                 "runs identically")
     run_parser.add_argument("--hostile", type=_hostile_spec, default=None,
                             metavar="SEED[:COPIES]",
                             help="append the seeded hostile corpus "
@@ -908,8 +919,9 @@ def build_parser() -> argparse.ArgumentParser:
     resume_parser.add_argument("checkpoint", help="checkpoint directory of the interrupted run")
     resume_parser.add_argument("--jobs", type=_positive_int, default=None,
                                help="override the manifest's worker count")
-    resume_parser.add_argument("--executor", choices=("auto", "thread", "process"),
-                               default="auto", help="worker backend (see 'run --executor')")
+    resume_parser.add_argument("--executor", choices=EXECUTORS,
+                               default="auto", help="transport (see 'run --executor'); "
+                                                    "'inline' resumes with one job")
     resume_parser.add_argument("--batch-size", type=_positive_int, default=None,
                                metavar="N",
                                help="messages per process-worker dispatch "
@@ -994,9 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--scale", type=float, default=0.15,
                               help="world scale (see 'run --scale')")
     serve_parser.add_argument("--jobs", type=_positive_int, default=1)
-    serve_parser.add_argument("--executor", choices=("auto", "thread", "process"),
+    serve_parser.add_argument("--executor", choices=EXECUTORS,
                               default="auto",
-                              help="worker backend (see 'run --executor')")
+                              help="transport (see 'run --executor')")
     serve_parser.add_argument("--batch-size", type=_positive_int, default=8,
                               help="submissions per micro-batch handed to a worker")
     serve_parser.add_argument("--admit-rate", type=float, default=None,
@@ -1128,6 +1140,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "executor", None) == "inline" and (args.jobs or 1) > 1:
+        parser.error("--executor inline analyses in this process; it takes --jobs 1")
     return args.handler(args)
 
 

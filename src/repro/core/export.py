@@ -179,8 +179,8 @@ def record_to_wire(record: MessageRecord) -> bytes:
 
     This is *the* record→bytes function of the data plane: process
     workers render results with it so the parent's hot loop is
-    append-bytes-and-ack, and the thread/serial backends render with
-    the same function, which is what keeps every backend's checkpoint
+    append-bytes-and-ack, and inline runs render with the same
+    function, which is what keeps every transport's checkpoint
     byte-identical.
     """
     return encode_record_line(record_to_line(record)).encode("utf-8")

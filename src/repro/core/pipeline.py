@@ -263,8 +263,9 @@ class CrawlerBox:
         The record→bytes rendering of the data plane lives behind this
         one method: process workers call it so checkpoint lines ship
         fully serialized (compact JSON + CRC32 suffix) and the parent
-        appends bytes without re-rendering; the thread backend calls the
-        same method, which is what keeps every backend byte-identical.
+        appends bytes without re-rendering; the inline transport calls
+        the same method, which is what keeps every transport
+        byte-identical.
         """
         from repro.core.export import record_to_wire
 
@@ -274,14 +275,14 @@ class CrawlerBox:
     def analyze_corpus(self, messages: list[EmailMessage]) -> list[MessageRecord]:
         """Analyze a whole corpus, keeping the records.
 
-        Delegates to a single-worker :class:`~repro.runner.runner.CorpusRunner`
-        — the same engine the ``--jobs N`` CLI path uses — so serial
+        Delegates to an inline :class:`~repro.runner.runner.CorpusRunner`
+        — the same scheduler the ``--jobs N`` CLI path uses — so serial
         callers and sharded runs share one code path (and, because each
         message's RNG stream depends only on its index, one output).
         """
         from repro.runner.runner import CorpusRunner
 
-        runner = CorpusRunner(box_factory=lambda worker_id: self, jobs=1)
+        runner = CorpusRunner(box=self)
         self.records = runner.run(messages).records
         return self.records
 

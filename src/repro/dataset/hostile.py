@@ -30,8 +30,8 @@ hostile-ingest job) can assert not just "nothing crashed" but that each
 shape tripped the *intended* limit.
 
 Determinism: :func:`hostile_corpus` is a pure function of ``(seed,
-copies)`` — both backends regenerate identical hostile messages, so
-hostile-ingest runs stay byte-identical across thread/process executors
+copies)`` — both transports regenerate identical hostile messages, so
+hostile-ingest runs stay byte-identical across inline/process executors
 and worker counts.
 """
 

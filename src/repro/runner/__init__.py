@@ -5,30 +5,30 @@ reported emails as soon as they are tagged by experts") that sustained
 a ten-month, 5,181-message measurement window.  This subpackage wraps
 the per-message pipeline in a production-style engine:
 
-- :mod:`~repro.runner.queue` — a bounded in-memory job queue with
-  priorities, per-job attempt tracking, and delayed re-delivery.
-- :mod:`~repro.runner.workers` — N worker threads, each owning a
-  *private* :class:`~repro.core.pipeline.CrawlerBox` so no crawler or
-  RNG state is shared across workers.
-- :mod:`~repro.runner.retry` — exponential backoff with jitter for
-  transient faults, and a dead-letter list for jobs that exhaust their
-  attempts.
+- :mod:`~repro.runner.retry` — which faults are transient, how many
+  attempts they get, and the dead-letter list for jobs that exhaust
+  them.
 - :mod:`~repro.runner.checkpoint` — an append-only JSONL record store
   plus a run manifest, so an interrupted run can resume and skip the
   message indices it already analyzed.
 - :mod:`~repro.runner.stats` — incremental, mergeable running counters
   so progress reporting never re-scans completed records.
-- :mod:`~repro.runner.executor` — the process-based backend: workers
-  rebuild their world from a picklable :class:`RunnerConfig` and pull
-  message indices, so the CPU-bound analysis scales past the GIL.
+- :mod:`~repro.runner.executor` — one scheduler (batch dispatch,
+  isolated retries, dead letters, stall quarantine, drain) over two
+  transports: ``inline`` (``jobs=1`` in this process, on a live
+  CrawlerBox) and ``process`` (workers rebuild their world from a
+  picklable :class:`RunnerConfig`, so the CPU-bound analysis scales
+  past the GIL).
+- :mod:`~repro.runner.pool` — worker-process lifecycle, result frames,
+  and warm pool reuse for the process transport.
 - :mod:`~repro.runner.profile` — per-stage wall-clock timing
-  (``repro run --profile``), mergeable across threads and processes.
+  (``repro run --profile``), mergeable across processes.
 - :mod:`~repro.runner.runner` — the :class:`CorpusRunner` facade.
 
 Determinism guarantee: the pipeline derives each message's RNG stream
 from ``(corpus seed material, message_index)`` only, so a ``jobs=8``
-run — on either backend — produces byte-identical records to a
-``jobs=1`` run regardless of scheduling order.
+run produces byte-identical records to a ``jobs=1`` inline run
+regardless of scheduling order.
 """
 
 from repro._budget import BudgetExceeded, MessageBudget
@@ -41,7 +41,7 @@ from repro.runner.checkpoint import (
     encode_record_line,
     parse_record_line,
 )
-from repro.runner.executor import ProcessPool, RunnerConfig, WorkerCrash, WorkerStalled
+from repro.runner.executor import RunnerConfig, Scheduler, WorkerCrash, WorkerStalled
 from repro.runner.profile import (
     NULL_PROFILER,
     PROFILE_TABLE_STAGES,
@@ -50,9 +50,8 @@ from repro.runner.profile import (
     format_quarantine_report,
     format_stage_report,
 )
-from repro.runner.queue import Job, JobQueue, QueueClosed
 from repro.runner.retry import DeadLetter, RetryPolicy, TransientFault
-from repro.runner.runner import EXECUTORS, CorpusRunner, RunResult
+from repro.runner.runner import EXECUTORS, CorpusRunner, RunResult, resolve_executor
 from repro.runner.stats import RunningStats
 
 __all__ = [
@@ -63,19 +62,16 @@ __all__ = [
     "CorpusRunner",
     "DeadLetter",
     "EXECUTORS",
-    "Job",
-    "JobQueue",
     "LineIssue",
     "MessageBudget",
     "NULL_PROFILER",
     "PROFILE_TABLE_STAGES",
-    "ProcessPool",
-    "QueueClosed",
     "RetryPolicy",
     "RunManifest",
     "RunnerConfig",
     "RunResult",
     "RunningStats",
+    "Scheduler",
     "StageProfiler",
     "TransientFault",
     "WorkerCrash",
@@ -85,4 +81,5 @@ __all__ = [
     "format_quarantine_report",
     "format_stage_report",
     "parse_record_line",
+    "resolve_executor",
 ]

@@ -1,56 +1,43 @@
-"""Process-based execution backend: scale past the GIL.
+"""Execution: one scheduler over two transports.
 
-The per-message analysis (JS interpretation, QR decoding, DCT hashing,
-DOM rendering) is CPU-bound pure Python, so the thread backend cannot
-exceed one core on a stock interpreter.  This module runs the same
-sharded-worker design across *processes*:
+Every record is a pure function of ``(seed material, message_index)``
+(see :meth:`repro.core.pipeline.CrawlerBox.message_seed`), so how the
+messages are spread over workers never changes an output byte.  There
+is therefore one execution contract — send a batch of indices, receive
+``frame`` (wire bytes plus a :class:`~repro.runner.stats.RunningStats`
+shard), ``fail`` and ``batch-done`` messages — and one body that honours
+it, :func:`analyse_batch`.  Two transports carry it:
 
-- Nothing live crosses the process boundary.  Workers receive a
-  picklable :class:`RunnerConfig` (seed material, scale, crawler profile
-  name), regenerate the corpus and build a private
-  :class:`~repro.core.pipeline.CrawlerBox` locally, and then pull
-  message *indices* in batches — full MIME trees are never pickled.
-- Finished records stream back *fully serialized*: each worker renders
-  its records to the final checkpoint wire form (compact JSON + CRC32
-  suffix, via :meth:`~repro.core.pipeline.CrawlerBox.analyze_to_wire`)
-  and ships them in batched result frames (:mod:`repro.runner.pool`),
-  each frame carrying a worker-local
-  :class:`~repro.runner.stats.RunningStats` shard.  The parent's hot
-  loop is append-bytes-and-ack: it never re-serializes a record and
-  only parses one on the rare duplicate-delivery path.
-- Determinism is inherited from the pipeline: every record depends only
-  on ``(seed material, message_index)``, so ``jobs=N`` process runs are
-  byte-identical to ``jobs=1`` thread runs.
+- **process** — :class:`~repro.runner.pool.WorkerPool`: N worker
+  processes, each rebuilding its world from a picklable
+  :class:`RunnerConfig` (nothing live crosses the boundary; corpus
+  runs send message *indices*, ``repro serve`` sends raw RFC-822
+  bytes).  Workers render records to their final checkpoint wire form
+  and ship batched frames, so the parent's hot loop is
+  append-bytes-and-ack.  The only way past the GIL.
+- **inline** — :class:`InlineTransport`: ``--jobs 1`` in the caller's
+  own process, on the caller's live :class:`~repro.core.pipeline.
+  CrawlerBox` and messages.  No fork, no pickling, no world rebuild;
+  each frame also carries the live record, so nothing is re-parsed.
+  It runs one message per :meth:`InlineTransport.get`, so records land
+  one at a time and a drain stops after the current message.
 
-Worker lifecycle (spawn, sentinel-based death detection, stall ticks,
-warm reuse across runs) lives in :mod:`repro.runner.pool`; this module
-keeps the scheduling policy: batch dispatch, retry/crash accounting,
-dead letters, and stall quarantine.  The *thread* backend remains the
-default for ``jobs=1`` and for spawn-unfriendly environments (Windows,
-frozen binaries): it needs no picklable config and starts instantly, at
-the price of GIL-serialized throughput.
+:class:`Scheduler` is the only policy over both: batch dispatch,
+isolated retries, dead letters, stall quarantine, and drain.  Worker
+lifecycle (spawn, sentinel-based death detection, stall ticks, warm
+reuse across runs) lives in :mod:`repro.runner.pool`.
 """
 
 from __future__ import annotations
 
+import collections
 import os
-import pickle
+import queue
 import time
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.runner.pool import (
-    RespawnGovernor,
-    ResultBatcher,
-    acquire_pool,
-    prewarm,
-    release_pool,
-    unpack_frame,
-)
+from repro.runner.pool import ResultBatcher, RespawnGovernor, prewarm, unpack_frame
 from repro.runner.retry import TransientFault
-
-#: Seconds to wait for workers to acknowledge a stop before terminating.
-_STOP_GRACE = 5.0
 
 #: Default seconds of total silence (no results, no crashes, work
 #: outstanding) before the parent reaps the stalled workers.  Far above
@@ -86,22 +73,23 @@ class RunnerConfig:
     scale: float = 1.0
     crawler_profile: str = "notabot"
     #: Stage-plan selection (``None`` = every built-in stage); carried
-    #: here so thread and process backends build identical plans — a
+    #: here so inline and process runs build identical plans — a
     #: ``--stages auth,parse`` triage run subsets in every worker.
     stages: tuple[str, ...] | None = None
     #: Collect per-stage timings (see :mod:`repro.runner.profile`).
     profile: bool = False
-    #: Test-only fault injection, applied inside the worker:
-    #: ``"crash:<index>"`` hard-exits the process when analyzing that
-    #: message; ``"transient:<index>:<n>"`` raises TransientFault on the
-    #: first ``n`` attempts at that message; ``"wedge:<index>"`` sleeps
-    #: far past any stall timeout (a hard wedge the cooperative budget
-    #: cannot interrupt), exercising the reap-to-quarantine path.
+    #: Test-only fault injection, applied where the message is analysed:
+    #: ``"transient:<index>:<n>"`` raises TransientFault on the first
+    #: ``n`` attempts at that message (both transports);
+    #: ``"crash:<index>"`` hard-exits the worker process and
+    #: ``"wedge:<index>"`` sleeps far past any stall timeout (a hard
+    #: wedge the cooperative budget cannot interrupt), exercising the
+    #: reap-to-quarantine path — process transport only.
     fault: str = ""
     #: Fault-injection profile for the simulated internet
     #: (``off | light | heavy | hostile``); each worker installs the
     #: same seeded engine on its rebuilt network, so process runs see
-    #: the same deterministic weather as thread runs.
+    #: the same deterministic weather as inline runs.
     faults: str = "off"
     fault_seed: int = 0
     #: Per-message work-unit budget override (None = pipeline default,
@@ -109,7 +97,7 @@ class RunnerConfig:
     budget: int | None = None
     #: Ingestion-guard cap overrides as ``(key, value)`` pairs — the
     #: picklable form of the CLI's repeatable ``--guard-limit`` — so
-    #: thread and process workers enforce identical structural limits
+    #: inline and process runs enforce identical structural limits
     #: (None/empty = the stock :class:`~repro.mail.guard.GuardLimits`).
     guard_limits: tuple[tuple[str, int], ...] | None = None
     #: Truncate the regenerated corpus to its first N messages (None =
@@ -124,7 +112,8 @@ class RunnerConfig:
 
     # ------------------------------------------------------------------
     def build(self):
-        """(messages, box) — runs inside the worker process."""
+        """(messages, box) — runs in each worker process, and in the
+        daemon's own process for an inline ``repro serve``."""
         from repro.core import CrawlerBox
         from repro.crawlers.base import Crawler
         from repro.crawlers.profiles import crawler_profile
@@ -165,58 +154,95 @@ class RunnerConfig:
         return messages, box
 
 
+
 # ----------------------------------------------------------------------
-# Worker side
+# The per-batch body both transports run
 # ----------------------------------------------------------------------
-def _parse_fault(spec: str):
-    if not spec:
-        return None
-    parts = spec.split(":")
-    if parts[0] == "crash":
-        return ("crash", int(parts[1]))
-    if parts[0] == "transient":
-        return ("transient", int(parts[1]), int(parts[2]) if len(parts) > 2 else 1)
-    if parts[0] == "wedge":
-        return ("wedge", int(parts[1]))
-    raise ValueError(f"unknown fault spec {spec!r}")
+class InjectedFault:
+    """A parsed :attr:`RunnerConfig.fault` spec (test-only)."""
+
+    def __init__(self, spec: str):
+        parts = spec.split(":")
+        if parts[0] not in ("crash", "transient", "wedge") or len(parts) < 2:
+            raise ValueError(f"unknown fault spec {spec!r}")
+        self.kind = parts[0]
+        self.index = int(parts[1])
+        self.times = int(parts[2]) if self.kind == "transient" and len(parts) > 2 else 1
+        self.seen = 0
+
+    def fire(self, index: int, batcher: ResultBatcher) -> None:
+        if index != self.index:
+            return
+        if self.kind == "wedge":
+            # A hard wedge the cooperative budget cannot see (native-code
+            # loop, deadlocked lock, ...): go silent until the parent's
+            # stall watchdog reaps this process.  Batch-mates analyzed
+            # before the wedge ship first — their records must land.
+            batcher.flush()
+            time.sleep(3600.0)
+        if self.kind == "crash":
+            # Simulate a hard worker death — but deliver any batch-mates
+            # already analyzed and flush the result queue's feeder thread
+            # first: exiting while it holds the queue's shared write lock
+            # would deadlock every other worker's put() (an inherent
+            # multiprocessing.Queue hazard the fault models death
+            # *between* writes to avoid).
+            batcher.flush()
+            batcher.outq.close()
+            batcher.outq.join_thread()
+            os._exit(13)
+        self.seen += 1
+        if self.seen <= self.times:
+            raise TransientFault(f"injected fault attempt {self.seen}")
 
 
-def _portable_error(error: BaseException) -> BaseException:
-    """The exception itself when picklable, else a repr-carrying stand-in."""
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        return RuntimeError(repr(error))
+def analyse_batch(box, indices, message_at, batcher: ResultBatcher, fault=None):
+    """Analyse ``indices`` in order and report each through ``batcher``.
+
+    ``message_at(index)`` turns an index into a message (a corpus slot,
+    or an ingested ``.eml``); a raise anywhere — fetching the message,
+    an injected fault, the analysis — becomes that index's ``fail``.
+    A generator: it yields after every message, so the inline
+    transport can hand each record back before starting the next.  The
+    last step reports ``batch-done``.
+    """
+    for index in indices:
+        try:
+            if fault is not None:
+                fault.fire(index, batcher)
+            record, wire = box.analyze_to_wire(message_at(index), message_index=index)
+        except BaseException as error:  # noqa: BLE001 - routed to the scheduler
+            batcher.fail(index, error)
+        else:
+            batcher.add(index, wire, record)
+        yield
+    batcher.done()
 
 
+def _farewell(box, outq, worker_id: int) -> None:
+    """Answer ``stop``: ship the stage-timing snapshot, then sign off."""
+    if box.profiler is not None and box.profiler.enabled:
+        outq.put(("profile", worker_id, box.profiler.snapshot()))
+    outq.put(("stopped", worker_id))
+
+
+# ----------------------------------------------------------------------
+# Process transport: the worker side
+# ----------------------------------------------------------------------
 def _worker_main(worker_id: int, config: RunnerConfig, inq, outq) -> None:
     """Worker process entry point: build once, analyze batches forever."""
-    try:
-        import signal
-
-        # A terminal Ctrl-C reaches the whole process group; the drain
-        # protocol wants workers to *finish* their current message, so
-        # only the parent acts on SIGINT.  SIGTERM (the reaper) still
-        # kills us.
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):
-        pass
     try:
         messages, box = config.build()
     except BaseException as error:  # noqa: BLE001 - reported to the parent
         outq.put(("init-failed", worker_id, repr(error)))
         return
     outq.put(("ready", worker_id))
-    fault = _parse_fault(config.fault)
-    fault_seen = 0
+    fault = InjectedFault(config.fault) if config.fault else None
     batcher = ResultBatcher(outq, worker_id)
     while True:
         command = inq.get()
         if command[0] == "stop":
-            if box.profiler is not None and box.profiler.enabled:
-                outq.put(("profile", worker_id, box.profiler.snapshot()))
-            outq.put(("stopped", worker_id))
+            _farewell(box, outq, worker_id)
             return
         if command[0] == "sync":
             # Warm-reuse handshake: the echo proves the result queue
@@ -234,57 +260,14 @@ def _worker_main(worker_id: int, config: RunnerConfig, inq, outq) -> None:
             # exactly like corpus messages.
             from repro.mail.ingest import ingest_eml_bytes
 
-            for index, raw in command[1]:
-                try:
-                    message = ingest_eml_bytes(raw)
-                    record, wire = box.analyze_to_wire(message, message_index=index)
-                except BaseException as error:  # noqa: BLE001 - routed to parent
-                    batcher.flush()  # keep frame/fail ordering causal
-                    outq.put(("fail", worker_id, index, _portable_error(error)))
-                else:
-                    batcher.add(index, wire, record)
-            batcher.flush()
-            outq.put(("batch-done", worker_id))
-            continue
-        for index in command[1]:
-            try:
-                if fault is not None and fault[1] == index:
-                    if fault[0] == "wedge":
-                        # A hard wedge the cooperative budget cannot see
-                        # (native-code loop, deadlocked lock, ...): go
-                        # silent until the parent's stall watchdog reaps
-                        # this process.  Batch-mates analyzed before the
-                        # wedge ship first — their records must land.
-                        batcher.flush()
-                        time.sleep(3600.0)
-                    if fault[0] == "crash":
-                        # Simulate a hard worker death — but deliver any
-                        # batch-mates already analyzed and flush the
-                        # result queue's feeder thread first: exiting
-                        # while it holds the queue's shared write lock
-                        # would deadlock every other worker's put()
-                        # (an inherent multiprocessing.Queue hazard the
-                        # fault models death *between* writes to avoid).
-                        batcher.flush()
-                        outq.close()
-                        outq.join_thread()
-                        os._exit(13)
-                    fault_seen += 1
-                    if fault_seen <= fault[2]:
-                        raise TransientFault(f"injected fault attempt {fault_seen}")
-                record, wire = box.analyze_to_wire(messages[index], message_index=index)
-            except BaseException as error:  # noqa: BLE001 - routed to parent
-                batcher.flush()  # keep frame/fail ordering causal
-                outq.put(("fail", worker_id, index, _portable_error(error)))
-            else:
-                batcher.add(index, wire, record)
-        batcher.flush()
-        outq.put(("batch-done", worker_id))
+            raws = dict(command[1])
+            indices, message_at = list(raws), lambda index: ingest_eml_bytes(raws[index])
+        else:
+            indices, message_at = command[1], messages.__getitem__
+        for _ in analyse_batch(box, indices, message_at, batcher, fault):
+            pass
 
 
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
 def prewarm_process_pool(config: RunnerConfig, jobs: int, timeout: float = 300.0) -> None:
     """Build and park a warm worker pool for ``config``.
 
@@ -295,21 +278,111 @@ def prewarm_process_pool(config: RunnerConfig, jobs: int, timeout: float = 300.0
     prewarm(_worker_main, config, jobs, timeout=timeout)
 
 
-class ProcessPool:
-    """Drives worker processes for one :class:`CorpusRunner` run.
+# ----------------------------------------------------------------------
+# Inline transport
+# ----------------------------------------------------------------------
+class InlineTransport:
+    """An in-process stand-in for :class:`~repro.runner.pool.WorkerPool`.
 
-    The runner owns all durable state (checkpoint, manifest, stats,
-    dead letters); :class:`~repro.runner.pool.WorkerPool` owns process
-    lifecycle and wakeups; this class owns only scheduling policy:
-    batch dispatch, retry/crash accounting, and stall quarantine.
+    One always-ready "worker" (id 0) that runs :func:`analyse_batch` on
+    the caller's live ``box``, resolving indices through
+    ``message_at``.  Commands queue on :meth:`send`; the work happens
+    inside :meth:`get`, one message per call, on the caller's thread —
+    so the messages that come back are exactly a worker's (``frame``,
+    ``fail``, ``batch-done``), in the same order, and the scheduler
+    cannot tell the transports apart.  Frames carry the live records
+    next to their wire bytes, and failures the original exception.
+
+    Only ``transient:`` fault specs apply: ``crash:`` and ``wedge:``
+    model a worker *process* dying or going silent, which an inline
+    run has no watchdog to survive.
     """
 
-    def __init__(self, runner, config: RunnerConfig, jobs: int, batch_size: int | None = None):
+    def __init__(self, box, message_at, fault: str = ""):
+        self.fault = InjectedFault(fault) if fault else None
+        if self.fault is not None and self.fault.kind != "transient":
+            raise ValueError(
+                f"fault spec {fault!r} needs a worker process; the inline "
+                f"transport takes only transient:<index>[:<n>]"
+            )
+        self.box = box
+        self.message_at = message_at
+        self.workers = {0: None}
+        self.ready = {0}
+        self.stall_timeout: float | None = None
+        self._commands: queue.SimpleQueue = queue.SimpleQueue()
+        self._out: collections.deque = collections.deque()
+        self._batch = None
+        self._batcher = ResultBatcher(self, 0, flush_records=1, live=True)
+
+    def put(self, message: tuple) -> None:
+        """The batcher's output queue."""
+        self._out.append(message)
+
+    def send(self, worker_id: int, command: tuple) -> None:
+        self._commands.put(command)
+
+    def wake(self) -> None:
+        """Post a no-op wakeup (signal-handler safe: SimpleQueue.put is
+        reentrant)."""
+        self._commands.put(("wake",))
+
+    def note_ready(self, worker_id: int) -> None:
+        pass
+
+    def get(self, timeout: float | None = None) -> tuple:
+        """Next message; analyses the next queued message to make one."""
+        while not self._out:
+            if self._batch is not None:
+                try:
+                    next(self._batch)
+                except StopIteration:
+                    self._batch = None
+                continue
+            command = self._commands.get(timeout=timeout)
+            if command[0] == "batch":
+                indices = command[1]
+            elif command[0] == "eml-batch":
+                # The caller already ingested these bytes; its
+                # ``message_at`` hands back that parse.
+                indices = [index for index, _ in command[1]]
+            else:
+                self._out.append(("wake", -1))
+                continue
+            self._batch = analyse_batch(
+                self.box, indices, self.message_at, self._batcher, self.fault
+            )
+        return self._out.popleft()
+
+    def release(self, on_message=None) -> None:
+        """End of a run: hand the stage-timing snapshot to ``on_message``."""
+        _farewell(self.box, self, 0)
+        while self._out:
+            message = self._out.popleft()
+            if on_message is not None:
+                on_message(message)
+
+    def stop(self, graceful: bool = True, on_message=None) -> None:
+        self.release(on_message if graceful else None)
+
+
+# ----------------------------------------------------------------------
+# The scheduler
+# ----------------------------------------------------------------------
+class Scheduler:
+    """Drives one transport for one :class:`CorpusRunner` run.
+
+    The runner owns all durable state (checkpoint, manifest, stats,
+    dead letters); the transport (a :class:`~repro.runner.pool.
+    WorkerPool` or an :class:`InlineTransport`) owns workers and
+    wakeups; this class owns only scheduling policy: batch dispatch,
+    retry/crash accounting, stall quarantine, and drain.
+    """
+
+    def __init__(self, runner, pool, batch: int):
         self.runner = runner
-        self.config = replace(config, profile=runner.profiler is not None)
-        self.jobs = jobs
-        self.batch_size = batch_size
-        self.pool = None
+        self.pool = pool
+        self.batch = batch
         self.inflight: dict[int, set[int]] = {}
         self.idle: set[int] = set()
         self.stopped: set[int] = set()
@@ -320,35 +393,28 @@ class ProcessPool:
     # ------------------------------------------------------------------
     def run(self, pending: list[int]) -> None:
         runner = self.runner
-        batch = self.batch_size or max(1, min(16, len(pending) // (self.jobs * 4) or 1))
-        self.pending: deque[int] = deque(pending)
+        self.pending: collections.deque[int] = collections.deque(pending)
         #: Failed indices awaiting re-delivery; dispatched one per batch
         #: so a poison message cannot drag batch-mates into its crash
         #: accounting a second time.
-        self.retries: deque[int] = deque()
+        self.retries: collections.deque[int] = collections.deque()
         self.remaining: set[int] = set(pending)
         self.attempts: dict[int, int] = {}
         #: Per-index error reprs across attempts, for dead-letter history.
         self.attempt_errors: dict[int, list[str]] = {}
 
-        stall_timeout = getattr(runner, "stall_timeout", None) or _STALL_TIMEOUT
-        pool = self.pool = acquire_pool(
-            _worker_main,
-            self.config,
-            min(self.jobs, max(1, len(pending))),
-            name_prefix="repro-proc-worker",
-        )
-        pool.stall_timeout = stall_timeout
-        runner._process_pool = self
+        self.stall_timeout = runner.stall_timeout or _STALL_TIMEOUT
+        pool = self.pool
+        pool.stall_timeout = self.stall_timeout
         self._last_progress = time.monotonic()
         graceful = True
         try:
-            # Warm workers already passed their init handshake: feed
-            # them immediately instead of waiting for a "ready" that
-            # was consumed by a previous run.
+            # Ready workers (warm ones passed their init handshake in a
+            # previous run; the inline worker always is): feed them now
+            # instead of waiting for a "ready" that already happened.
             for worker_id in sorted(pool.ready):
                 self.inflight.setdefault(worker_id, set())
-                self._dispatch(worker_id, batch)
+                self._dispatch(worker_id)
             draining = False
             while self.remaining and runner._fatal is None:
                 if runner._drain.is_set():
@@ -361,29 +427,21 @@ class ProcessPool:
                         self.retries.clear()
                     if not any(self.inflight.values()):
                         break
-                self._handle(pool.get(), batch, stall_timeout)
+                self._handle(pool.get())
             graceful = runner._fatal is None
         except BaseException:
             graceful = False
             raise
         finally:
-            runner._process_pool = None
             self._finish(graceful)
 
     # ------------------------------------------------------------------
-    def wake(self) -> None:
-        """Unblock the event loop (signal-handler safe; drain path)."""
-        pool = self.pool
-        if pool is not None:
-            pool.wake()
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, worker_id: int, batch: int) -> None:
+    def _dispatch(self, worker_id: int) -> None:
         indices = []
         if self.retries:
             indices.append(self.retries.popleft())  # isolated re-delivery
         else:
-            while self.pending and len(indices) < batch:
+            while self.pending and len(indices) < self.batch:
                 indices.append(self.pending.popleft())
         if not indices:
             self.idle.add(worker_id)
@@ -392,40 +450,40 @@ class ProcessPool:
         self.inflight.setdefault(worker_id, set()).update(indices)
         self.pool.send(worker_id, ("batch", indices))
 
-    def _dispatch_idle(self, batch: int) -> None:
+    def _dispatch_idle(self) -> None:
         for worker_id in sorted(self.idle):
             if not self.pending and not self.retries:
                 return
-            self._dispatch(worker_id, batch)
+            self._dispatch(worker_id)
 
     # ------------------------------------------------------------------
-    def _handle(self, message: tuple, batch: int, stall_timeout: float) -> None:
+    def _handle(self, message: tuple) -> None:
         kind, worker_id = message[0], message[1]
         if kind == "frame":
             self._last_progress = time.monotonic()
             self.governor.note_progress()
-            self._handle_frame(worker_id, message[2], message[3])
+            self._handle_frame(worker_id, *message[2:])
         elif kind == "batch-done":
             self._last_progress = time.monotonic()
             self.governor.note_progress()
-            self._dispatch(worker_id, batch)
+            self._dispatch(worker_id)
         elif kind == "ready":
             self._last_progress = time.monotonic()
             self.pool.note_ready(worker_id)
             if not self.inflight.get(worker_id):
-                self._dispatch(worker_id, batch)
+                self._dispatch(worker_id)
         elif kind == "fail":
             self._last_progress = time.monotonic()
             index, error = message[2], message[3]
             self.inflight.get(worker_id, set()).discard(index)
             if index in self.remaining:
                 self._count_failure(index, error)
-                self._dispatch_idle(batch)
+                self._dispatch_idle()
         elif kind == "worker-died":
-            self._reap_worker(worker_id, batch)
+            self._reap_worker(worker_id)
         elif kind == "stall-tick":
-            if time.monotonic() - self._last_progress >= stall_timeout:
-                self._reap_stalled(batch, stall_timeout)
+            if time.monotonic() - self._last_progress >= self.stall_timeout:
+                self._reap_stalled()
         elif kind == "profile":
             self.runner._merge_stage_snapshot(message[2])
         elif kind == "stopped":
@@ -436,31 +494,33 @@ class ProcessPool:
             )
         # "wake" / stale "synced": no-op wakeups
 
-    def _handle_frame(self, worker_id: int, blob: bytes, shard) -> None:
-        """Land one result frame: append wire bytes, absorb the shard.
+    def _handle_frame(self, worker_id: int, blob: bytes, shard, records=None) -> None:
+        """Land one result frame: absorb the shard, append wire bytes.
 
         The shard covers exactly the frame's records, so it is absorbed
-        wholesale iff every entry was fresh; on the rare duplicate
+        wholesale iff every entry is fresh; on the rare duplicate
         delivery (crash-retry race) the fresh records' stats are
-        recomputed individually instead.
+        recomputed individually instead.  Inline frames carry the live
+        ``records`` too, which the runner keeps instead of parsing.
         """
         runner = self.runner
         inflight = self.inflight.get(worker_id, set())
         entries = unpack_frame(blob)
-        delivered: list[bytes] = []
-        for index, wire in entries:
+        fresh = []
+        for position, (index, wire) in enumerate(entries):
             inflight.discard(index)
             if index in self.remaining:
                 self.remaining.discard(index)
-                if runner._record_wire(index, wire):
-                    delivered.append(wire)
-        if len(delivered) == len(entries):
-            runner._absorb_stats(shard)
-        elif delivered:
+                fresh.append((index, wire, records[position] if records else None))
+        if len(fresh) == len(entries):
+            runner._stats.absorb(shard)
+        else:
             from repro.core.export import record_from_wire
 
-            for wire in delivered:
-                runner._update_stats(record_from_wire(wire))
+            for _, wire, record in fresh:
+                runner._stats.update(record or record_from_wire(wire))
+        for index, wire, record in fresh:
+            runner._land(index, wire, record)
 
     def _count_failure(self, index: int, error: BaseException) -> None:
         runner = self.runner
@@ -471,7 +531,7 @@ class ProcessPool:
         self.attempts[index] = self.attempts.get(index, 0) + 1
         self.attempt_errors.setdefault(index, []).append(repr(error))
         if self.attempts[index] < policy.max_attempts:
-            runner._note_retry()
+            runner._stats.retried += 1
             self.retries.append(index)
         else:
             self.remaining.discard(index)
@@ -481,13 +541,9 @@ class ProcessPool:
                 # (not a dead letter) so a resume never re-runs it.
                 runner._quarantine_stalled(index, self.attempts[index], history)
             else:
-                # Process retries re-dispatch immediately (no backoff
-                # sleep), hence backoff=0; the history still travels.
-                runner._record_dead(
-                    index, self.attempts[index], repr(error), history=history
-                )
+                runner._record_dead(index, self.attempts[index], repr(error), history)
 
-    def _reap_worker(self, worker_id: int, batch: int) -> None:
+    def _reap_worker(self, worker_id: int) -> None:
         """A process sentinel fired: charge the lost in-flight work."""
         if worker_id in self.stopped or worker_id not in self.pool.workers:
             return  # deliberate stop (resize/shutdown), already handled
@@ -513,7 +569,7 @@ class ProcessPool:
                 if delay:
                     time.sleep(delay)
                 self.pool.spawn()  # replacement picks the retries up
-        self._dispatch_idle(batch)
+        self._dispatch_idle()
 
     def _should_respawn(self) -> bool:
         runner = self.runner
@@ -521,14 +577,14 @@ class ProcessPool:
             self.remaining and runner._fatal is None and not runner._drain.is_set()
         )
 
-    def _reap_stalled(self, batch: int, stall_timeout: float) -> None:
+    def _reap_stalled(self) -> None:
         """Terminate workers that went silent with work in flight.
 
         The lost indices are charged a :class:`WorkerStalled` attempt
         each (retried on a fresh worker, quarantined once exhausted);
         replacements are spawned.  If the silence had *no* in-flight
         work behind it, scheduling itself is broken — that is a bug in
-        this pool, not hostile input, and it raises.
+        this scheduler, not hostile input, and it raises.
         """
         stalled = [
             worker_id for worker_id, inflight in self.inflight.items() if inflight
@@ -536,7 +592,7 @@ class ProcessPool:
         if not stalled:
             raise RuntimeError(
                 f"process pool stalled: no worker output for "
-                f"{stall_timeout:.0f}s with {len(self.remaining)} message(s) "
+                f"{self.stall_timeout:.0f}s with {len(self.remaining)} message(s) "
                 f"outstanding and none in flight"
             )
         for worker_id in stalled:
@@ -545,7 +601,7 @@ class ProcessPool:
             self.idle.discard(worker_id)
             self.stopped.add(worker_id)  # sentinel fires later: ignore it
             stall = WorkerStalled(
-                f"worker produced no output for {stall_timeout:g}s with "
+                f"worker produced no output for {self.stall_timeout:g}s with "
                 f"{len(lost)} job(s) in flight; reaped"
             )
             for index in lost:
@@ -553,19 +609,17 @@ class ProcessPool:
             if self._should_respawn():
                 self.pool.spawn()
         self._last_progress = time.monotonic()
-        self._dispatch_idle(batch)
+        self._dispatch_idle()
 
     # ------------------------------------------------------------------
     def _finish(self, graceful: bool) -> None:
-        """Hand the pool back: park it warm after a clean run, tear it
-        down hard after a fatal one (worker state is then suspect)."""
-        pool, self.pool = self.pool, None
-        if pool is None:
-            return
+        """Hand the transport back: a process pool parks warm after a
+        clean run and is torn down hard after a fatal one (worker state
+        is then suspect)."""
+        pool = self.pool
         pool.stall_timeout = None
         if graceful:
-            release_pool(
-                pool,
+            pool.release(
                 on_message=lambda message: self.runner._merge_stage_snapshot(message[2])
                 if message[0] == "profile"
                 else None,

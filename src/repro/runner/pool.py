@@ -5,7 +5,7 @@ the plumbing around it: one pickled dict per message crossing the mp
 queue, a parent busy-polling ``outq.get`` at 250 ms, and a cold pool
 rebuild (corpus regeneration + CrawlerBox construction in every worker)
 for every run.  This module extracts that plumbing into one reusable
-layer shared by the batch :class:`~repro.runner.executor.ProcessPool`,
+layer shared by the batch :class:`~repro.runner.executor.Scheduler`,
 ``resume``, and the serve daemon's
 :class:`~repro.serve.engine.ProcessEngine`:
 
@@ -27,13 +27,16 @@ layer shared by the batch :class:`~repro.runner.executor.ProcessPool`,
 
 The pool is mechanism only: drivers own scheduling policy (dispatch,
 retries, dead letters, quarantine).  Everything a driver consumes
-arrives through :meth:`WorkerPool.get`.
+arrives through :meth:`WorkerPool.get`;
+:class:`~repro.runner.executor.InlineTransport` offers the same surface
+in-process, so drivers run unchanged on either.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
+import pickle
 import queue as stdlib_queue
 import signal
 import struct
@@ -110,7 +113,7 @@ def unpack_frame(blob: bytes) -> list[tuple[int, bytes]]:
 
 
 class ResultBatcher:
-    """Worker-side result accumulator.
+    """A worker's output channel.
 
     Collects ``(index, wire)`` pairs and folds each record into a local
     :class:`RunningStats` shard; :meth:`flush` ships one
@@ -118,6 +121,12 @@ class ResultBatcher:
     the pickled object (never ``as_dict``, whose rounding would break
     manifest byte-identity) and covers exactly the frame's records, so
     the parent absorbs it iff every entry in the frame is fresh.
+    :meth:`fail` and :meth:`done` flush first, keeping frame/fail
+    ordering causal.
+
+    ``live`` (the inline transport, same process as the parent) appends
+    the records themselves to each frame and passes exceptions through
+    unpickled.
     """
 
     def __init__(
@@ -126,17 +135,22 @@ class ResultBatcher:
         worker_id: int,
         flush_records: int = FRAME_FLUSH_RECORDS,
         flush_bytes: int = FRAME_FLUSH_BYTES,
+        live: bool = False,
     ):
         self.outq = outq
         self.worker_id = worker_id
         self.flush_records = flush_records
         self.flush_bytes = flush_bytes
+        self.live = live
         self._entries: list[tuple[int, bytes]] = []
+        self._records: list = []
         self._bytes = 0
         self._shard = RunningStats()
 
     def add(self, index: int, wire: bytes, record) -> None:
         self._entries.append((index, wire))
+        if self.live:
+            self._records.append(record)
         self._bytes += len(wire)
         self._shard.update(record)
         if len(self._entries) >= self.flush_records or self._bytes >= self.flush_bytes:
@@ -145,12 +159,33 @@ class ResultBatcher:
     def flush(self) -> None:
         if not self._entries:
             return
-        self.outq.put(
-            ("frame", self.worker_id, pack_frame(self._entries), self._shard)
-        )
+        frame = ("frame", self.worker_id, pack_frame(self._entries), self._shard)
+        if self.live:
+            frame += (self._records,)
+            self._records = []
+        self.outq.put(frame)
         self._entries = []
         self._bytes = 0
         self._shard = RunningStats()
+
+    def fail(self, index: int, error: BaseException) -> None:
+        self.flush()
+        if not self.live:
+            error = _portable_error(error)
+        self.outq.put(("fail", self.worker_id, index, error))
+
+    def done(self) -> None:
+        self.flush()
+        self.outq.put(("batch-done", self.worker_id))
+
+
+def _portable_error(error: BaseException) -> BaseException:
+    """The exception itself when picklable, else a repr-carrying stand-in."""
+    try:
+        pickle.loads(pickle.dumps(error))
+        return error
+    except Exception:
+        return RuntimeError(repr(error))
 
 
 # ----------------------------------------------------------------------
@@ -456,6 +491,10 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
+    def release(self, on_message=None) -> None:
+        """End of a run: park warm when eligible (see :func:`release_pool`)."""
+        release_pool(self, on_message=on_message)
+
     def stop(self, graceful: bool = True, on_message=None) -> None:
         """Stop every worker and the watcher.
 

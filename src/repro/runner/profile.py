@@ -15,8 +15,8 @@ profiling is off the pipeline holds the shared :data:`NULL_PROFILER`
 whose ``stage()`` context manager is a no-op.
 
 Aggregation follows the :class:`~repro.runner.stats.RunningStats` model:
-snapshots from independent workers (threads *or* processes — snapshots
-are plain dicts and cross pickle boundaries) merge by summation, and
+snapshots from independent workers (plain dicts that cross pickle
+boundaries) merge by summation, and
 the runner folds the merged totals into ``RunningStats.stage_calls`` /
 ``stage_seconds`` so ``repro run --profile`` can print where the time
 went from the same object that carries the headline counters.
@@ -132,12 +132,6 @@ class StageProfiler:
             for name, entry in snapshot.items():
                 self.stage_calls[name] += int(entry["calls"])
                 self.stage_seconds[name] += float(entry["seconds"])
-
-    def merge_into_stats(self, stats) -> None:
-        """Fold the totals into a RunningStats' stage counters."""
-        with self._lock:
-            stats.stage_calls.update(self.stage_calls)
-            stats.stage_seconds.update(self.stage_seconds)
 
 
 def format_stage_report(stage_calls, stage_seconds) -> str:

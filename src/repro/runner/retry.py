@@ -1,10 +1,13 @@
-"""Retry policy: exponential backoff with jitter, and dead letters.
+"""Retry policy and dead letters.
 
-Transient faults (a flaky enrichment source, an injected test fault)
-are retried with exponentially growing, jittered delays; jobs that
-exhaust their attempts land on the runner's dead-letter list instead of
-poisoning the run.  Non-transient exceptions are *not* retried — they
-indicate a pipeline bug and abort the run.
+Transient faults (a flaky enrichment source, a crashed worker, an
+injected test fault) are re-delivered, each retry on its own, up to
+``max_attempts``; jobs that exhaust their attempts land on the runner's
+dead-letter list instead of poisoning the run.  Non-transient
+exceptions are *not* retried — they indicate a pipeline bug and abort
+the run.  The scheduler re-delivers at once; the backoff schedule
+(:meth:`RetryPolicy.backoff_delay`) prices the simulated internet's
+retries (:mod:`repro.web.resilient`).
 """
 
 from __future__ import annotations
@@ -57,8 +60,6 @@ class DeadLetter:
     #: Per-attempt error reprs in delivery order (the last one equals
     #: ``error``); empty for letters predating retry-history tracking.
     history: tuple[str, ...] = ()
-    #: Total backoff the runner slept between this job's deliveries.
-    backoff_seconds: float = 0.0
 
     def as_dict(self) -> dict:
         data = {"index": self.index, "attempts": self.attempts, "error": self.error}
@@ -66,6 +67,4 @@ class DeadLetter:
         # retries keep the historical key set.
         if self.history:
             data["history"] = list(self.history)
-        if self.backoff_seconds:
-            data["backoff_seconds"] = round(self.backoff_seconds, 6)
         return data

@@ -1,63 +1,75 @@
 """The CorpusRunner facade: sharded, checkpointed corpus analysis.
 
-Orchestrates the queue, the worker pool, the retry policy, the
-checkpoint store, and the running statistics::
+Orchestrates the scheduler, the retry policy, the checkpoint store, and
+the running statistics::
 
-    runner = CorpusRunner(lambda wid: CrawlerBox.for_world(world), jobs=8)
+    runner = CorpusRunner(config=RunnerConfig(seed=7, scale=0.05), jobs=8)
     result = runner.run(corpus.messages)
     result.records   # sorted by message_index, identical to jobs=1
 
-Two execution backends share this bookkeeping (see
-:meth:`CorpusRunner.resolve_executor`):
+One :class:`~repro.runner.executor.Scheduler` drives either of two
+transports (see :func:`resolve_executor`):
 
-- ``thread`` — N worker threads with private CrawlerBoxes.  Instant
-  startup, no pickling requirements, works everywhere — but the
-  CPU-bound analysis is serialized by the GIL.
+- ``inline`` — ``jobs=1`` in this process, on the caller's live
+  ``box`` (a :class:`~repro.core.pipeline.CrawlerBox`) and messages.
+  Instant start, no picklable config needed; records land one message
+  at a time and stay live objects.
 - ``process`` — N worker *processes* (:mod:`repro.runner.executor`),
   each rebuilding its world from a picklable :class:`RunnerConfig` and
-  streaming record dicts back to this parent.  Scales with cores.
+  streaming serialized record frames back to this parent.  Scales with
+  cores.
 
-Determinism: workers race for jobs, so *completion* order varies —
-but every record depends only on ``(seed material, message_index)``
-(see :meth:`repro.core.pipeline.CrawlerBox.message_seed`), and the
-result list is sorted by index, so the records themselves are
-byte-identical across worker counts, backends, and scheduling orders.
+Determinism: every record depends only on ``(seed material,
+message_index)`` (see :meth:`repro.core.pipeline.CrawlerBox.message_seed`),
+and the result list is sorted by index, so the records themselves are
+byte-identical across worker counts, transports, and scheduling orders.
 
 Failure routing: since the pipeline became a stage graph
 (:mod:`repro.core.stages`), per-stage exceptions degrade the record's
 ``stage_status`` inside ``analyze`` instead of propagating here — the
-retry/backoff/dead-letter machinery below only ever sees transient
-infrastructure faults and messages that cannot enter the pipeline at
-all.  For stage subsetting, pass the same selection to the thread
-backend's ``box_factory`` and to :class:`RunnerConfig.stages` so both
-backends build identical plans (the CLI's ``--stages`` does this).
+retry/dead-letter machinery only ever sees transient infrastructure
+faults and messages that cannot enter the pipeline at all.  For stage
+subsetting, build the inline ``box`` with the same selection as
+:class:`RunnerConfig.stages` so both transports build identical plans
+(the CLI's ``--stages`` does this).
 """
 
 from __future__ import annotations
 
-import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.artifacts import MessageRecord
 from repro.runner.checkpoint import CheckpointStore, RunManifest
-from repro.runner.executor import ProcessPool, RunnerConfig
-from repro.runner.queue import Job, JobQueue, QueueClosed
+from repro.runner.executor import (
+    InlineTransport,
+    RunnerConfig,
+    Scheduler,
+    _worker_main,
+)
+from repro.runner.pool import acquire_pool
 from repro.runner.retry import DeadLetter, RetryPolicy
 from repro.runner.stats import RunningStats
-from repro.runner.workers import Worker, spawn_workers
-
-#: fault_injector(message_index, prior_attempts) -> None; raising makes
-#: the delivery attempt fail (tests inject TransientFault here).  Thread
-#: backend only — the process backend injects faults via
-#: ``RunnerConfig.fault`` since callables don't cross the boundary.
-FaultInjector = Callable[[int, int], None]
 
 #: progress(stats, completed, total) -> None.
 ProgressCallback = Callable[[RunningStats, int, int], None]
 
-EXECUTORS = ("auto", "thread", "process")
+EXECUTORS = ("auto", "inline", "process")
+
+
+def resolve_executor(executor: str, jobs: int) -> str:
+    """The transport a run uses: ``auto`` is ``inline`` at ``jobs == 1``
+    and ``process`` above; ``inline`` with ``jobs > 1`` is an error."""
+    if executor not in EXECUTORS:
+        raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
+    if executor == "auto":
+        return "inline" if jobs == 1 else "process"
+    if executor == "inline" and jobs > 1:
+        raise ValueError(
+            f"the inline executor analyses in this process: it takes jobs=1, got {jobs}"
+        )
+    return executor
 
 
 @dataclass
@@ -70,8 +82,8 @@ class RunResult:
     dead_letters: list[DeadLetter] = field(default_factory=list)
     #: Indices skipped because the checkpoint already had them.
     resumed_indices: tuple[int, ...] = ()
-    #: Backend that actually ran ('thread' | 'process').
-    executor: str = "thread"
+    #: Transport that actually ran ('inline' | 'process').
+    executor: str = "inline"
     #: True when a drain request (SIGINT/SIGTERM) stopped the run with
     #: work still pending; the manifest holds ``status: interrupted``
     #: and a bare ``resume`` continues byte-identically.
@@ -79,18 +91,16 @@ class RunResult:
 
 
 class CorpusRunner:
-    """Run a message corpus through N sharded CrawlerBox workers."""
+    """Run a message corpus through the inline or process transport."""
 
     def __init__(
         self,
-        box_factory: Callable[[int], object] | None = None,
+        box=None,
         jobs: int = 1,
         executor: str = "auto",
         config: RunnerConfig | None = None,
         retry_policy: RetryPolicy | None = None,
         checkpoint: CheckpointStore | None = None,
-        queue_size: int | None = None,
-        fault_injector: FaultInjector | None = None,
         progress: ProgressCallback | None = None,
         progress_every: int = 25,
         run_info: dict | None = None,
@@ -100,25 +110,26 @@ class CorpusRunner:
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if executor == "process" and config is None:
+        self.executor = resolve_executor(executor, jobs)
+        if self.executor == "process" and config is None:
             raise ValueError("the process executor needs a picklable RunnerConfig")
-        self.box_factory = box_factory
+        if self.executor == "inline" and box is None:
+            raise ValueError("the inline executor needs a box (a live CrawlerBox)")
+        #: The live CrawlerBox the inline transport analyses on.
+        self.box = box
         self.jobs = jobs
-        self.executor = executor
+        #: Picklable world recipe for process workers; inline runs read
+        #: only its test-only ``fault`` spec.
         self.config = config
         self.retry_policy = retry_policy or RetryPolicy()
         self.checkpoint = checkpoint
-        self.queue_size = queue_size if queue_size is not None else max(4 * jobs, 64)
-        self.fault_injector = fault_injector
         self.progress = progress
         self.progress_every = max(1, progress_every)
         #: Free-form identity recorded in the manifest (seed, scale, ...).
         self.run_info = dict(run_info or {})
-        #: Shared StageProfiler for ``--profile`` (thread mode times the
-        #: boxes built by ``box_factory``; process mode turns on
-        #: per-worker profilers and merges their snapshots).
+        #: Shared StageProfiler for ``--profile``: inline runs time the
+        #: live box (built with this profiler); process runs turn on
+        #: per-worker profilers and merge their snapshots.
         self.profiler = profiler
         #: Indices per dispatch to a process worker (None = auto).
         self.batch_size = batch_size
@@ -127,67 +138,33 @@ class CorpusRunner:
         #: exhaust); far above any single-message analysis time.
         self.stall_timeout = stall_timeout
 
-        self._lock = threading.Lock()
-        self._jitter_rng = random.Random(0xB0FF)
         #: Graceful-shutdown flag: once set, no new message starts;
         #: in-flight messages finish and checkpoint, then the run
         #: returns with ``interrupted=True``.
         self._drain = threading.Event()
         self._drained: list[int] = []
-        self._workers: list[Worker] = []
-        self._queue: JobQueue | None = None
-        #: Live process-backend pool (drain wakeups go through it).
-        self._process_pool = None
-
-    # ------------------------------------------------------------------
-    def resolve_executor(self) -> str:
-        """The backend ``run()`` will use.
-
-        ``auto`` picks ``process`` whenever the run is parallel
-        (``jobs > 1``) and a picklable :class:`RunnerConfig` is
-        available; otherwise the thread backend (the right call for
-        ``jobs=1``, for live unpicklable worlds, and for
-        spawn-unfriendly platforms).
-        """
-        if self.executor != "auto":
-            return self.executor
-        if self.jobs > 1 and self.config is not None:
-            return "process"
-        return "thread"
+        #: The live run's transport (drain wakeups go through it).
+        self._transport = None
 
     # ------------------------------------------------------------------
     def request_drain(self) -> bool:
         """Ask the run to stop gracefully (signal-handler safe).
 
-        Workers finish the message they are on (its record checkpoints
-        normally) and no further message starts; :meth:`run` then
-        returns with ``interrupted=True`` and an ``interrupted``
-        manifest listing the drained indices.  Returns False if a drain
-        was already in progress (the caller may then force-exit — the
-        checkpoint is consistent at every line boundary).
+        The message in flight finishes (its record checkpoints normally)
+        and no further message starts; :meth:`run` then returns with
+        ``interrupted=True`` and an ``interrupted`` manifest listing the
+        drained indices.  Returns False if a drain was already in
+        progress (the caller may then force-exit — the checkpoint is
+        consistent at every line boundary).
         """
         first = not self._drain.is_set()
         self._drain.set()
-        pool = self._process_pool
-        if pool is not None and first:
-            # Process backend: the parent blocks on the result queue
-            # (no poll interval), so post an explicit wakeup for it to
-            # notice the flag.
-            pool.wake()
-        queue = self._queue
-        if queue is not None and first:
-            # Thread backend: drop the backlog and wake every idle
-            # worker; busy workers notice on their next get().
-            queue.close(discard_pending=True)
-            # _outstanding never reaches zero now, so _finish_one will
-            # not fire _done; release run() once the workers park.
-            threading.Thread(target=self._watch_drain, daemon=True).start()
+        transport = self._transport
+        if transport is not None and first:
+            # The scheduler blocks on the transport (no poll interval),
+            # so post an explicit wakeup for it to notice the flag.
+            transport.wake()
         return first
-
-    def _watch_drain(self) -> None:
-        for worker in list(self._workers):
-            worker.join()
-        self._done.set()
 
     # ------------------------------------------------------------------
     def run(self, messages: list) -> RunResult:
@@ -195,13 +172,12 @@ class CorpusRunner:
         total = len(messages)
         self._messages = messages
         self._records: dict[int, MessageRecord] = {}
-        #: Worker-serialized records (process backend): index -> wire
+        #: Worker-serialized records (process transport): index -> wire
         #: bytes, parsed into ``_records`` only once the run settles.
         self._wire: dict[int, bytes] = {}
         self._stats = RunningStats()
         self._dead: list[DeadLetter] = []
         self._fatal: BaseException | None = None
-        self._done = threading.Event()
 
         resumed: set[int] = set()
         if self.checkpoint is not None:
@@ -212,16 +188,15 @@ class CorpusRunner:
                     resumed.add(record.message_index)
 
         pending = [index for index in range(total) if index not in resumed]
-        self._outstanding = len(pending)
         self._total = total
         self._write_manifest(status="running")
 
-        executor = self.resolve_executor()
         if pending:
-            if executor == "process":
-                self._run_process(pending)
-            else:
-                self._run_threads(pending, messages)
+            self._transport, batch = self._open_transport(len(pending))
+            try:
+                Scheduler(self, self._transport, batch).run(pending)
+            finally:
+                self._transport = None
             if self._fatal is not None:
                 self._write_manifest(status="failed")
                 if self.checkpoint is not None:
@@ -236,8 +211,6 @@ class CorpusRunner:
                 self._records.setdefault(index, record_from_wire(wire))
             self._wire.clear()
 
-        if self.profiler is not None and executor == "thread":
-            self.profiler.merge_into_stats(self._stats)
         interrupted = self._drain.is_set() and (
             len(self._records) + len(self._dead) < total
         )
@@ -254,134 +227,72 @@ class CorpusRunner:
             stats=self._stats,
             dead_letters=sorted(self._dead, key=lambda letter: letter.index),
             resumed_indices=tuple(sorted(resumed)),
-            executor=executor,
+            executor=self.executor,
             interrupted=interrupted,
         )
 
-    # ------------------------------------------------------------------
-    # Backends
-    # ------------------------------------------------------------------
-    def _run_threads(self, pending: list[int], messages: list) -> None:
-        if self.box_factory is None:
-            raise ValueError("the thread executor needs a box_factory")
-        self._queue = JobQueue(maxsize=self.queue_size)
-        workers = spawn_workers(self.jobs, self._queue, self.box_factory, self._handle)
-        self._workers = workers
-        if self._drain.is_set():
-            # Drain requested before the queue existed: park immediately.
-            self._queue.close(discard_pending=True)
-            threading.Thread(target=self._watch_drain, daemon=True).start()
-        try:
-            for index in pending:
-                self._queue.put(Job(index=index, payload=messages[index]))
-        except QueueClosed:
-            pass  # a fatal failure or drain tore the run down mid-enqueue
-        self._done.wait()
-        for worker in workers:
-            worker.join()
-
-    def _run_process(self, pending: list[int]) -> None:
-        pool = ProcessPool(self, self.config, jobs=self.jobs, batch_size=self.batch_size)
-        pool.run(pending)
+    def _open_transport(self, pending: int):
+        """(transport, indices per dispatch) for this run."""
+        if self.executor == "inline":
+            # One index per dispatch: each record lands (and a drain can
+            # stop) after every message.
+            fault = self.config.fault if self.config is not None else ""
+            return InlineTransport(self.box, self._messages.__getitem__, fault), 1
+        config = replace(self.config, profile=self.profiler is not None)
+        pool = acquire_pool(
+            _worker_main, config, min(self.jobs, pending), name_prefix="repro-proc-worker"
+        )
+        batch = self.batch_size or max(1, min(16, pending // (self.jobs * 4) or 1))
+        return pool, batch
 
     # ------------------------------------------------------------------
-    # Shared bookkeeping (thread-safe; called from worker threads and
-    # from the process pool's event loop)
+    # Bookkeeping (called from the scheduler's loop on this thread)
     # ------------------------------------------------------------------
-    def _record_success(
-        self, index: int, record: MessageRecord, wire: bytes | None = None
-    ) -> None:
-        with self._lock:
-            if index in self._records or index in self._wire:
-                return  # duplicate delivery (crash-retry race): first wins
-            self._records[index] = record
-            self._stats.update(record)
-            completed, report, manifest_due = self._progress_bookkeeping(index)
-        if self.checkpoint is not None:
-            # Outside the runner lock: the store serializes appends with
-            # its own lock, so success bookkeeping on other workers is
-            # not blocked behind this one's disk write.  Delivery is
-            # exactly-once per index on every backend, so the dup check
-            # above fully guards the append.
-            try:
-                if wire is not None:
-                    self.checkpoint.append_wire(wire)
-                else:
-                    self.checkpoint.append(record)
-            except OSError as error:
-                self._abort_on_storage(error)
-                return
-        if report:
-            self.progress(self._stats, completed, self._total)
-        if manifest_due:
-            self._write_manifest(status="running")
+    def _land(self, index: int, wire: bytes, record: MessageRecord | None = None) -> None:
+        """Land one finished record: append-bytes-and-ack.
 
-    def _record_wire(self, index: int, wire: bytes) -> bool:
-        """Land one worker-serialized record: append-bytes-and-ack.
-
-        The process backend's hot path — no JSON parse, no dict
-        rebuild, no re-serialization.  Stats arrive separately via
-        :meth:`_absorb_stats` (frame shards).  Returns False on a
-        duplicate delivery (crash-retry race: first wins).
+        ``wire`` is the record's checkpoint line as it was rendered;
+        ``record`` the live object when there is one (inline runs,
+        quarantine), which is then kept instead of parsing ``wire``
+        later.  The scheduler delivers each index once and has already
+        counted its stats.
         """
-        with self._lock:
-            if index in self._records or index in self._wire:
-                return False
+        if record is not None:
+            self._records[index] = record
+        else:
             self._wire[index] = wire
-            completed, report, manifest_due = self._progress_bookkeeping(index)
-        if self.checkpoint is not None:
-            try:
-                self.checkpoint.append_wire(wire)
-            except OSError as error:
-                self._abort_on_storage(error)
-                return False
-        if report:
-            self.progress(self._stats, completed, self._total)
-        if manifest_due:
-            self._write_manifest(status="running")
-        return True
-
-    def _progress_bookkeeping(self, index: int) -> tuple[int, bool, bool]:
-        """Shared post-success accounting (caller holds ``_lock``)."""
         if self._drain.is_set():
             # In-flight work a graceful shutdown waited for; the
             # interrupted manifest lists these for the operator.
             self._drained.append(index)
+        if self.checkpoint is not None:
+            try:
+                self.checkpoint.append_wire(wire)
+            except OSError as error:
+                # A durable append failed past its bounded retry: the
+                # disk is persistently refusing writes, so continuing
+                # would only analyze messages whose records cannot
+                # land.  Abort cleanly — every record already appended
+                # is durable, and a later ``resume`` continues from them.
+                self._set_fatal(error)
+                return
         completed = len(self._records) + len(self._wire)
-        report = self.progress is not None and (
+        if self.progress is not None and (
             completed % self.progress_every == 0 or completed == self._total
-        )
-        manifest_due = (
+        ):
+            self.progress(self._stats, completed, self._total)
+        if (
             self.checkpoint is not None
             and completed % self.progress_every == 0
             and completed < self._total
-        )
-        return completed, report, manifest_due
-
-    def _absorb_stats(self, shard: RunningStats) -> None:
-        """Fold one worker frame's stats shard into the run totals."""
-        with self._lock:
-            self._stats.absorb(shard)
-
-    def _update_stats(self, record: MessageRecord) -> None:
-        """Per-record fallback when a frame's shard cannot be absorbed
-        wholesale (duplicate delivery inside the frame)."""
-        with self._lock:
-            self._stats.update(record)
+        ):
+            self._write_manifest(status="running")
 
     def _record_dead(
-        self,
-        index: int,
-        attempts: int,
-        error: str,
-        history: tuple[str, ...] = (),
-        backoff: float = 0.0,
+        self, index: int, attempts: int, error: str, history: tuple[str, ...]
     ) -> None:
-        with self._lock:
-            self._dead.append(
-                DeadLetter(index, attempts, error, history=history, backoff_seconds=backoff)
-            )
-            self._stats.dead_lettered += 1
+        self._dead.append(DeadLetter(index, attempts, error, history=history))
+        self._stats.dead_lettered += 1
 
     def _quarantine_stalled(self, index: int, attempts: int, history: tuple[str, ...]) -> None:
         """Checkpoint a quarantined record for a message whose worker
@@ -395,6 +306,7 @@ class CorpusRunner:
         the watchdog — machine-readable, like a guard rejection, and
         never an infinite retry loop or an unexplained dead letter.
         """
+        from repro.core.export import record_to_wire
         from repro.core.outcomes import MessageCategory
         from repro.core.stages import registered_stage_names
         from repro.core.stages.base import StageStatus
@@ -422,129 +334,43 @@ class CorpusRunner:
             ),
             headers=triage_headers(message),
         )
-        self._record_success(index, record)
-
-    def _note_retry(self) -> None:
-        with self._lock:
-            self._stats.retried += 1
-
-    def _abort_on_storage(self, error: OSError) -> None:
-        """A durable append failed past its bounded retry: the disk is
-        persistently refusing writes, so continuing would only analyze
-        messages whose records cannot land.  Abort cleanly — the fatal
-        error carries the OS diagnosis, every record already appended
-        is durable, and a later ``resume`` continues from them."""
-        self._set_fatal(error)
-        queue = self._queue
-        if queue is not None:
-            queue.close(discard_pending=True)
-        self._done.set()
-        # The process backend's event loop re-checks ``_fatal`` after
-        # this (the append happens on the event-loop thread), so no
-        # extra wakeup is needed there.
+        self._stats.update(record)
+        self._land(index, record_to_wire(record), record)
 
     def _set_fatal(self, error: BaseException) -> None:
-        with self._lock:
-            if self._fatal is None:
-                self._fatal = error
+        if self._fatal is None:
+            self._fatal = error
 
     def _merge_stage_snapshot(self, snapshot: dict) -> None:
-        with self._lock:
-            for name, entry in snapshot.items():
-                self._stats.stage_calls[name] += int(entry["calls"])
-                self._stats.stage_seconds[name] += float(entry["seconds"])
-
-    # ------------------------------------------------------------------
-    # Worker-side handling (runs on worker threads; must never raise)
-    # ------------------------------------------------------------------
-    def _handle(self, worker: Worker, job: Job) -> None:
-        try:
-            if self.fault_injector is not None:
-                self.fault_injector(job.index, job.attempts)
-            if self.checkpoint is not None:
-                # Render the checkpoint wire form on the worker thread —
-                # same serialization instant the process backend uses —
-                # so the shared success path appends bytes instead of
-                # re-serializing under contention.
-                record, wire = worker.box.analyze_to_wire(
-                    job.payload, message_index=job.index
-                )
-            else:
-                record = worker.box.analyze(job.payload, message_index=job.index)
-                wire = None
-        except BaseException as error:  # noqa: BLE001 - routed to retry policy
-            self._on_failure(job, error)
-        else:
-            self._on_success(job, record, wire)
-
-    def _on_success(self, job: Job, record: MessageRecord, wire: bytes | None = None) -> None:
-        self._record_success(job.index, record, wire)
-        self._finish_one()
-
-    def _on_failure(self, job: Job, error: BaseException) -> None:
-        job.attempts += 1
-        job.last_error = repr(error)
-        job.error_history.append(job.last_error)
-        policy = self.retry_policy
-        if not policy.is_transient(error):
-            # A pipeline bug, not flaky infrastructure: abort the run.
-            self._set_fatal(error)
-            self._queue.close(discard_pending=True)
-            self._done.set()
-            return
-        if job.attempts < policy.max_attempts:
-            with self._lock:
-                self._stats.retried += 1
-                delay = policy.backoff_delay(job.attempts, self._jitter_rng)
-            job.backoff_slept += delay
-            try:
-                self._queue.requeue(job, delay)
-            except QueueClosed:
-                pass  # fatal shutdown raced us; the run is aborting anyway
-            return
-        self._record_dead(
-            job.index,
-            job.attempts,
-            job.last_error,
-            history=tuple(job.error_history),
-            backoff=job.backoff_slept,
-        )
-        self._finish_one()
-
-    def _finish_one(self) -> None:
-        with self._lock:
-            self._outstanding -= 1
-            finished = self._outstanding == 0
-        if finished:
-            self._queue.close()
-            self._done.set()
+        for name, entry in snapshot.items():
+            self._stats.stage_calls[name] += int(entry["calls"])
+            self._stats.stage_seconds[name] += float(entry["seconds"])
 
     # ------------------------------------------------------------------
     def _write_manifest(self, status: str) -> None:
         if self.checkpoint is None:
             return
         budget = self.run_info.get("budget")
-        with self._lock:
-            manifest = RunManifest(
-                seed=int(self.run_info.get("seed", 0)),
-                scale=float(self.run_info.get("scale", 0.0)),
-                jobs=self.jobs,
-                total_messages=self._total,
-                completed=len(self._records) + len(self._wire),
-                status=status,
-                dead_letters=[letter.as_dict() for letter in self._dead],
-                stats=self._stats.as_dict(),
-                faults=str(self.run_info.get("faults", "off")),
-                fault_seed=int(self.run_info.get("fault_seed", 0)),
-                drained=sorted(self._drained) if status == "interrupted" else [],
-                budget=int(budget) if budget is not None else None,
-                guard_limits=[
-                    [str(key), int(value)]
-                    for key, value in self.run_info.get("guard_limits") or ()
-                ] or None,
-                storage_faults=str(self.run_info.get("storage_faults", "off")),
-                storage_fault_seed=int(self.run_info.get("storage_fault_seed", 0)),
-            )
+        manifest = RunManifest(
+            seed=int(self.run_info.get("seed", 0)),
+            scale=float(self.run_info.get("scale", 0.0)),
+            jobs=self.jobs,
+            total_messages=self._total,
+            completed=len(self._records) + len(self._wire),
+            status=status,
+            dead_letters=[letter.as_dict() for letter in self._dead],
+            stats=self._stats.as_dict(),
+            faults=str(self.run_info.get("faults", "off")),
+            fault_seed=int(self.run_info.get("fault_seed", 0)),
+            drained=sorted(self._drained) if status == "interrupted" else [],
+            budget=int(budget) if budget is not None else None,
+            guard_limits=[
+                [str(key), int(value)]
+                for key, value in self.run_info.get("guard_limits") or ()
+            ] or None,
+            storage_faults=str(self.run_info.get("storage_faults", "off")),
+            storage_fault_seed=int(self.run_info.get("storage_fault_seed", 0)),
+        )
         try:
             self.checkpoint.write_manifest(manifest)
         except OSError:

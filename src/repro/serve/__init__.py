@@ -16,9 +16,9 @@ package turns the batch engine of :mod:`repro.runner` into that shape:
 - :mod:`~repro.serve.scheduler` — per-reporter fair queues drained
   round-robin into micro-batches, modeling the paper's five-company
   reporting stream: one flooding reporter cannot starve the others.
-- :mod:`~repro.serve.engine` — persistent thread/process worker pools
-  reusing the runner's JobQueue/worker machinery, fed incrementally
-  instead of from a fixed corpus.
+- :mod:`~repro.serve.engine` — one persistent engine event loop over
+  the runner's two transports (inline at ``--jobs 1``, worker
+  processes above), fed incrementally instead of from a fixed corpus.
 - :mod:`~repro.serve.server` — the daemon: sessions, backpressure,
   checkpointing, rolling compaction, drain-on-SIGTERM, manifest
   lifecycle (``serving`` -> ``stopped``).
@@ -39,7 +39,7 @@ an uninterrupted daemon — and to a batch run over the same messages.
 
 from repro.serve.admission import AdmissionConfig, AdmissionController, AdmissionDecision
 from repro.serve.client import ServeClient, SubmissionOutcome
-from repro.serve.engine import ProcessEngine, ServeJob, ThreadEngine, build_engine
+from repro.serve.engine import InlineEngine, ProcessEngine, ServeJob, build_engine
 from repro.serve.netchaos import (
     CLIENT_FAULT_PROFILES,
     ChaosClient,
@@ -72,6 +72,7 @@ __all__ = [
     "ClientFaultEngine",
     "ClientFaultProfile",
     "FairScheduler",
+    "InlineEngine",
     "LineChannel",
     "MAX_LINE_BYTES",
     "ProcessEngine",
@@ -81,7 +82,6 @@ __all__ = [
     "ServeDaemon",
     "ServeJob",
     "SubmissionOutcome",
-    "ThreadEngine",
     "build_engine",
     "client_fault_profile",
     "decode_line",

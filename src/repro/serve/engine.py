@@ -1,31 +1,30 @@
-"""Persistent analysis engines: the runner's workers, fed forever.
+"""Persistent analysis engines: the runner's transports, fed forever.
 
 The batch :class:`~repro.runner.runner.CorpusRunner` takes a complete
-message list, runs it to exhaustion, and releases its pool.  A daemon
-needs the same two backends — GIL-bound threads and fork-based
-processes — but *persistent*: built once at startup, fed micro-batches
-for as long as the daemon lives, and drained on shutdown.
+message list, runs it to exhaustion, and releases its transport.  A
+daemon needs the same two transports but *persistent*: built once at
+startup, fed micro-batches for as long as the daemon lives, and
+drained on shutdown.  One event loop (:class:`ProcessEngine`) drives
+either:
 
-Both engines reuse the existing machinery rather than duplicating it:
-
-- :class:`ThreadEngine` is the runner's :class:`~repro.runner.queue.
-  JobQueue` + :func:`~repro.runner.workers.spawn_workers` combination,
-  with each worker holding a private CrawlerBox over the shared world.
-- :class:`ProcessEngine` drives the same ``_worker_main`` loop as the
-  batch :class:`~repro.runner.executor.ProcessPool`, on the same
-  warm :class:`~repro.runner.pool.WorkerPool` (so a daemon restart with
-  an unchanged config reuses the workers' built worlds), using its
+- **process** — the same ``_worker_main`` loop as batch runs, on the
+  same warm :class:`~repro.runner.pool.WorkerPool` (so a daemon restart
+  with an unchanged config reuses the workers' built worlds), using its
   service-mode ``eml-batch`` command: raw RFC-822 bytes ship to the
   worker, which ingests and analyzes them against the world it rebuilt
   from the picklable :class:`~repro.runner.executor.RunnerConfig`.
+- **inline** (:class:`InlineEngine`, ``--jobs 1``) — an
+  :class:`~repro.runner.executor.InlineTransport` over a world built
+  from the same config in the daemon's own process; it analyses the
+  message the session already ingested instead of parsing the bytes a
+  second time.
 
-Results travel the record data plane: workers render each record to its
-final checkpoint wire form and the engine hands the daemon a
+Results travel the record data plane: each record arrives in its final
+checkpoint wire form and the engine hands the daemon a
 :class:`~repro.core.export.WireRecord` — bytes the daemon appends and
-splices into the verdict response without re-serializing.  Worker-local
-:class:`~repro.runner.stats.RunningStats` shards arrive through the
-optional ``on_stats`` callback (process engine only; the thread engine
-already holds the parsed record, so the daemon folds it directly).
+splices into the verdict response without re-serializing.  Every frame
+carries a :class:`~repro.runner.stats.RunningStats` shard, delivered
+through ``on_stats`` on both transports.
 
 Engines are deliberately policy-free: they report each attempt's
 outcome (a wire record or the raised exception) through one callback,
@@ -39,19 +38,17 @@ spawned.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.export import WireRecord
-import time
-
-from repro.runner.executor import RunnerConfig, WorkerCrash, _worker_main
-from repro.runner.pool import RespawnGovernor, acquire_pool, release_pool, unpack_frame
-from repro.runner.queue import Job, JobQueue, QueueClosed
+from repro.runner.executor import InlineTransport, RunnerConfig, WorkerCrash, _worker_main
+from repro.runner.pool import RespawnGovernor, acquire_pool, unpack_frame
+from repro.runner.runner import resolve_executor
 from repro.runner.stats import RunningStats
-from repro.runner.workers import spawn_workers
 
-#: Seconds to wait for workers/threads to wind down on stop.
+#: Seconds to wait for the event loop to wind down on stop.
 _STOP_GRACE = 5.0
 
 
@@ -67,7 +64,8 @@ class ServeJob:
     client_id: str
     #: The raw RFC-822 submission (what process workers ingest).
     eml_bytes: bytes
-    #: Parent-side parse of the same bytes (what thread workers analyze).
+    #: The session's parse of the same bytes (what the inline engine
+    #: analyses).
     message: object = None
     #: The session to stream the verdict back to (None once it closed).
     session: object = None
@@ -84,54 +82,18 @@ OnResult = Callable[[ServeJob, WireRecord | None, BaseException | None], None]
 OnStats = Callable[[RunningStats], None]
 
 
-class ThreadEngine:
-    """N persistent worker threads over the runner's JobQueue."""
-
-    name = "thread"
-    #: The daemon folds stats from the records it already holds.
-    provides_stats = False
-
-    def __init__(self, box_factory: Callable[[int], object], jobs: int, on_result: OnResult):
-        self.on_result = on_result
-        self._queue = JobQueue()  # unbounded: admission already gates intake
-        self._workers = spawn_workers(jobs, self._queue, box_factory, self._handle)
-
-    def submit(self, jobs: list[ServeJob]) -> None:
-        for job in jobs:
-            self._queue.put(Job(index=job.index, payload=job))
-
-    def _handle(self, worker, queue_job: Job) -> None:
-        job: ServeJob = queue_job.payload
-        try:
-            record, wire = worker.box.analyze_to_wire(
-                job.message, message_index=job.index
-            )
-        except BaseException as error:  # noqa: BLE001 - the daemon owns retry policy
-            self.on_result(job, None, error)
-        else:
-            self.on_result(job, WireRecord(wire, record), None)
-
-    def stop(self) -> None:
-        try:
-            self._queue.close()
-        except QueueClosed:
-            pass
-        for worker in self._workers:
-            worker.join(timeout=_STOP_GRACE)
-
-
 class ProcessEngine:
-    """N persistent worker processes speaking ``eml-batch``.
+    """The engine event loop; here over N worker processes.
 
-    Built on the shared :class:`~repro.runner.pool.WorkerPool`: results
-    arrive as batched wire frames, worker deaths as sentinel-driven
-    ``worker-died`` messages (no liveness polling), and :meth:`stop`
-    parks the pool warm for the next engine or batch run with the same
-    config.
+    Submissions go out as ``eml-batch`` commands to whichever transport
+    :meth:`_open` returns.  On the shared
+    :class:`~repro.runner.pool.WorkerPool`, results arrive as batched
+    wire frames, worker deaths as sentinel-driven ``worker-died``
+    messages (no liveness polling), and :meth:`stop` parks the pool
+    warm for the next engine or batch run with the same config.
     """
 
     name = "process"
-    provides_stats = True
 
     def __init__(
         self,
@@ -142,8 +104,6 @@ class ProcessEngine:
         on_fatal: Callable[[str], None] | None = None,
         on_stats: OnStats | None = None,
     ):
-        self.config = config
-        self.jobs = jobs
         self.on_result = on_result
         self.on_stats = on_stats
         self.batch_size = max(1, batch_size)
@@ -158,14 +118,15 @@ class ProcessEngine:
         #: backs off exponentially and eventually trips on_fatal instead
         #: of spinning the reap/respawn loop forever.
         self._governor = RespawnGovernor()
-        self._pool = acquire_pool(
-            _worker_main, config, jobs, name_prefix="repro-serve-worker"
-        )
+        self._pool = self._open(config, jobs)
         self._ready: set[int] = set(self._pool.ready)
         self._loop = threading.Thread(
             target=self._event_loop, name="repro-serve-engine", daemon=True
         )
         self._loop.start()
+
+    def _open(self, config: RunnerConfig, jobs: int):
+        return acquire_pool(_worker_main, config, jobs, name_prefix="repro-serve-worker")
 
     # ------------------------------------------------------------------
     def submit(self, jobs: list[ServeJob]) -> None:
@@ -200,7 +161,7 @@ class ProcessEngine:
                     self._dispatch_idle_locked()
             elif kind == "frame":
                 self._governor.note_progress()
-                self._handle_frame(worker_id, message[2], message[3])
+                self._handle_frame(worker_id, *message[2:])
             elif kind == "fail":
                 index, error = message[2], message[3]
                 job = self._finish(worker_id, index)
@@ -216,13 +177,14 @@ class ProcessEngine:
                 )
             # "wake" / "stall-tick" / stale "synced": no-op wakeups
 
-    def _handle_frame(self, worker_id: int, blob: bytes, shard) -> None:
+    def _handle_frame(self, worker_id: int, blob: bytes, shard, records=None) -> None:
         entries = unpack_frame(blob)
-        delivered: list[tuple[ServeJob, bytes]] = []
-        for index, wire in entries:
+        delivered: list[tuple[ServeJob, WireRecord]] = []
+        for position, (index, wire) in enumerate(entries):
             job = self._finish(worker_id, index)
             if job is not None:
-                delivered.append((job, wire))
+                record = records[position] if records else None
+                delivered.append((job, WireRecord(wire, record)))
         if self.on_stats is not None and delivered:
             if len(delivered) == len(entries):
                 self.on_stats(shard)
@@ -231,10 +193,10 @@ class ProcessEngine:
                 # just the delivered records instead of the whole shard.
                 recount = RunningStats()
                 for _job, wire in delivered:
-                    recount.update(WireRecord(wire).record)
+                    recount.update(wire.record)
                 self.on_stats(recount)
         for job, wire in delivered:
-            self.on_result(job, WireRecord(wire), None)
+            self.on_result(job, wire, None)
 
     def _finish(self, worker_id: int, index: int) -> ServeJob | None:
         with self._lock:
@@ -282,42 +244,44 @@ class ProcessEngine:
         self._stopping.set()
         self._pool.wake()
         self._loop.join(timeout=_STOP_GRACE)
-        # Park the pool warm (same config ⇒ the next daemon or batch run
-        # skips the per-worker world rebuild); ineligible configs tear
-        # down gracefully inside release_pool.
-        release_pool(self._pool)
+        # Park a process pool warm (same config ⇒ the next daemon or
+        # batch run skips the per-worker world rebuild); ineligible
+        # configs tear down gracefully inside release_pool.
+        self._pool.release()
+
+
+class InlineEngine(ProcessEngine):
+    """``--jobs 1``: the same event loop over an in-process transport.
+
+    The world is built from the same :class:`RunnerConfig` a process
+    worker would rebuild, and each submission is analysed as the
+    session already ingested it (:attr:`ServeJob.message`).
+    """
+
+    name = "inline"
+
+    def _open(self, config: RunnerConfig, jobs: int):
+        _, box = config.build()
+        return InlineTransport(box, lambda index: self._jobs[index].message, config.fault)
+
+
+#: The name perfbench/launch.py patches for traced serve runs.
+ThreadEngine = InlineEngine
 
 
 def build_engine(
     executor: str,
     jobs: int,
     on_result: OnResult,
-    box_factory: Callable[[int], object] | None = None,
-    config: RunnerConfig | None = None,
+    config: RunnerConfig,
     batch_size: int = 8,
     on_fatal: Callable[[str], None] | None = None,
     on_stats: OnStats | None = None,
 ):
-    """Resolve ``auto|thread|process`` into a live engine.
-
-    ``auto`` mirrors the batch runner: process when the run is parallel
-    and a picklable config exists, else threads.
-    """
-    if executor == "auto":
-        executor = "process" if (jobs > 1 and config is not None) else "thread"
-    if executor == "thread":
-        if box_factory is None:
-            raise ValueError("the thread engine needs a box_factory")
-        return ThreadEngine(box_factory, jobs, on_result)
-    if executor == "process":
-        if config is None:
-            raise ValueError("the process engine needs a picklable RunnerConfig")
-        return ProcessEngine(
-            config,
-            jobs,
-            on_result,
-            batch_size=batch_size,
-            on_fatal=on_fatal,
-            on_stats=on_stats,
-        )
-    raise ValueError(f"unknown executor {executor!r}")
+    """Resolve ``auto|inline|process`` into a live engine (``auto`` is
+    inline at ``jobs == 1``, process above; see
+    :func:`~repro.runner.runner.resolve_executor`)."""
+    engine = InlineEngine if resolve_executor(executor, jobs) == "inline" else ProcessEngine
+    return engine(
+        config, jobs, on_result, batch_size=batch_size, on_fatal=on_fatal, on_stats=on_stats
+    )

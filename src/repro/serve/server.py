@@ -96,7 +96,8 @@ class ServeConfig:
     seed: int = 2024
     scale: float = 0.15
     jobs: int = 1
-    executor: str = "auto"  # 'auto' | 'thread' | 'process'
+    #: 'auto' (inline at jobs=1, process above) | 'inline' | 'process'.
+    executor: str = "auto"
     batch_size: int = 8
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Accepted-but-unfinished submissions above which sessions stop
@@ -404,35 +405,19 @@ class ServeDaemon:
                 self.submitted = self.accepted + self.shed + self.rejected
 
     def _build_engine(self) -> None:
-        from repro.core import CrawlerBox
-        from repro.core.pipeline import build_pipeline_config
-        from repro.dataset import CorpusGenerator
-
         config = self.config
         runner_config = RunnerConfig(
             seed=config.seed,
             scale=config.scale,
             budget=config.budget,
             guard_limits=config.guard_limits,
-            corpus_prefix=0,  # workers need the world, not the corpus
+            corpus_prefix=0,  # the engine needs the world, not the corpus
         )
-        executor = config.executor
-        if executor == "auto":
-            executor = "process" if config.jobs > 1 else "thread"
-        box_factory = None
-        if executor == "thread":
-            corpus = CorpusGenerator(seed=config.seed, scale=config.scale).generate()
-            pipeline_config = build_pipeline_config(config.budget, config.guard_limits)
-
-            def box_factory(worker_id: int):
-                return CrawlerBox.for_world(corpus.world, config=pipeline_config)
-
         self._engine = build_engine(
-            executor,
+            config.executor,
             config.jobs,
             self._on_result,
-            box_factory=box_factory,
-            config=runner_config,
+            runner_config,
             batch_size=config.batch_size,
             on_fatal=self._on_fatal,
             on_stats=self._on_stats,
@@ -951,9 +936,6 @@ class ServeDaemon:
                     self.checkpoint_lines = result.lines_after
                     self.compactions += 1
                     compacted = True
-            if not getattr(self._engine, "provides_stats", False):
-                # Thread engine: no worker shards, fold the record here.
-                self.stats.update(wire.record)
             self.completed += 1
             self._reporter(job.reporter)["completed"] += 1
             if job.submitted_at:

@@ -29,8 +29,8 @@ Determinism contract: every decision is a pure function of
 ``(fault_seed, host, attempt, epoch)`` — hashed through BLAKE2 into a
 private :class:`random.Random` — so the engine keeps *no* mutable
 request state.  The same seed produces the same weather whether the
-corpus runs serially, across N threads sharing one Network, or across
-N worker processes that each rebuilt their own; ``--jobs N`` exports
+corpus runs inline on one Network or across N worker processes that
+each rebuilt their own; ``--jobs N`` exports
 stay byte-identical to ``--jobs 1``.  The ``attempt`` ordinal is
 supplied by the retrying caller (:class:`repro.web.resilient.ResilientFetcher`)
 via :attr:`HttpRequest.fault_attempt`, which is what makes

@@ -54,9 +54,9 @@ class Network:
         """Install a fault-injection engine on the fabric.
 
         The engine's decisions are a pure function of its seed and the
-        request coordinates, so installing the same engine on a shared
-        network (thread workers) or on per-process rebuilds (process
-        workers) produces identical weather.
+        request coordinates, so installing the same engine on the
+        caller's network (inline runs) or on per-process rebuilds
+        (process workers) produces identical weather.
         """
         self.faults = engine
 

@@ -50,7 +50,7 @@ def serial_records(integrity_corpus):
 def _checkpointed_run(corpus, directory, **store_kwargs):
     store = CheckpointStore(directory, **store_kwargs)
     runner = CorpusRunner(
-        box_factory=lambda worker_id: CrawlerBox.for_world(corpus.world),
+        box=CrawlerBox.for_world(corpus.world),
         jobs=1,
         checkpoint=store,
         config=RunnerConfig(seed=SEED, scale=SCALE),
@@ -187,7 +187,7 @@ class TestCheckpointScan:
         store.records_path.write_text("\n".join(lines) + "\n")
 
         runner = CorpusRunner(
-            box_factory=lambda worker_id: CrawlerBox.for_world(integrity_corpus.world),
+            box=CrawlerBox.for_world(integrity_corpus.world),
             jobs=1,
             checkpoint=CheckpointStore(tmp_path / "ckpt"),
         )
@@ -228,7 +228,7 @@ class TestSalvage:
         store.salvage_to(tmp_path / "repaired")
 
         runner = CorpusRunner(
-            box_factory=lambda worker_id: CrawlerBox.for_world(integrity_corpus.world),
+            box=CrawlerBox.for_world(integrity_corpus.world),
             jobs=1,
             checkpoint=CheckpointStore(tmp_path / "repaired"),
         )

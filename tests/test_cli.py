@@ -39,6 +39,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["run", "resume ckpt", "serve --checkpoint ckpt"])
+    def test_executor_is_auto_inline_or_process(self, command, capsys):
+        argv = command.split()
+        for executor in ("auto", "inline", "process"):
+            assert build_parser().parse_args([*argv, "--executor", executor]).executor == executor
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--executor", "thread"])
+        # inline analyses in this process: more than one job is a usage error
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--executor", "inline", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs 1" in capsys.readouterr().err
+
     def test_run_stages(self):
         args = build_parser().parse_args(["run", "--stages", "auth,parse"])
         assert args.stages == ("auth", "parse")

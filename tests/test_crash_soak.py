@@ -72,7 +72,7 @@ def _launch_doomed(arguments: list[str], kill_after: int) -> str:
     return output
 
 
-@pytest.mark.parametrize("executor", ["process", "thread"])
+@pytest.mark.parametrize("executor", ["process", "inline"])
 class TestCrashSoak:
     def test_kill_fsck_repair_resume_is_byte_identical(
         self, tmp_path, executor, baseline_export, capsys
@@ -80,7 +80,7 @@ class TestCrashSoak:
         checkpoint = tmp_path / "ckpt"
         _launch_doomed(
             ["run", "--scale", str(SCALE), "--seed", str(SEED),
-             "--jobs", "2", "--executor", executor,
+             "--jobs", "1" if executor == "inline" else "2", "--executor", executor,
              "--checkpoint", str(checkpoint)],
             kill_after=KILL_AFTER,
         )

@@ -1,6 +1,6 @@
 """The record data plane: worker-side serialization end to end.
 
-The process backend's workers render each record to its final
+The process transport's workers render each record to its final
 checkpoint wire form — canonical JSON line plus CRC32 suffix — and
 ship batches of those bytes in length-prefixed frames; the parent
 appends bytes it never re-serializes, and the serve daemon splices the
@@ -14,8 +14,10 @@ that make that safe:
 - the warm pool hands back byte-identical records when a second run
   reuses parked workers;
 - fault injection and the hostile corpus produce byte-identical
-  checkpoint files on both backends;
-- worker-merged stats match parent-side accounting.
+  checkpoint files on both transports;
+- worker-merged stats match inline accounting, and the inline and
+  process transports agree on wire bytes, stats, retries and dead
+  letters.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.dataset import CorpusGenerator
 from repro.runner import (
     CheckpointStore,
     CorpusRunner,
+    RetryPolicy,
     RunnerConfig,
     encode_record_line,
     parse_record_line,
@@ -62,9 +65,8 @@ def _runner(corpus, **kwargs):
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("executor", "process")
     kwargs.setdefault("config", CONFIG)
-    return CorpusRunner(
-        box_factory=lambda worker_id: CrawlerBox.for_world(corpus.world), **kwargs
-    )
+    kwargs.setdefault("box", CrawlerBox.for_world(corpus.world))
+    return CorpusRunner(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -194,17 +196,62 @@ class TestWarmPoolReuse:
 # Stats come back from worker shards
 # ----------------------------------------------------------------------
 class TestMergedStats:
-    def test_process_stats_match_thread_stats(self, plane_corpus):
+    def test_process_stats_match_inline_stats(self, plane_corpus):
         sample = plane_corpus.messages[:12]
         process = _runner(plane_corpus).run(sample)
-        thread = _runner(plane_corpus, executor="thread").run(sample)
+        inline = _runner(plane_corpus, executor="inline", jobs=1).run(sample)
         process_stats = process.stats.as_dict()
-        thread_stats = thread.stats.as_dict()
-        for stats in (process_stats, thread_stats):
+        inline_stats = inline.stats.as_dict()
+        for stats in (process_stats, inline_stats):
             stats.pop("stage_seconds", None)
             stats.pop("stages", None)
-        assert process_stats == thread_stats
+        assert process_stats == inline_stats
         assert process.stats.analyzed == len(sample)
+
+
+# ----------------------------------------------------------------------
+# One scheduler, two transports
+# ----------------------------------------------------------------------
+class TestTransportsAgree:
+    RECOVERS, DOOMED = "transient:3:2", "transient:5:9"
+
+    def _run(self, corpus, directory, executor: str, fault: str):
+        # jobs=1 on both sides: an injected fault counts attempts per
+        # worker, so every retry must meet the same worker.
+        store = CheckpointStore(directory)
+        result = _runner(
+            corpus, executor=executor, jobs=1, checkpoint=store,
+            config=RunnerConfig(seed=SEED, scale=SCALE, fault=fault),
+            retry_policy=RetryPolicy(max_attempts=3),
+        ).run(corpus.messages[:8])
+        return result, sorted(store.records_path.read_bytes().splitlines())
+
+    def test_inline_and_process_transports_agree(self, tmp_path, plane_corpus):
+        runs = {
+            (executor, fault): self._run(
+                plane_corpus, tmp_path / f"{executor}-{index}", executor, fault
+            )
+            for executor in ("inline", "process")
+            for index, fault in enumerate(("", self.RECOVERS, self.DOOMED))
+        }
+        for fault in ("", self.RECOVERS, self.DOOMED):
+            (inline, inline_lines), (process, process_lines) = (
+                runs["inline", fault], runs["process", fault]
+            )
+            assert (inline.executor, process.executor) == ("inline", "process")
+            assert inline_lines == process_lines
+            assert inline.stats.as_dict() == process.stats.as_dict()
+            assert [letter.as_dict() for letter in inline.dead_letters] == [
+                letter.as_dict() for letter in process.dead_letters
+            ]
+        for executor in ("inline", "process"):
+            recovered, lines = runs[executor, self.RECOVERS]
+            assert not recovered.dead_letters and recovered.stats.retried == 2
+            assert lines == runs[executor, ""][1]
+            doomed, lines = runs[executor, self.DOOMED]
+            assert [letter.index for letter in doomed.dead_letters] == [5]
+            assert doomed.dead_letters[0].attempts == 3
+            assert len(lines) == 7
 
 
 # ----------------------------------------------------------------------
@@ -223,16 +270,16 @@ class TestCheckpointBytesUnderFire:
         config = RunnerConfig(seed=SEED, scale=SCALE, faults="hostile", fault_seed=99)
         messages = corpus.messages[:8]
         outputs = {}
-        for executor in ("thread", "process"):
+        for executor, jobs in (("inline", 1), ("process", 2)):
             store = CheckpointStore(tmp_path / executor)
             result = _runner(
-                corpus, executor=executor, config=config, checkpoint=store
+                corpus, executor=executor, jobs=jobs, config=config, checkpoint=store
             ).run(messages)
             assert not result.dead_letters
             assert all(r.fault_telemetry is not None for r in result.records)
             store.compact()
             outputs[executor] = (tmp_path / executor / "records.jsonl").read_bytes()
-        assert outputs["thread"] == outputs["process"]
+        assert outputs["inline"] == outputs["process"]
 
     def test_hostile_corpus_identical_lines_across_backends(
         self, tmp_path, plane_corpus
@@ -247,13 +294,11 @@ class TestCheckpointBytesUnderFire:
         pipeline = PipelineConfig(budget_work_units=budget)
         messages = plane_corpus.messages[:4] + hostile_corpus(seed=7, copies=1)
         outputs = {}
-        for executor in ("thread", "process"):
+        for executor, jobs in (("inline", 1), ("process", 2)):
             store = CheckpointStore(tmp_path / executor)
             runner = CorpusRunner(
-                box_factory=lambda worker_id: CrawlerBox.for_world(
-                    plane_corpus.world, config=pipeline
-                ),
-                jobs=2,
+                box=CrawlerBox.for_world(plane_corpus.world, config=pipeline),
+                jobs=jobs,
                 executor=executor,
                 config=config,
                 checkpoint=store,
@@ -262,7 +307,7 @@ class TestCheckpointBytesUnderFire:
             assert not result.dead_letters
             store.compact()
             outputs[executor] = (tmp_path / executor / "records.jsonl").read_bytes()
-        assert outputs["thread"] == outputs["process"]
+        assert outputs["inline"] == outputs["process"]
 
         from repro.cli import main
 

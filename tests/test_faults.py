@@ -35,7 +35,7 @@ from repro.core.stages.builtin import EnrichStage
 from repro.crawlers.base import Crawler
 from repro.dataset import CorpusGenerator
 from repro.enrichment.enricher import Enricher
-from repro.runner import CorpusRunner, RetryPolicy, RunnerConfig, TransientFault
+from repro.runner import CorpusRunner, RetryPolicy, RunnerConfig
 from repro.web.faults import (
     FAULT_PROFILES,
     FaultEngine,
@@ -416,20 +416,15 @@ class TestTelemetrySerialization:
 # End to end: hostile soak, cross-backend determinism, off-identity
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def hostile_thread2():
+def hostile_inline():
     corpus = _hostile_corpus()
-    runner = CorpusRunner(
-        box_factory=lambda wid: CrawlerBox.for_world(corpus.world),
-        jobs=2,
-        executor="thread",
-    )
-    result = runner.run(corpus.messages)
+    result = CorpusRunner(CrawlerBox.for_world(corpus.world)).run(corpus.messages)
     return corpus, result
 
 
 class TestHostileSoak:
-    def test_soak_degrades_instead_of_dying(self, hostile_thread2):
-        corpus, result = hostile_thread2
+    def test_soak_degrades_instead_of_dying(self, hostile_inline):
+        corpus, result = hostile_inline
         assert not result.dead_letters
         assert len(result.records) == len(corpus.messages)
         assert all(r.fault_telemetry is not None for r in result.records)
@@ -439,32 +434,24 @@ class TestHostileSoak:
         faults_dict = result.stats.as_dict()["faults"]
         assert faults_dict["kinds"]  # per-kind counts surfaced
 
-    def test_fault_report_renders(self, hostile_thread2):
+    def test_fault_report_renders(self, hostile_inline):
         from repro.runner import format_fault_report
 
-        _, result = hostile_thread2
+        _, result = hostile_inline
         report = format_fault_report(result.stats)
         assert "fault injection:" in report
         assert "breaker trips" in report
 
-    def test_thread_jobs1_and_process_jobs2_byte_identical(self, hostile_thread2):
-        _, parallel_result = hostile_thread2
-        parallel = json.dumps(export_records(parallel_result.records))
-
-        corpus = _hostile_corpus()
-        serial = CorpusRunner(
-            box_factory=lambda wid: CrawlerBox.for_world(corpus.world),
-            jobs=1,
-            executor="thread",
-        ).run(corpus.messages)
-        assert json.dumps(export_records(serial.records)) == parallel
+    def test_inline_jobs1_and_process_jobs2_byte_identical(self, hostile_inline):
+        corpus, serial_result = hostile_inline
+        serial = json.dumps(export_records(serial_result.records))
 
         config = RunnerConfig(seed=SEED, scale=SCALE, faults="hostile", fault_seed=FAULT_SEED)
         process = CorpusRunner(config=config, jobs=2, executor="process").run(
             corpus.messages
         )
         assert process.executor == "process"
-        assert json.dumps(export_records(process.records)) == parallel
+        assert json.dumps(export_records(process.records)) == serial
 
 
 class TestFaultsOffIdentity:
@@ -484,34 +471,39 @@ class TestFaultsOffIdentity:
 
 
 # ----------------------------------------------------------------------
-# Dead-letter retry history (thread backend)
+# Dead-letter retry history
 # ----------------------------------------------------------------------
 class TestDeadLetterHistory:
     def test_dead_letter_carries_per_attempt_history(self):
         corpus = CorpusGenerator(seed=SEED, scale=0.01).generate()
-
-        def doomed(index, attempts):
-            if index == 1:
-                raise TransientFault(f"flaky infra (attempt {attempts})")
-
         runner = CorpusRunner(
-            box_factory=lambda wid: CrawlerBox.for_world(corpus.world),
-            jobs=2,
+            CrawlerBox.for_world(corpus.world),
+            config=RunnerConfig(seed=SEED, scale=0.01, fault="transient:1:9"),
             retry_policy=FAST_RETRY,
-            fault_injector=doomed,
         )
         result = runner.run(corpus.messages[:4])
         assert len(result.dead_letters) == 1
         letter = result.dead_letters[0]
         assert letter.attempts == FAST_RETRY.max_attempts
         assert len(letter.history) == FAST_RETRY.max_attempts
-        assert "attempt 0" in letter.history[0]
-        assert "attempt 1" in letter.history[1]
+        assert "attempt 1" in letter.history[0]
+        assert "attempt 2" in letter.history[1]
         assert letter.history[-1] == letter.error
-        assert letter.backoff_seconds > 0.0
         payload = letter.as_dict()
         assert payload["history"] == list(letter.history)
-        assert payload["backoff_seconds"] > 0.0
+        # Re-deliveries are immediate: nothing slept, nothing recorded.
+        assert "backoff_seconds" not in payload
+
+    def test_manifest_with_legacy_backoff_key_still_loads(self, tmp_path):
+        from repro.runner import CheckpointStore, RunManifest
+
+        letter = {"index": 1, "attempts": 3, "error": "x", "backoff_seconds": 0.15}
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.write_manifest(RunManifest(
+            seed=SEED, scale=SCALE, jobs=2, total_messages=4, completed=3,
+            status="complete", dead_letters=[letter],
+        ))
+        assert store.read_manifest().dead_letters == [letter]
 
     def test_clean_dead_letter_dict_keeps_legacy_keys(self):
         from repro.runner import DeadLetter

@@ -1,4 +1,4 @@
-"""The runner subsystem: queue, retry, checkpoint, stats, CorpusRunner.
+"""The runner subsystem: retry, checkpoint, stats, CorpusRunner.
 
 The headline guarantees under test:
 
@@ -6,14 +6,13 @@ The headline guarantees under test:
   records to ``jobs=1`` (and to the plain ``analyze_corpus`` path);
 - resume-from-checkpoint skips already-analyzed indices and finishes
   with the same records as an uninterrupted run;
-- transient faults retry with backoff and either recover or land on
-  the dead-letter list; non-transient faults abort the run.
+- transient faults are re-delivered and either recover or land on the
+  dead-letter list; non-transient faults abort the run.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -23,19 +22,19 @@ from repro.dataset import CorpusGenerator
 from repro.runner import (
     CheckpointStore,
     CorpusRunner,
-    Job,
-    JobQueue,
-    QueueClosed,
     RetryPolicy,
     RunManifest,
+    RunnerConfig,
     RunningStats,
     TransientFault,
 )
 
+SEED, SCALE = 31, 0.02
+
 
 @pytest.fixture(scope="module")
 def runner_corpus():
-    return CorpusGenerator(seed=31, scale=0.02).generate()
+    return CorpusGenerator(seed=SEED, scale=SCALE).generate()
 
 
 @pytest.fixture(scope="module")
@@ -44,89 +43,22 @@ def serial_records(runner_corpus):
     return box.analyze_corpus(runner_corpus.messages)
 
 
-def _box_factory(corpus):
-    return lambda worker_id: CrawlerBox.for_world(corpus.world)
+class HookedBox:
+    """A test-double box: ``hook(index)`` runs before the real analysis
+    (raise from it to fail that delivery attempt)."""
+
+    def __init__(self, corpus, hook):
+        self.real = CrawlerBox.for_world(corpus.world)
+        self.hook = hook
+        self.profiler = None
+
+    def analyze_to_wire(self, message, message_index):
+        self.hook(message_index)
+        return self.real.analyze_to_wire(message, message_index=message_index)
 
 
-# ----------------------------------------------------------------------
-# JobQueue
-# ----------------------------------------------------------------------
-class TestJobQueue:
-    def test_priority_then_fifo(self):
-        queue = JobQueue()
-        queue.put(Job(index=0, priority=5))
-        queue.put(Job(index=1, priority=0))
-        queue.put(Job(index=2, priority=5))
-        queue.put(Job(index=3, priority=-1))
-        order = [queue.get().index for _ in range(4)]
-        assert order == [3, 1, 0, 2]
-
-    def test_bounded_put_times_out(self):
-        queue = JobQueue(maxsize=1)
-        queue.put(Job(index=0))
-        with pytest.raises(TimeoutError):
-            queue.put(Job(index=1), timeout=0.02)
-
-    def test_requeue_ignores_bound_and_delay_orders_delivery(self):
-        queue = JobQueue(maxsize=1)
-        queue.put(Job(index=0))
-        queue.requeue(Job(index=1), delay=0.0)  # over capacity, must not block
-        queue.requeue(Job(index=2), delay=0.05)
-        assert queue.get().index in (0, 1)
-        assert queue.get().index in (0, 1)
-        assert queue.get().index == 2  # waits out the backoff delay
-
-    def test_close_drains_then_signals(self):
-        queue = JobQueue()
-        queue.put(Job(index=0))
-        queue.close()
-        assert queue.get().index == 0
-        assert queue.get() is None
-        with pytest.raises(QueueClosed):
-            queue.put(Job(index=1))
-
-    def test_close_discard_pending(self):
-        queue = JobQueue()
-        queue.put(Job(index=0))
-        queue.close(discard_pending=True)
-        assert queue.get() is None
-
-    def test_close_wakes_blocked_getter(self):
-        queue = JobQueue()
-        results = []
-        thread = threading.Thread(target=lambda: results.append(queue.get()))
-        thread.start()
-        queue.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert results == [None]
-
-    def test_delayed_job_due_mid_scan_is_delivered_not_dropped(self):
-        # Regression: a delayed job whose deadline passes between the
-        # promotion scan and the wait computation must loop and deliver,
-        # not time out — returning None there retired an idle worker
-        # (and could hang the run) while work was still pending.
-        clocks = iter([0.0, 0.0, 10.0, 10.0])
-        queue = JobQueue(clock=lambda: next(clocks, 10.0))
-        queue.requeue(Job(index=7), delay=5.0)  # clock #1: not_before = 5.0
-        # get(): promote scan at t=0 (job not yet due), wait computation
-        # at t=10 (wait = -5, i.e. due mid-scan), re-loop promotes at t=10.
-        job = queue.get()
-        assert job is not None and job.index == 7
-
-    def test_idle_get_blocks_on_condition_until_put(self):
-        # Idle workers block on the queue condition — a put must wake
-        # them; no polling deadline is involved when timeout is None.
-        queue = JobQueue()
-        results = []
-        thread = threading.Thread(target=lambda: results.append(queue.get()))
-        thread.start()
-        thread.join(timeout=0.1)
-        assert thread.is_alive()  # parked on the condition, not returning
-        queue.put(Job(index=3))
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert results[0].index == 3
+def _fault(spec: str) -> RunnerConfig:
+    return RunnerConfig(seed=SEED, scale=SCALE, fault=spec)
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +165,9 @@ class TestCheckpointStore:
 # ----------------------------------------------------------------------
 class TestDeterminism:
     def test_parallel_equals_serial(self, runner_corpus, serial_records):
-        runner = CorpusRunner(_box_factory(runner_corpus), jobs=4)
+        runner = CorpusRunner(config=RunnerConfig(seed=SEED, scale=SCALE), jobs=4)
         result = runner.run(runner_corpus.messages)
+        assert result.executor == "process"
         serial_doc = json.dumps(export_records(serial_records))
         parallel_doc = json.dumps(export_records(result.records))
         assert parallel_doc == serial_doc
@@ -274,10 +207,8 @@ class TestResume:
 
         analyzed: list[int] = []
         runner = CorpusRunner(
-            _box_factory(runner_corpus),
-            jobs=2,
+            HookedBox(runner_corpus, analyzed.append),
             checkpoint=CheckpointStore(tmp_path / "ckpt"),
-            fault_injector=lambda index, attempts: analyzed.append(index),
         )
         result = runner.run(runner_corpus.messages)
 
@@ -298,9 +229,8 @@ class TestResume:
             store.append(record)
         store.close()
         runner = CorpusRunner(
-            _box_factory(runner_corpus),
+            HookedBox(runner_corpus, lambda index: pytest.fail("nothing should run")),
             checkpoint=CheckpointStore(tmp_path / "ckpt"),
-            fault_injector=lambda index, attempts: pytest.fail("nothing should run"),
         )
         result = runner.run(runner_corpus.messages)
         assert len(result.resumed_indices) == len(serial_records)
@@ -315,19 +245,11 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01, jitte
 class TestRetries:
     def test_twice_failing_job_recovers(self, runner_corpus, serial_records):
         target = 3
-        failures: list[int] = []
-
-        def flaky(index, attempts):
-            if index == target and attempts < 2:
-                failures.append(attempts)
-                raise TransientFault(f"flaky attempt {attempts}")
-
         runner = CorpusRunner(
-            _box_factory(runner_corpus), jobs=2, retry_policy=FAST_RETRY,
-            fault_injector=flaky,
+            CrawlerBox.for_world(runner_corpus.world), retry_policy=FAST_RETRY,
+            config=_fault(f"transient:{target}:2"),
         )
         result = runner.run(runner_corpus.messages[:8])
-        assert failures == [0, 1]
         assert result.stats.retried == 2
         assert not result.dead_letters
         assert [r.message_index for r in result.records] == list(range(8))
@@ -335,35 +257,28 @@ class TestRetries:
         assert record_to_dict(result.records[target]) == record_to_dict(serial_records[target])
 
     def test_always_failing_job_dead_letters(self, runner_corpus):
-        def doomed(index, attempts):
-            if index == 2:
-                raise TransientFault("permanently flaky")
-
         runner = CorpusRunner(
-            _box_factory(runner_corpus), jobs=2, retry_policy=FAST_RETRY,
-            fault_injector=doomed,
+            CrawlerBox.for_world(runner_corpus.world), retry_policy=FAST_RETRY,
+            config=_fault("transient:2:9"),
         )
         result = runner.run(runner_corpus.messages[:6])
         assert len(result.dead_letters) == 1
         letter = result.dead_letters[0]
         assert letter.index == 2
         assert letter.attempts == FAST_RETRY.max_attempts
-        assert "permanently flaky" in letter.error
+        assert "injected fault attempt 3" in letter.error
         assert result.stats.dead_lettered == 1
         assert [r.message_index for r in result.records] == [0, 1, 3, 4, 5]
 
     def test_non_transient_fault_aborts_run(self, runner_corpus):
-        def buggy(index, attempts):
+        def buggy(index):
             if index == 1:
                 raise ValueError("pipeline bug")
 
-        runner = CorpusRunner(
-            _box_factory(runner_corpus), jobs=2, retry_policy=FAST_RETRY,
-            fault_injector=buggy,
-        )
+        runner = CorpusRunner(HookedBox(runner_corpus, buggy), retry_policy=FAST_RETRY)
         with pytest.raises(ValueError, match="pipeline bug"):
             runner.run(runner_corpus.messages[:6])
 
     def test_jobs_must_be_positive(self, runner_corpus):
         with pytest.raises(ValueError):
-            CorpusRunner(_box_factory(runner_corpus), jobs=0)
+            CorpusRunner(CrawlerBox.for_world(runner_corpus.world), jobs=0)

@@ -2,16 +2,16 @@
 
 The headline guarantees under test:
 
-- the process backend's records are byte-identical to the jobs=1 thread
-  run (and therefore to plain ``analyze_corpus``), surviving the
+- the process transport's records are byte-identical to the jobs=1
+  inline run (and therefore to plain ``analyze_corpus``), surviving the
   record -> dict -> record trip across the process boundary;
 - a worker process killed mid-run loses nothing: its in-flight indices
   are retried on a fresh worker, a persistently-crashing ("poison")
   index lands on the dead-letter list *alone*, and a checkpointed run
   resumes to completion with byte-identical records;
 - transient faults raised inside a worker retry and recover;
-- ``executor="auto"`` picks the process backend exactly when it can
-  (jobs > 1 and a picklable RunnerConfig is available).
+- ``executor="auto"`` is inline at jobs=1 and process above, and a
+  transport that cannot run the request is refused up front.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ def _runner(corpus, **kwargs):
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("executor", "process")
     kwargs.setdefault("config", CONFIG)
-    return CorpusRunner(
-        box_factory=lambda worker_id: CrawlerBox.for_world(corpus.world), **kwargs
-    )
+    kwargs.setdefault("box", CrawlerBox.for_world(corpus.world))
+    return CorpusRunner(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -83,17 +82,36 @@ class TestProcessDeterminism:
 # Executor selection
 # ----------------------------------------------------------------------
 class TestExecutorResolution:
-    def test_auto_is_thread_for_one_job(self, runner_corpus):
+    def test_auto_is_inline_for_one_job(self, runner_corpus):
         runner = _runner(runner_corpus, jobs=1, executor="auto")
-        assert runner.resolve_executor() == "thread"
+        assert runner.executor == "inline"
 
     def test_auto_is_process_for_parallel_jobs_with_config(self, runner_corpus):
         runner = _runner(runner_corpus, jobs=4, executor="auto")
-        assert runner.resolve_executor() == "process"
+        assert runner.executor == "process"
 
-    def test_auto_without_config_stays_on_threads(self, runner_corpus):
-        runner = _runner(runner_corpus, jobs=4, executor="auto", config=None)
-        assert runner.resolve_executor() == "thread"
+    def test_auto_without_config_needs_one_job(self, runner_corpus):
+        # Parallel auto means processes, which rebuild their world from
+        # a RunnerConfig; a live box alone cannot be shared with them.
+        with pytest.raises(ValueError, match="RunnerConfig"):
+            _runner(runner_corpus, jobs=4, executor="auto", config=None)
+
+    def test_inline_rejects_parallel_jobs(self, runner_corpus):
+        with pytest.raises(ValueError, match="jobs=1"):
+            _runner(runner_corpus, jobs=2, executor="inline")
+
+    def test_inline_needs_a_box(self):
+        with pytest.raises(ValueError, match="box"):
+            CorpusRunner(jobs=1, executor="inline", config=CONFIG)
+
+    def test_inline_refuses_process_only_faults(self, runner_corpus):
+        for spec in ("crash:1", "wedge:1"):
+            runner = _runner(
+                runner_corpus, jobs=1, executor="inline",
+                config=RunnerConfig(seed=SEED, scale=SCALE, fault=spec),
+            )
+            with pytest.raises(ValueError, match="worker process"):
+                runner.run(runner_corpus.messages[:2])
 
     def test_explicit_process_requires_config(self, runner_corpus):
         with pytest.raises(ValueError, match="RunnerConfig"):
@@ -241,7 +259,7 @@ class TestWorkerStall:
 
 
 # ----------------------------------------------------------------------
-# Hostile ingest: both backends, byte-identical, nothing crashes
+# Hostile ingest: both transports, byte-identical, nothing crashes
 # ----------------------------------------------------------------------
 class TestHostileCorpusAcrossBackends:
     BUDGET = 500_000  # calibrated messages stay far below; js-loop trips it
@@ -254,15 +272,13 @@ class TestHostileCorpusAcrossBackends:
             seed=SEED, scale=SCALE, corpus_prefix=4, hostile="7:1",
             budget=self.BUDGET,
         )
-        # The thread backend analyzes on the parent-side box, so it
+        # The inline transport analyzes on the parent-side box, so it
         # needs the same pipeline budget the process workers rebuild
         # from the RunnerConfig (exactly what the CLI wires up).
         pipeline = PipelineConfig(budget_work_units=self.BUDGET)
         messages = corpus.messages[:4] + hostile_corpus(seed=7, copies=1)
         runner = CorpusRunner(
-            box_factory=lambda worker_id: CrawlerBox.for_world(
-                corpus.world, config=pipeline
-            ),
+            box=CrawlerBox.for_world(corpus.world, config=pipeline),
             jobs=jobs,
             executor=executor,
             config=config,
@@ -301,7 +317,7 @@ class TestHostileCorpusAcrossBackends:
         )
         assert process_result.stats.budget_stage_failures >= 1
 
-        _, thread_result = self._run(runner_corpus, "thread", 1)
+        _, inline_result = self._run(runner_corpus, "inline", 1)
         assert json.dumps(export_records(process_result.records)) == json.dumps(
-            export_records(thread_result.records)
+            export_records(inline_result.records)
         )

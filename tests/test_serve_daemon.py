@@ -59,8 +59,8 @@ MESSAGES = [_eml(i) for i in range(8)]
 @contextlib.contextmanager
 def _daemon(directory, **overrides):
     config = ServeConfig(
-        seed=SEED, scale=SCALE, jobs=overrides.pop("jobs", 2),
-        executor=overrides.pop("executor", "thread"),
+        seed=SEED, scale=SCALE, jobs=overrides.pop("jobs", 1),
+        executor=overrides.pop("executor", "inline"),
         batch_size=overrides.pop("batch_size", 3),
         **overrides,
     )
@@ -261,15 +261,17 @@ class TestRestartByteIdentity:
         )
         assert batch == _records_lines(full_dir)
 
-    def test_process_engine_matches_thread_engine(self, tmp_path):
-        thread_dir, process_dir = tmp_path / "thread", tmp_path / "process"
-        for directory, executor in ((thread_dir, "thread"), (process_dir, "process")):
-            with _daemon(directory, executor=executor) as daemon:
+    def test_process_engine_matches_inline_engine(self, tmp_path):
+        inline_dir, process_dir = tmp_path / "inline", tmp_path / "process"
+        for directory, executor, jobs in (
+            (inline_dir, "inline", 1), (process_dir, "process", 2)
+        ):
+            with _daemon(directory, executor=executor, jobs=jobs) as daemon:
                 with ServeClient("127.0.0.1", daemon.port, timeout=240) as client:
                     for raw in MESSAGES:
                         client.submit_bytes(raw, reporter="acme")
                     client.wait_verdicts(timeout=240)
-        assert _records_lines(process_dir) == _records_lines(thread_dir)
+        assert _records_lines(process_dir) == _records_lines(inline_dir)
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +283,7 @@ def _launch_serve(checkpoint) -> subprocess.Popen:
         [sys.executable, "-m", "repro", "serve",
          "--checkpoint", str(checkpoint),
          "--seed", str(SEED), "--scale", str(SCALE),
-         "--jobs", "2", "--executor", "thread"],
+         "--jobs", "1", "--executor", "inline"],
         cwd=REPO, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         start_new_session=True,

@@ -81,7 +81,7 @@ def broken_disk():
 @contextlib.contextmanager
 def _daemon(directory):
     config = ServeConfig(
-        seed=SEED, scale=SCALE, jobs=1, executor="thread", batch_size=1,
+        seed=SEED, scale=SCALE, jobs=1, executor="inline", batch_size=1,
         readonly_after=2,
     )
     daemon = ServeDaemon(config, directory)

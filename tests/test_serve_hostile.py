@@ -64,8 +64,8 @@ HARDENED = dict(
 @contextlib.contextmanager
 def _daemon(directory, **overrides):
     config = ServeConfig(
-        seed=SEED, scale=SCALE, jobs=overrides.pop("jobs", 2),
-        executor=overrides.pop("executor", "thread"),
+        seed=SEED, scale=SCALE, jobs=overrides.pop("jobs", 1),
+        executor=overrides.pop("executor", "inline"),
         batch_size=overrides.pop("batch_size", 3),
         **overrides,
     )

@@ -45,7 +45,7 @@ def _launch(checkpoint, executor: str):
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "run",
          "--scale", str(SCALE), "--seed", str(SEED),
-         "--jobs", "2", "--executor", executor,
+         "--jobs", "1" if executor == "inline" else "2", "--executor", executor,
          "--checkpoint", str(checkpoint)],
         cwd=REPO,
         env=env,
@@ -75,7 +75,7 @@ def _resume_and_export(checkpoint, tmp_path):
     return json.loads(out.read_text())["records"]
 
 
-@pytest.mark.parametrize("executor", ["process", "thread"])
+@pytest.mark.parametrize("executor", ["process", "inline"])
 class TestSigintDrain:
     def test_sigint_drains_then_resume_is_byte_identical(
         self, tmp_path, executor, baseline_export, capsys
@@ -112,7 +112,7 @@ class TestSigintDrain:
         assert json.dumps(resumed) == json.dumps(baseline_export)
 
 
-@pytest.mark.parametrize("executor", ["process", "thread"])
+@pytest.mark.parametrize("executor", ["process", "inline"])
 class TestSigkillResume:
     def test_sigkill_then_resume_is_byte_identical(
         self, tmp_path, executor, baseline_export, capsys

@@ -128,13 +128,11 @@ class TestFailureIsolation:
         def explode(domain, at_time, server_ip=""):
             raise KeyError("enrichment source offline")
 
-        def factory(worker_id):
-            box = _fresh_box(small_corpus)
-            box.enricher.enrich = explode
-            return box
+        box = _fresh_box(small_corpus)
+        box.enricher.enrich = explode
 
         sample = small_corpus.messages[:25]
-        result = CorpusRunner(box_factory=factory, jobs=1).run(sample)
+        result = CorpusRunner(box).run(sample)
         assert result.dead_letters == []
         assert result.stats.dead_lettered == 0
         assert result.stats.retried == 0

@@ -327,7 +327,7 @@ def baseline(tmp_path_factory):
     }
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["inline", "process"])
 class TestFaultyRunEndToEnd:
     def test_heavy_weather_run_is_lossless_and_identical(
         self, tmp_path, executor, baseline, capsys
@@ -335,7 +335,8 @@ class TestFaultyRunEndToEnd:
         checkpoint = tmp_path / "ckpt"
         out = tmp_path / "out.json"
         assert main(["run", "--scale", str(SCALE), "--seed", str(SEED),
-                     "--jobs", "2", "--executor", executor,
+                     "--jobs", "1" if executor == "inline" else "2",
+                     "--executor", executor,
                      "--checkpoint", str(checkpoint),
                      "--storage-faults", "heavy", "--storage-fault-seed", "7",
                      "--export", str(out)]) == 0
