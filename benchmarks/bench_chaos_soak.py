@@ -29,7 +29,6 @@ import time
 
 import pytest
 
-from repro.core import CrawlerBox
 from repro.core.export import export_records
 from repro.runner import CorpusRunner, RunnerConfig
 
@@ -44,27 +43,27 @@ FAULT_SEED = int(os.environ.get("REPRO_CHAOS_FAULT_SEED", str(BENCH_SEED)))
 SOAK_ENABLED = bool(os.environ.get("REPRO_CHAOS_SOAK"))
 
 
+CONFIG = RunnerConfig(seed=BENCH_SEED, scale=BENCH_SCALE,
+                      faults=FAULT_PROFILE, fault_seed=FAULT_SEED)
+
+
 def _make_runner(corpus, executor: str, jobs: int):
+    # Process workers rebuild their world (fault engine included) from
+    # the RunnerConfig; the inline transport analyses on *this* corpus's
+    # network, which build_box fits with the same engine.
     return CorpusRunner(
-        box=CrawlerBox.for_world(corpus.world) if executor == "inline" else None,
+        box=CONFIG.build_box(corpus.world) if executor == "inline" else None,
         jobs=jobs,
         executor=executor,
-        config=RunnerConfig(seed=BENCH_SEED, scale=BENCH_SCALE,
-                            faults=FAULT_PROFILE, fault_seed=FAULT_SEED),
+        config=CONFIG,
     )
 
 
 def _soak(corpus, sample, executor: str, jobs: int):
     """Run the hostile soak; returns (result, elapsed, export JSON)."""
-    from repro.web.faults import FaultEngine, fault_profile
-
-    # Process workers rebuild their world (fault engine included) from
-    # the RunnerConfig; the inline transport analyses on *this*
-    # corpus's network, so install the same engine here — and remove it after,
-    # the corpus fixture is shared with the other benches.
+    # The corpus fixture is shared with the other benches: restore its
+    # network's weather afterwards.
     previous = corpus.world.network.faults
-    corpus.world.network.install_faults(
-        FaultEngine(fault_profile(FAULT_PROFILE), seed=FAULT_SEED))
     try:
         runner = _make_runner(corpus, executor, jobs)
         started = time.perf_counter()

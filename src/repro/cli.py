@@ -37,8 +37,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
+from typing import NamedTuple
 
+from repro.runner.executor import RunnerConfig
 from repro.runner.runner import EXECUTORS
+from repro.storage.durable import DURABILITY_POLICIES
+from repro.storage.faults import STORAGE_FAULT_PROFILES
+from repro.web.faults import FAULT_PROFILES
 
 
 def _positive_int(value: str) -> int:
@@ -94,6 +100,116 @@ def _stage_list(value: str) -> tuple[str, ...]:
     except StagePlanError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return names
+
+
+class _Flag(NamedTuple):
+    """One flag shared by ``run``, ``resume`` and possibly ``serve``."""
+
+    option: str
+    #: The :class:`RunnerConfig` field it sets (None: per invocation).
+    setting: str | None
+    #: Recorded in the manifest, so ``resume`` defaults it to None:
+    #: "what the interrupted run used".
+    saved: bool
+    #: ``serve`` takes it too.
+    serve: bool
+    kwargs: dict
+
+    @property
+    def dest(self) -> str:
+        return self.option[2:].replace("-", "_")
+
+
+def _flag(option, setting=None, *, saved=None, serve=False, **kwargs) -> _Flag:
+    return _Flag(option, setting, setting is not None if saved is None else saved,
+                 serve, kwargs)
+
+
+#: The run settings and per-invocation flags, declared once for every
+#: subcommand that takes them.
+_FLAGS = (
+    _flag("--jobs", saved=True, serve=True, type=_positive_int, default=1,
+          help="workers, each with a private CrawlerBox (records are identical "
+               "for any jobs count); asking for more jobs than cores just adds "
+               "scheduling overhead"),
+    _flag("--executor", serve=True, choices=EXECUTORS, default="auto",
+          help="transport: 'inline' analyses in this process (--jobs 1 only); "
+               "'process' runs workers in separate processes (each serializes "
+               "its own records and ships batched frames); 'auto' is inline at "
+               "--jobs 1 and process above.  Multi-core speedup is unmeasured: "
+               "on a 1-2 core host process runs stay at inline throughput for "
+               "jobs 1-8 (bench_runner_scaling)"),
+    _flag("--batch-size", type=_positive_int, default=None, metavar="N",
+          help="messages per dispatch to a process worker (default: adaptive "
+               "from corpus size and --jobs); results travel back in batched "
+               "frames either way, so this mainly tunes tail-end load balance"),
+    _flag("--profile", action="store_true",
+          help="collect per-stage timings and print the breakdown"),
+    _flag("--stages", "stages", type=_stage_list, default=None,
+          metavar="NAME,NAME,...",
+          help="run only these pipeline stages (e.g. 'auth,parse' for "
+               "crawl-free triage); unselected stages are recorded as skipped "
+               "on each record's stage_status; a stage's upstream providers "
+               "must be included"),
+    _flag("--faults", "faults", choices=tuple(FAULT_PROFILES), default="off",
+          help="inject deterministic network faults (DNS flaps, timeouts, TLS "
+               "failures, 5xx/429, stalls, redirect loops) into the simulated "
+               "internet; the resilient crawl path retries/degrades instead of "
+               "dying"),
+    _flag("--fault-seed", "fault_seed", type=int, default=None, metavar="N",
+          help="seed for the fault schedule (default: the run's --seed); a "
+               "fixed fault-seed gives byte-identical records for any --jobs "
+               "count or executor"),
+    _flag("--budget", "budget", serve=True, type=_budget_arg, default=None,
+          metavar="UNITS",
+          help="per-message work budget in abstract units (JS steps, crawl "
+               "hops, OCR tiles); a message that exhausts it has that stage "
+               "degraded to 'failed' instead of wedging a worker; 0 = unlimited "
+               "(default: the pipeline's built-in 2,000,000); a daemon also "
+               "denominates its admission buckets in it"),
+    _flag("--guard-limit", "guard_limits", serve=True, type=_guard_limit_arg,
+          action="append", default=None, metavar="KEY=VALUE",
+          help="override one ingestion-guard structural cap (repeatable), e.g. "
+               "--guard-limit max_parts=64 --guard-limit max_depth=10; unknown "
+               "keys list the vocabulary; reaches inline and process runs "
+               "identically"),
+    _flag("--hostile", "hostile", type=_hostile_spec, default=None,
+          metavar="SEED[:COPIES]",
+          help="append the seeded hostile corpus (repro.dataset.hostile) after "
+               "the calibrated messages — pathological MIME/header/payload "
+               "shapes that must quarantine, never crash"),
+    _flag("--durability", serve=True, choices=DURABILITY_POLICIES, default="batch",
+          help="fsync policy for durable writes, per invocation (never "
+               "recorded in the manifest): 'none' never fsyncs (page cache "
+               "only), 'batch' fsyncs the records file every 256 appends + on "
+               "close and all whole-file replacements (default), 'always' "
+               "additionally fsyncs every append (lose at most one record to "
+               "power failure)"),
+    _flag("--storage-faults", "storage_faults", serve=True,
+          choices=tuple(STORAGE_FAULT_PROFILES), default="off",
+          help="inject deterministic storage faults (short writes, ENOSPC "
+               "episodes, EIO, fsync failures, torn renames) into every durable "
+               "write; the crash-consistent write path retries/degrades instead "
+               "of corrupting the checkpoint, and a daemon turns read-only under "
+               "a persistent episode until the disk recovers (watch /healthz)"),
+    _flag("--storage-fault-seed", "storage_fault_seed", serve=True, type=int,
+          default=None, metavar="N",
+          help="seed for the storage-fault schedule (default: the run's "
+               "--seed); decisions key on file basenames, so the same seed "
+               "reproduces the same disk weather in any checkpoint directory"),
+    _flag("--export", metavar="PATH", default=None,
+          help="write the analysis artifacts to a JSON file"),
+)
+
+
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for flag in _FLAGS:
+        if command == "serve" and not flag.serve:
+            continue
+        kwargs = flag.kwargs
+        if command == "resume" and flag.saved:
+            kwargs = {**kwargs, "default": None}
+        parser.add_argument(flag.option, **kwargs)
 
 
 def _print_study_report(records, world=None) -> None:
@@ -166,104 +282,89 @@ def _install_drain_handlers(runner) -> None:
             pass  # not the main thread (embedded use): leave defaults
 
 
-def _build_runner(corpus, seed: int, scale: float, jobs: int, checkpoint_dir,
-                  executor: str = "auto", profile: bool = False,
-                  stages: tuple[str, ...] | None = None,
-                  faults: str = "off", fault_seed: int = 0,
-                  budget: int | None = None, hostile: str = "",
-                  guard_limits: tuple[tuple[str, int], ...] | None = None,
-                  batch_size: int | None = None,
-                  durability: str = "batch",
-                  storage_faults: str = "off", storage_fault_seed: int = 0):
-    """A CorpusRunner over ``corpus``.
-
-    ``stages`` (a validated ``--stages`` selection) reaches both
-    transports: the inline run's live CrawlerBox and the process
-    workers' :class:`RunnerConfig`, so every worker builds the same
-    plan.  ``faults``/``fault_seed`` likewise reach both: the engine
-    installed here serves the inline box's network, and the same
-    parameters travel in the RunnerConfig so each process worker
-    rebuilds an identical engine.
-
-    ``budget`` (the CLI's ``--budget``; None = pipeline default, 0 =
-    unlimited), ``guard_limits`` (parsed ``--guard-limit`` pairs) and
-    ``hostile`` (a ``"<seed>:<copies>"`` hostile-corpus spec) likewise
-    reach both transports via PipelineConfig/RunnerConfig.
-
-    ``storage_faults``/``storage_fault_seed`` stay in the *parent*: only
-    this process writes durable state (checkpoint, manifest, export), so
-    the :class:`~repro.storage.faults.StorageFaultEngine` is installed
-    process-wide here and never travels in the RunnerConfig.
-    """
-    from repro import CrawlerBox
-    from repro.core.pipeline import build_pipeline_config
-    from repro.runner import (
-        CheckpointStore,
-        CorpusRunner,
-        RunnerConfig,
-        StageProfiler,
-        resolve_executor,
-    )
-    from repro.storage.durable import install_storage_faults
-
-    if faults != "off":
-        from repro.web.faults import FaultEngine, fault_profile
-
-        corpus.world.network.install_faults(
-            FaultEngine(fault_profile(faults), seed=fault_seed)
-        )
-    if storage_faults != "off":
-        from repro.storage.faults import StorageFaultEngine, storage_fault_profile
-
-        install_storage_faults(
-            StorageFaultEngine(
-                storage_fault_profile(storage_faults), seed=storage_fault_seed
-            )
-        )
+def _run_settings(args, manifest=None) -> RunnerConfig:
+    """The run's settings: every setting flag given on the command line
+    wins; the rest come from the flag defaults (``run``, ``serve``) or
+    from the interrupted run's ``manifest`` (``resume``).  A fault seed
+    the run never used falls back to its ``--seed``."""
+    if manifest is None:
+        base = RunnerConfig(seed=args.seed, scale=args.scale,
+                            fault_seed=args.seed, storage_fault_seed=args.seed)
     else:
-        install_storage_faults(None)
+        saved = manifest.config
+        base = replace(
+            saved,
+            fault_seed=saved.fault_seed if saved.faults != "off" else saved.seed,
+            storage_fault_seed=(saved.storage_fault_seed
+                                if saved.storage_faults != "off" else saved.seed),
+        )
+    given = {}
+    for flag in _FLAGS:
+        value = getattr(args, flag.dest, None)
+        if flag.setting is not None and value is not None:
+            given[flag.setting] = tuple(value) if isinstance(value, list) else value
+    return replace(base, **given)
+
+
+def _announce(config: RunnerConfig, durability: str) -> None:
+    """Print the fault, storage, budget and guard settings in force."""
+    if config.faults != "off":
+        print(f"Fault injection: profile={config.faults}, fault-seed={config.fault_seed}",
+              flush=True)
+    if config.storage_faults != "off":
+        print(f"Storage-fault injection: profile={config.storage_faults}, "
+              f"storage-fault-seed={config.storage_fault_seed}, "
+              f"durability={durability}", flush=True)
+    if config.budget is not None:
+        print(f"Per-message budget: "
+              f"{'unlimited' if config.budget == 0 else f'{config.budget} work units'}",
+              flush=True)
+    if config.guard_limits:
+        print("Guard limits: " + ", ".join(
+            f"{key}={value}" for key, value in config.guard_limits), flush=True)
+
+
+def _build_runner(corpus, config: RunnerConfig, jobs: int, args):
+    """A CorpusRunner over ``corpus`` under ``config``; ``args`` gives
+    the per-invocation flags (checkpoint, executor, batch size,
+    profile, durability).
+
+    An inline run analyses on a box built here by the same
+    :meth:`RunnerConfig.build_box` process workers use, so both
+    transports see identical stages, weather and limits.  The disk
+    weather is installed process-wide here: only this process writes
+    durable state (checkpoint, manifest, export).
+    """
+    from repro.runner import CheckpointStore, CorpusRunner, StageProfiler, resolve_executor
+
+    config.install_storage_faults()
     checkpoint = (
-        CheckpointStore(checkpoint_dir, durability=durability)
-        if checkpoint_dir else None
+        CheckpointStore(args.checkpoint, durability=args.durability)
+        if args.checkpoint else None
     )
-    profiler = StageProfiler() if profile else None
-    pipeline_config = build_pipeline_config(budget, guard_limits)
+    profiler = StageProfiler() if args.profile else None
 
     def progress(stats, completed, total):
         print(f"  ... {completed}/{total} analysed "
               f"(active {stats.active}, spear {stats.spear}, "
               f"retried {stats.retried}, dead-lettered {stats.dead_lettered})")
 
-    run_info = {"seed": seed, "scale": scale, "stages": list(stages or ()),
-                "faults": faults, "fault_seed": fault_seed,
-                "storage_faults": storage_faults,
-                "storage_fault_seed": storage_fault_seed}
-    if budget is not None:
-        run_info["budget"] = budget
-    if guard_limits:
-        run_info["guard_limits"] = [[key, value] for key, value in guard_limits]
     # Only an inline run analyses here; process workers build their own.
     box = (
-        CrawlerBox.for_world(
-            corpus.world, profiler=profiler, stages=stages, config=pipeline_config
-        )
-        if resolve_executor(executor, jobs) == "inline"
+        config.build_box(corpus.world, profiler)
+        if resolve_executor(args.executor, jobs) == "inline"
         else None
     )
     return CorpusRunner(
         box=box,
         jobs=jobs,
-        executor=executor,
-        config=RunnerConfig(seed=seed, scale=scale, stages=stages,
-                            faults=faults, fault_seed=fault_seed,
-                            budget=budget, hostile=hostile,
-                            guard_limits=tuple(guard_limits) if guard_limits else None),
+        executor=args.executor,
+        config=config,
         checkpoint=checkpoint,
         progress=progress,
         progress_every=200,
-        run_info=run_info,
         profiler=profiler,
-        batch_size=batch_size,
+        batch_size=args.batch_size,
     )
 
 
@@ -303,13 +404,6 @@ def _finish_run(result, corpus, export_path) -> int:
     return 0
 
 
-def _hostile_messages(spec: str) -> list:
-    from repro.dataset.hostile import hostile_corpus
-
-    hostile_seed, _, copies = spec.partition(":")
-    return hostile_corpus(seed=int(hostile_seed), copies=int(copies or 1))
-
-
 def _interrupted_exit(result, total: int, checkpoint_dir) -> int:
     durable = len(result.records) + len(result.dead_letters)
     print(f"\nInterrupted: {durable}/{total} messages durable "
@@ -323,42 +417,19 @@ def _interrupted_exit(result, total: int, checkpoint_dir) -> int:
 def cmd_run(args) -> int:
     from repro import CorpusGenerator
 
-    print(f"Generating world and corpus (seed={args.seed}, scale={args.scale}) ...")
+    config = _run_settings(args)
+    print(f"Generating world and corpus (seed={config.seed}, scale={config.scale}) ...")
     started = time.time()
-    corpus = CorpusGenerator(seed=args.seed, scale=args.scale).generate()
+    corpus = CorpusGenerator(seed=config.seed, scale=config.scale).generate()
     print(f"  {len(corpus.messages)} messages, {len(corpus.domain_plans)} landing domains "
           f"({time.time() - started:.1f}s)")
-    messages = corpus.messages
-    if args.hostile:
-        hostile = _hostile_messages(args.hostile)
-        messages = messages + hostile
-        print(f"  + {len(hostile)} hostile messages (spec {args.hostile!r})")
+    messages = config.with_hostile(corpus.messages)
+    if config.hostile:
+        print(f"  + {len(messages) - len(corpus.messages)} hostile messages "
+              f"(spec {config.hostile!r})")
 
-    fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
-    storage_fault_seed = (args.storage_fault_seed
-                          if args.storage_fault_seed is not None else args.seed)
-    runner = _build_runner(corpus, args.seed, args.scale, args.jobs, args.checkpoint,
-                           executor=args.executor, profile=args.profile,
-                           stages=args.stages,
-                           faults=args.faults, fault_seed=fault_seed,
-                           budget=args.budget, hostile=args.hostile or "",
-                           guard_limits=tuple(args.guard_limit or ()),
-                           batch_size=args.batch_size,
-                           durability=args.durability,
-                           storage_faults=args.storage_faults,
-                           storage_fault_seed=storage_fault_seed)
-    if args.faults != "off":
-        print(f"Fault injection: profile={args.faults}, fault-seed={fault_seed}")
-    if args.storage_faults != "off":
-        print(f"Storage-fault injection: profile={args.storage_faults}, "
-              f"storage-fault-seed={storage_fault_seed}, "
-              f"durability={args.durability}")
-    if args.budget is not None:
-        print(f"Per-message budget: "
-              f"{'unlimited' if args.budget == 0 else f'{args.budget} work units'}")
-    if args.guard_limit:
-        print("Guard limits: " + ", ".join(
-            f"{key}={value}" for key, value in args.guard_limit))
+    runner = _build_runner(corpus, config, args.jobs, args)
+    _announce(config, args.durability)
     print(f"Running CrawlerBox over the corpus "
           f"(jobs={args.jobs}, executor={runner.executor}) ...")
     _install_drain_handlers(runner)
@@ -393,73 +464,35 @@ def cmd_resume(args) -> int:
               f"the manifest; clients resubmit anything that was rejected "
               f"while it drained)")
         return 1
+    config = _run_settings(args, manifest)
     jobs = args.jobs if args.jobs is not None else (
         1 if args.executor == "inline" else manifest.jobs)
-    # Fault settings default to what the interrupted run used, so a
-    # plain `resume` reproduces the same weather; --faults overrides.
-    faults = args.faults if args.faults is not None else manifest.faults
-    fault_seed = (args.fault_seed if args.fault_seed is not None
-                  else (manifest.fault_seed if manifest.faults != "off"
-                        else manifest.seed))
-    # Disk weather likewise: a bare resume replays the interrupted
-    # run's storage-fault schedule (the manifest persists it only when
-    # it was on); --storage-faults overrides.
-    storage_faults = (args.storage_faults if args.storage_faults is not None
-                      else manifest.storage_faults)
-    storage_fault_seed = (
-        args.storage_fault_seed if args.storage_fault_seed is not None
-        else (manifest.storage_fault_seed if manifest.storage_faults != "off"
-              else manifest.seed))
-    # The budget (and guard limits) likewise default to the interrupted
-    # run's, so a bare `resume` reproduces its limits exactly.
-    budget = args.budget if args.budget is not None else manifest.budget
-    guard_limits = (
-        tuple(args.guard_limit)
-        if args.guard_limit
-        else tuple((key, int(value)) for key, value in manifest.guard_limits or ())
-    )
     scan = store.scan()
     if scan.corruption:
         print(f"WARNING: {len(scan.corruption)} corrupt line(s) in "
               f"{store.records_path} — their records will be re-analysed; "
               f"run `repro fsck {args.checkpoint}` for details")
     durable = len(scan.indices)
-    print(f"Resuming run (seed={manifest.seed}, scale={manifest.scale}, "
+    print(f"Resuming run (seed={config.seed}, scale={config.scale}, "
           f"{durable}/{manifest.total_messages} already analysed, jobs={jobs}) ...")
-    if faults != "off":
-        print(f"Fault injection: profile={faults}, fault-seed={fault_seed}")
-    if storage_faults != "off":
-        print(f"Storage-fault injection: profile={storage_faults}, "
-              f"storage-fault-seed={storage_fault_seed}, "
-              f"durability={args.durability}")
+    _announce(config, args.durability)
     for letter in manifest.dead_letters:
         print(f"  prior dead letter: message {letter['index']} after "
               f"{letter['attempts']} attempts: {letter['error']}")
         for attempt, error in enumerate(letter.get("history") or (), start=1):
             print(f"    attempt {attempt}: {error}")
 
-    corpus = CorpusGenerator(seed=manifest.seed, scale=manifest.scale).generate()
-    messages = corpus.messages
-    if args.hostile:
-        messages = messages + _hostile_messages(args.hostile)
+    corpus = CorpusGenerator(seed=config.seed, scale=config.scale).generate()
+    messages = config.with_hostile(corpus.messages)
     if len(messages) != manifest.total_messages:
         print(f"Corpus mismatch: regenerated {len(messages)} messages, "
               f"manifest expects {manifest.total_messages}"
-              + ("" if args.hostile else
+              + ("" if config.hostile else
                  " (a hostile-ingest run needs its --hostile spec again)"))
         return 1
 
     started = time.time()
-    runner = _build_runner(corpus, manifest.seed, manifest.scale, jobs, args.checkpoint,
-                           executor=args.executor, profile=args.profile,
-                           stages=args.stages,
-                           faults=faults, fault_seed=fault_seed,
-                           budget=budget, hostile=args.hostile or "",
-                           guard_limits=guard_limits,
-                           batch_size=args.batch_size,
-                           durability=args.durability,
-                           storage_faults=storage_faults,
-                           storage_fault_seed=storage_fault_seed)
+    runner = _build_runner(corpus, config, jobs, args)
     _install_drain_handlers(runner)
     result = runner.run(messages)
     print(f"  {len(result.resumed_indices)} records reused, "
@@ -613,6 +646,7 @@ def cmd_serve(args) -> int:
     def units(messages: float | None) -> int | None:
         return None if messages is None else int(messages * cost)
 
+    settings = _run_settings(args)
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -632,13 +666,11 @@ def cmd_serve(args) -> int:
         backlog_low_water=max(1, args.backlog // 4),
         compact_lines=args.compact_lines,
         retain=args.retain,
-        budget=args.budget,
-        guard_limits=tuple(args.guard_limit or ()) or None,
+        budget=settings.budget,
+        guard_limits=settings.guard_limits,
         durability=args.durability,
-        storage_faults=args.storage_faults,
-        storage_fault_seed=(args.storage_fault_seed
-                            if args.storage_fault_seed is not None
-                            else args.seed),
+        storage_faults=settings.storage_faults,
+        storage_fault_seed=settings.storage_fault_seed,
         max_sessions=args.max_sessions,
         line_deadline=args.line_deadline,
         idle_timeout=args.idle_timeout,
@@ -648,10 +680,7 @@ def cmd_serve(args) -> int:
         flush_timeout=args.flush_timeout,
     )
     daemon = ServeDaemon(config, args.checkpoint)
-    if config.storage_faults != "off":
-        print(f"Storage-fault injection: profile={config.storage_faults}, "
-              f"storage-fault-seed={config.storage_fault_seed}, "
-              f"durability={config.durability}", flush=True)
+    _announce(daemon.runner_config, config.durability)
 
     def handle(signum, frame):
         daemon.request_shutdown()
@@ -826,149 +855,22 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--scale", type=float, default=0.15,
                             help="corpus scale in (0,1]; 1.0 = the full 5,181 messages")
     run_parser.add_argument("--seed", type=int, default=2024)
-    run_parser.add_argument("--jobs", type=_positive_int, default=1,
-                            help="workers, each with a private CrawlerBox "
-                                 "(records are identical for any jobs count); "
-                                 "asking for more jobs than cores just adds "
-                                 "scheduling overhead")
-    run_parser.add_argument("--executor", choices=EXECUTORS,
-                            default="auto",
-                            help="transport: 'inline' analyses in this process "
-                                 "(--jobs 1 only); 'process' runs workers in "
-                                 "separate processes (each serializes its own "
-                                 "records and ships batched frames); 'auto' is "
-                                 "inline at --jobs 1 and process above.  "
-                                 "Multi-core speedup is unmeasured: on a 1-2 core "
-                                 "host process runs stay at inline throughput for "
-                                 "jobs 1-8 (bench_runner_scaling)")
-    run_parser.add_argument("--batch-size", type=_positive_int, default=None,
-                            metavar="N",
-                            help="messages per dispatch to a process worker "
-                                 "(default: adaptive from corpus size and --jobs); "
-                                 "results travel back in batched frames either way, "
-                                 "so this mainly tunes tail-end load balance")
-    run_parser.add_argument("--profile", action="store_true",
-                            help="collect per-stage timings and print the breakdown")
-    run_parser.add_argument("--stages", type=_stage_list, default=None,
-                            metavar="NAME,NAME,...",
-                            help="run only these pipeline stages (e.g. 'auth,parse' "
-                                 "for crawl-free triage); unselected stages are "
-                                 "recorded as skipped on each record's stage_status; "
-                                 "a stage's upstream providers must be included")
-    run_parser.add_argument("--faults", choices=("off", "light", "heavy", "hostile"),
-                            default="off",
-                            help="inject deterministic network faults (DNS flaps, "
-                                 "timeouts, TLS failures, 5xx/429, stalls, redirect "
-                                 "loops) into the simulated internet; the resilient "
-                                 "crawl path retries/degrades instead of dying")
-    run_parser.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                            help="seed for the fault schedule (default: --seed); a "
-                                 "fixed fault-seed gives byte-identical records for "
-                                 "any --jobs count or executor")
-    run_parser.add_argument("--budget", type=_budget_arg, default=None, metavar="UNITS",
-                            help="per-message work budget in abstract units "
-                                 "(JS steps, crawl hops, OCR tiles); a message that "
-                                 "exhausts it has that stage degraded to 'failed' "
-                                 "instead of wedging a worker; 0 = unlimited "
-                                 "(default: the pipeline's built-in 2,000,000)")
-    run_parser.add_argument("--guard-limit", type=_guard_limit_arg, action="append",
-                            default=None, metavar="KEY=VALUE",
-                            help="override one ingestion-guard structural cap "
-                                 "(repeatable), e.g. --guard-limit max_parts=64 "
-                                 "--guard-limit max_depth=10; unknown keys list "
-                                 "the vocabulary; reaches inline and process "
-                                 "runs identically")
-    run_parser.add_argument("--hostile", type=_hostile_spec, default=None,
-                            metavar="SEED[:COPIES]",
-                            help="append the seeded hostile corpus "
-                                 "(repro.dataset.hostile) after the calibrated "
-                                 "messages — pathological MIME/header/payload shapes "
-                                 "that must quarantine, never crash")
     run_parser.add_argument("--checkpoint", metavar="DIR", default=None,
                             help="append finished records to DIR/records.jsonl so the "
                                  "run can be resumed after an interruption; each line "
                                  "carries a CRC32 suffix (see 'repro fsck')")
-    run_parser.add_argument("--durability", choices=("none", "batch", "always"),
-                            default="batch",
-                            help="fsync policy for durable writes: 'none' never "
-                                 "fsyncs (page cache only), 'batch' fsyncs the "
-                                 "records file every 256 appends + on close and "
-                                 "all whole-file replacements (default), 'always' "
-                                 "additionally fsyncs every append (lose at most "
-                                 "one record to power failure)")
-    run_parser.add_argument("--storage-faults",
-                            choices=("off", "light", "heavy", "hostile"),
-                            default="off",
-                            help="inject deterministic storage faults (short "
-                                 "writes, ENOSPC episodes, EIO, fsync failures, "
-                                 "torn renames) into every durable write; the "
-                                 "crash-consistent write path retries/degrades "
-                                 "instead of corrupting the checkpoint")
-    run_parser.add_argument("--storage-fault-seed", type=int, default=None,
-                            metavar="N",
-                            help="seed for the storage-fault schedule (default: "
-                                 "--seed); decisions key on file basenames, so "
-                                 "the same seed reproduces the same disk weather "
-                                 "in any checkpoint directory")
-    run_parser.add_argument("--export", metavar="PATH", default=None,
-                            help="write the analysis artifacts to a JSON file")
+    _add_flags(run_parser, "run")
     run_parser.set_defaults(handler=cmd_run)
 
     resume_parser = subparsers.add_parser(
-        "resume", help="continue an interrupted checkpointed run")
+        "resume", help="continue an interrupted checkpointed run",
+        description="Continue an interrupted checkpointed run.  A bare resume "
+                    "repeats every setting the manifest recorded (jobs, stages, "
+                    "hostile spec, faults, storage faults, budget, guard limits); "
+                    "a flag given here overrides it.  --executor, --batch-size, "
+                    "--profile, --durability and --export apply per invocation.")
     resume_parser.add_argument("checkpoint", help="checkpoint directory of the interrupted run")
-    resume_parser.add_argument("--jobs", type=_positive_int, default=None,
-                               help="override the manifest's worker count")
-    resume_parser.add_argument("--executor", choices=EXECUTORS,
-                               default="auto", help="transport (see 'run --executor'); "
-                                                    "'inline' resumes with one job")
-    resume_parser.add_argument("--batch-size", type=_positive_int, default=None,
-                               metavar="N",
-                               help="messages per process-worker dispatch "
-                                    "(see 'run --batch-size')")
-    resume_parser.add_argument("--profile", action="store_true",
-                               help="collect per-stage timings and print the breakdown")
-    resume_parser.add_argument("--stages", type=_stage_list, default=None,
-                               metavar="NAME,NAME,...",
-                               help="run only these pipeline stages (see 'run --stages')")
-    resume_parser.add_argument("--faults", choices=("off", "light", "heavy", "hostile"),
-                               default=None,
-                               help="fault-injection profile (see 'run --faults'); "
-                                    "defaults to the interrupted run's profile from "
-                                    "the manifest")
-    resume_parser.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                               help="fault schedule seed (default: the manifest's)")
-    resume_parser.add_argument("--budget", type=_budget_arg, default=None,
-                               metavar="UNITS",
-                               help="per-message work budget (see 'run --budget'); "
-                                    "defaults to the interrupted run's budget from "
-                                    "the manifest")
-    resume_parser.add_argument("--guard-limit", type=_guard_limit_arg, action="append",
-                               default=None, metavar="KEY=VALUE",
-                               help="override one ingestion-guard cap (repeatable; "
-                                    "see 'run --guard-limit'); defaults to the "
-                                    "interrupted run's overrides from the manifest")
-    resume_parser.add_argument("--hostile", type=_hostile_spec, default=None,
-                               metavar="SEED[:COPIES]",
-                               help="re-specify the hostile-corpus spec of the "
-                                    "interrupted run (hostile messages are appended "
-                                    "by regeneration, not stored)")
-    resume_parser.add_argument("--durability", choices=("none", "batch", "always"),
-                               default="batch",
-                               help="fsync policy (see 'run --durability'); "
-                                    "per-invocation, not persisted in the manifest")
-    resume_parser.add_argument("--storage-faults",
-                               choices=("off", "light", "heavy", "hostile"),
-                               default=None,
-                               help="storage-fault profile (see 'run "
-                                    "--storage-faults'); defaults to the "
-                                    "interrupted run's profile from the manifest")
-    resume_parser.add_argument("--storage-fault-seed", type=int, default=None,
-                               metavar="N",
-                               help="storage-fault schedule seed (default: the "
-                                    "manifest's)")
-    resume_parser.add_argument("--export", metavar="PATH", default=None,
-                               help="write the completed artifacts to a JSON file")
+    _add_flags(resume_parser, "resume")
     resume_parser.set_defaults(handler=cmd_resume)
 
     report_parser = subparsers.add_parser("report", help="re-derive statistics from exported artifacts")
@@ -1005,10 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "batch run with the same seed")
     serve_parser.add_argument("--scale", type=float, default=0.15,
                               help="world scale (see 'run --scale')")
-    serve_parser.add_argument("--jobs", type=_positive_int, default=1)
-    serve_parser.add_argument("--executor", choices=EXECUTORS,
-                              default="auto",
-                              help="transport (see 'run --executor')")
+    _add_flags(serve_parser, "serve")
     serve_parser.add_argument("--batch-size", type=_positive_int, default=8,
                               help="submissions per micro-batch handed to a worker")
     serve_parser.add_argument("--admit-rate", type=float, default=None,
@@ -1035,14 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="accepted-but-unfinished submissions above which "
                                    "sessions stop reading (lossless backpressure, "
                                    "distinct from admission shedding)")
-    serve_parser.add_argument("--budget", type=_budget_arg, default=None,
-                              metavar="UNITS",
-                              help="per-message work budget (see 'run --budget'); "
-                                   "also denominates the admission buckets")
-    serve_parser.add_argument("--guard-limit", type=_guard_limit_arg, action="append",
-                              default=None, metavar="KEY=VALUE",
-                              help="override one ingestion-guard cap (repeatable; "
-                                   "see 'run --guard-limit')")
     serve_parser.add_argument("--compact-lines", type=int, default=100_000,
                               metavar="N",
                               help="compact records.jsonl in place once it exceeds "
@@ -1052,22 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="when compacting, keep only the N newest message "
                                    "indices (verdicts were already streamed to "
                                    "submitters; default: keep all)")
-    serve_parser.add_argument("--durability", choices=("none", "batch", "always"),
-                              default="batch",
-                              help="fsync policy for the daemon's durable writes "
-                                   "(see 'run --durability')")
-    serve_parser.add_argument("--storage-faults",
-                              choices=("off", "light", "heavy", "hostile"),
-                              default="off",
-                              help="inject deterministic storage faults into the "
-                                   "daemon's durable writes (see 'run "
-                                   "--storage-faults'); the daemon degrades to "
-                                   "read-only under a persistent episode instead "
-                                   "of losing accepted records, and recovers when "
-                                   "the disk does (watch /healthz and /stats)")
-    serve_parser.add_argument("--storage-fault-seed", type=int, default=None,
-                              metavar="N",
-                              help="storage-fault schedule seed (default: --seed)")
     serve_parser.add_argument("--max-sessions", type=_positive_int, default=64,
                               metavar="N",
                               help="concurrent-session cap; excess connections are "

@@ -5,7 +5,7 @@ Layout of a checkpoint directory::
     <checkpoint>/
         records.jsonl   one serialized MessageRecord per line, written
                         in completion order (NOT message order)
-        manifest.json   run identity (seed, scale, jobs, config) and
+        manifest.json   run settings (a RunnerConfig), jobs, and
                         progress (total / completed / dead letters)
 
 Records reuse the exact serialization of :mod:`repro.core.export`, so a
@@ -59,6 +59,7 @@ from repro.core.export import (
     record_to_line,
     record_to_wire,
 )
+from repro.runner.executor import RunnerConfig
 from repro.storage.durable import (
     DEFAULT_DURABILITY,
     DurableFile,
@@ -172,8 +173,9 @@ class CompactionResult:
 class RunManifest:
     """Everything needed to reconstruct and resume a run."""
 
-    seed: int = 0
-    scale: float = 0.0
+    #: The run's settings; :class:`RunnerConfig` decides which of them
+    #: the manifest records and how older manifests read back.
+    config: RunnerConfig = field(default_factory=RunnerConfig)
     jobs: int = 1
     total_messages: int = 0
     completed: int = 0
@@ -185,25 +187,10 @@ class RunManifest:
     status: str = "running"
     dead_letters: list[dict] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
-    faults: str = "off"
-    fault_seed: int = 0
-    #: Storage fault weather (``--storage-faults``), kept so a bare
-    #: ``resume`` reproduces the interrupted run's disk weather the
-    #: same way ``faults`` reproduces its network weather.  Emitted
-    #: only when not "off" so default-path manifests stay byte-
-    #: identical to pre-storage-fault ones.
-    storage_faults: str = "off"
-    storage_fault_seed: int = 0
     #: Message indices checkpointed *after* a drain was requested — the
     #: in-flight work a graceful shutdown waited for.  Only populated
     #: when ``status == 'interrupted'``.
     drained: list[int] = field(default_factory=list)
-    #: ``--budget`` work-unit override (None = pipeline default), kept
-    #: so a bare ``resume`` reproduces the interrupted run's limits.
-    budget: int | None = None
-    #: ``--guard-limit`` overrides as ``[key, value]`` pairs, kept for
-    #: the same reason as ``budget``.  None/empty = guard defaults.
-    guard_limits: list | None = None
     #: Service-mode state (``repro serve`` only): submission counters,
     #: the next message index, and the admission-controller snapshot a
     #: restarted daemon restores so replaying the remaining transcript
@@ -216,28 +203,18 @@ class RunManifest:
     def as_dict(self) -> dict:
         data = {
             "manifest_version": self.manifest_version,
-            "seed": self.seed,
-            "scale": self.scale,
+            **self.config.manifest_items(),
             "jobs": self.jobs,
             "total_messages": self.total_messages,
             "completed": self.completed,
             "status": self.status,
             "dead_letters": self.dead_letters,
             "stats": self.stats,
-            "faults": self.faults,
-            "fault_seed": self.fault_seed,
         }
         # Optional keys are emitted only when they carry information so
         # pre-existing manifests' key sets are preserved byte-for-byte.
-        if self.storage_faults != "off":
-            data["storage_faults"] = self.storage_faults
-            data["storage_fault_seed"] = self.storage_fault_seed
         if self.drained:
             data["drained"] = list(self.drained)
-        if self.budget is not None:
-            data["budget"] = self.budget
-        if self.guard_limits:
-            data["guard_limits"] = [list(pair) for pair in self.guard_limits]
         if self.service is not None:
             data["service"] = self.service
         return data
@@ -248,22 +225,14 @@ class RunManifest:
         if version != MANIFEST_VERSION:
             raise ValueError(f"unsupported manifest version {version!r}")
         return cls(
-            seed=data["seed"],
-            scale=data["scale"],
+            config=RunnerConfig.from_manifest(data),
             jobs=data["jobs"],
             total_messages=data["total_messages"],
             completed=data["completed"],
             status=data["status"],
             dead_letters=list(data["dead_letters"]),
             stats=dict(data["stats"]),
-            # Absent in manifests written before fault injection existed.
-            faults=data.get("faults", "off"),
-            fault_seed=data.get("fault_seed", 0),
-            storage_faults=data.get("storage_faults", "off"),
-            storage_fault_seed=data.get("storage_fault_seed", 0),
             drained=list(data.get("drained") or ()),
-            budget=data.get("budget"),
-            guard_limits=data.get("guard_limits"),
             service=data.get("service"),
         )
 
@@ -433,8 +402,8 @@ class CheckpointStore:
         """Write every intact record (last append wins) plus an adjusted
         manifest to a fresh checkpoint directory, and return its store.
 
-        The repaired manifest keeps the source's identity (seed, scale,
-        faults, budget) but recomputes ``completed`` from the salvaged
+        The repaired manifest keeps the source's settings (its
+        :class:`RunnerConfig`) but recomputes ``completed`` from the salvaged
         records and marks the run ``interrupted`` so a bare ``resume``
         re-analyzes whatever corruption destroyed.  A torn/corrupt
         source manifest does not block the salvage: the records are

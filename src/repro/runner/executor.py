@@ -63,10 +63,14 @@ class WorkerStalled(TransientFault):
 
 @dataclass(frozen=True)
 class RunnerConfig:
-    """Picklable recipe for rebuilding the analysis world in a worker.
+    """A run's settings: the one picklable record the CLI resolves its
+    flags into, the manifest persists, and each worker rebuilds its
+    world from.
 
     Carries seed *material*, never live objects: each worker regenerates
     its own corpus and world from the seed, exactly as the parent did.
+    :meth:`manifest_items` / :meth:`from_manifest` own which settings a
+    checkpoint manifest records, so a bare ``resume`` repeats them.
     """
 
     seed: int = 2024
@@ -109,12 +113,122 @@ class RunnerConfig:
     #: Index-stable on every worker, so hostile-ingest runs stay
     #: byte-identical across backends.
     hostile: str = ""
+    #: Storage fault weather (``--storage-faults``/``--storage-fault-seed``).
+    #: Parent-only: the parent writes every durable byte, so it alone
+    #: installs the engine (:meth:`install_storage_faults`); workers
+    #: never read these.
+    storage_faults: str = "off"
+    storage_fault_seed: int = 0
 
     # ------------------------------------------------------------------
+    # Manifest persistence
+    # ------------------------------------------------------------------
+    def manifest_items(self) -> dict:
+        """The settings a checkpoint manifest records.
+
+        Seed, scale and the network-fault pair are always written; the
+        rest only when set, so default-path manifests keep the key set
+        they had before each setting existed.  The test-only and
+        per-invocation fields (``fault``, ``profile``, ``crawler_profile``,
+        ``corpus_prefix``) are never written.
+        """
+        items = {
+            "seed": self.seed,
+            "scale": self.scale,
+            "faults": self.faults,
+            "fault_seed": self.fault_seed,
+        }
+        if self.storage_faults != "off":
+            items["storage_faults"] = self.storage_faults
+            items["storage_fault_seed"] = self.storage_fault_seed
+        if self.budget is not None:
+            items["budget"] = self.budget
+        if self.guard_limits:
+            items["guard_limits"] = [[key, value] for key, value in self.guard_limits]
+        if self.stages is not None:
+            items["stages"] = list(self.stages)
+        if self.hostile:
+            items["hostile"] = self.hostile
+        return items
+
+    @classmethod
+    def from_manifest(cls, data: dict) -> RunnerConfig:
+        """Read :meth:`manifest_items` back; a key an older manifest
+        lacks takes the default its run implicitly had."""
+        guard_limits = data.get("guard_limits")
+        stages = data.get("stages")
+        return cls(
+            seed=data["seed"],
+            scale=data["scale"],
+            faults=data.get("faults", "off"),
+            fault_seed=data.get("fault_seed", 0),
+            storage_faults=data.get("storage_faults", "off"),
+            storage_fault_seed=data.get("storage_fault_seed", 0),
+            budget=data.get("budget"),
+            guard_limits=tuple((str(key), int(value)) for key, value in guard_limits)
+            if guard_limits else None,
+            stages=tuple(stages) if stages is not None else None,
+            hostile=data.get("hostile", ""),
+        )
+
+    # ------------------------------------------------------------------
+    # Building
+    # ------------------------------------------------------------------
+    def with_hostile(self, messages: list) -> list:
+        """``messages`` followed by the seeded hostile corpus, if any."""
+        if not self.hostile:
+            return messages
+        from repro.dataset.hostile import hostile_corpus
+
+        hostile_seed, _, copies = self.hostile.partition(":")
+        return messages + hostile_corpus(seed=int(hostile_seed), copies=int(copies or 1))
+
+    def build_box(self, world, profiler=None):
+        """The CrawlerBox for ``world`` under these settings: installs
+        the network fault engine, then applies the stage plan and the
+        budget/guard overrides.  Workers and the CLI's inline run both
+        build through here, so every transport sees identical weather."""
+        from repro.core import CrawlerBox
+        from repro.core.pipeline import build_pipeline_config
+
+        if self.faults != "off":
+            from repro.web.faults import FaultEngine, fault_profile
+
+            world.network.install_faults(
+                FaultEngine(fault_profile(self.faults), seed=self.fault_seed)
+            )
+        return CrawlerBox.for_world(
+            world,
+            profiler=profiler,
+            stages=self.stages,
+            config=build_pipeline_config(self.budget, self.guard_limits),
+        )
+
+    def install_storage_faults(self, clear: bool = True) -> None:
+        """Install this run's disk weather process-wide (parent only).
+
+        With storage faults off, ``clear`` removes any engine a previous
+        run left installed, so a batch run starts on a plain disk; the
+        daemon passes ``clear=False`` so an engine its embedder
+        installed stays in force.
+        """
+        from repro.storage.durable import install_storage_faults
+
+        if self.storage_faults != "off":
+            from repro.storage.faults import StorageFaultEngine, storage_fault_profile
+
+            install_storage_faults(
+                StorageFaultEngine(
+                    storage_fault_profile(self.storage_faults),
+                    seed=self.storage_fault_seed,
+                )
+            )
+        elif clear:
+            install_storage_faults(None)
+
     def build(self):
         """(messages, box) — runs in each worker process, and in the
         daemon's own process for an inline ``repro serve``."""
-        from repro.core import CrawlerBox
         from repro.crawlers.base import Crawler
         from repro.crawlers.profiles import crawler_profile
         from repro.dataset import CorpusGenerator
@@ -124,26 +238,8 @@ class RunnerConfig:
         messages = corpus.messages
         if self.corpus_prefix is not None:
             messages = messages[: self.corpus_prefix]
-        if self.hostile:
-            from repro.dataset.hostile import hostile_corpus
-
-            hostile_seed, _, copies = self.hostile.partition(":")
-            messages = messages + hostile_corpus(
-                seed=int(hostile_seed), copies=int(copies or 1)
-            )
-        if self.faults != "off":
-            from repro.web.faults import FaultEngine, fault_profile
-
-            corpus.world.network.install_faults(
-                FaultEngine(fault_profile(self.faults), seed=self.fault_seed)
-            )
-        profiler = StageProfiler() if self.profile else None
-        from repro.core.pipeline import build_pipeline_config
-
-        pipeline_config = build_pipeline_config(self.budget, self.guard_limits)
-        box = CrawlerBox.for_world(
-            corpus.world, profiler=profiler, stages=self.stages, config=pipeline_config
-        )
+        messages = self.with_hostile(messages)
+        box = self.build_box(corpus.world, StageProfiler() if self.profile else None)
         if self.crawler_profile != "notabot":
             box.crawler = Crawler(
                 corpus.world.network,

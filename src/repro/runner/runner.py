@@ -103,7 +103,6 @@ class CorpusRunner:
         checkpoint: CheckpointStore | None = None,
         progress: ProgressCallback | None = None,
         progress_every: int = 25,
-        run_info: dict | None = None,
         profiler=None,
         batch_size: int | None = None,
         stall_timeout: float = 60.0,
@@ -118,15 +117,14 @@ class CorpusRunner:
         #: The live CrawlerBox the inline transport analyses on.
         self.box = box
         self.jobs = jobs
-        #: Picklable world recipe for process workers; inline runs read
-        #: only its test-only ``fault`` spec.
+        #: The run's settings: the world recipe process workers rebuild
+        #: from and what the manifest records (inline runs analyse on
+        #: ``box`` and read only its test-only ``fault`` spec).
         self.config = config
         self.retry_policy = retry_policy or RetryPolicy()
         self.checkpoint = checkpoint
         self.progress = progress
         self.progress_every = max(1, progress_every)
-        #: Free-form identity recorded in the manifest (seed, scale, ...).
-        self.run_info = dict(run_info or {})
         #: Shared StageProfiler for ``--profile``: inline runs time the
         #: live box (built with this profiler); process runs turn on
         #: per-worker profilers and merge their snapshots.
@@ -350,26 +348,15 @@ class CorpusRunner:
     def _write_manifest(self, status: str) -> None:
         if self.checkpoint is None:
             return
-        budget = self.run_info.get("budget")
         manifest = RunManifest(
-            seed=int(self.run_info.get("seed", 0)),
-            scale=float(self.run_info.get("scale", 0.0)),
+            config=self.config or RunnerConfig(),
             jobs=self.jobs,
             total_messages=self._total,
             completed=len(self._records) + len(self._wire),
             status=status,
             dead_letters=[letter.as_dict() for letter in self._dead],
             stats=self._stats.as_dict(),
-            faults=str(self.run_info.get("faults", "off")),
-            fault_seed=int(self.run_info.get("fault_seed", 0)),
             drained=sorted(self._drained) if status == "interrupted" else [],
-            budget=int(budget) if budget is not None else None,
-            guard_limits=[
-                [str(key), int(value)]
-                for key, value in self.run_info.get("guard_limits") or ()
-            ] or None,
-            storage_faults=str(self.run_info.get("storage_faults", "off")),
-            storage_fault_seed=int(self.run_info.get("storage_fault_seed", 0)),
         )
         try:
             self.checkpoint.write_manifest(manifest)

@@ -74,13 +74,7 @@ from repro.serve.protocol import (
     send_bounded,
 )
 from repro.serve.scheduler import FairScheduler
-from repro.storage.durable import (
-    DEFAULT_DURABILITY,
-    durable_write_text,
-    install_storage_faults,
-    retrying,
-)
-from repro.storage.faults import StorageFaultEngine, storage_fault_profile
+from repro.storage.durable import DEFAULT_DURABILITY, durable_write_text, retrying
 
 #: Name of the discovery file written into the checkpoint directory so
 #: clients (and tests) can find the bound port of a daemon they spawned.
@@ -240,6 +234,17 @@ class ServeDaemon:
 
     def __init__(self, config: ServeConfig, checkpoint_dir: str | pathlib.Path):
         self.config = config
+        #: The daemon's run settings, built once: the engine's world
+        #: recipe, the disk weather, and what the manifest records.
+        self.runner_config = RunnerConfig(
+            seed=config.seed,
+            scale=config.scale,
+            budget=config.budget,
+            guard_limits=config.guard_limits,
+            storage_faults=config.storage_faults,
+            storage_fault_seed=config.storage_fault_seed,
+            corpus_prefix=0,  # the engine needs the world, not the corpus
+        )
         self.directory = pathlib.Path(checkpoint_dir)
         self.checkpoint = CheckpointStore(self.directory, durability=config.durability)
         self.admission = AdmissionController(config.admission)
@@ -308,13 +313,7 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Restore state, build the engine, bind, and go live."""
-        if self.config.storage_faults != "off":
-            install_storage_faults(
-                StorageFaultEngine(
-                    storage_fault_profile(self.config.storage_faults),
-                    seed=self.config.storage_fault_seed,
-                )
-            )
+        self.runner_config.install_storage_faults(clear=False)
         self._restore()
         self._build_engine()
         listener = socket.create_server(
@@ -369,9 +368,10 @@ class ServeDaemon:
                     f"use `repro resume` for batch runs or point --checkpoint at "
                     f"a fresh directory"
                 )
-            if (manifest.seed, manifest.scale) != (self.config.seed, self.config.scale):
+            saved = manifest.config
+            if (saved.seed, saved.scale) != (self.config.seed, self.config.scale):
                 raise RuntimeError(
-                    f"checkpoint belongs to seed={manifest.seed} scale={manifest.scale}; "
+                    f"checkpoint belongs to seed={saved.seed} scale={saved.scale}; "
                     f"restart with matching --seed/--scale or the replayed transcript "
                     f"cannot be byte-identical"
                 )
@@ -406,18 +406,11 @@ class ServeDaemon:
 
     def _build_engine(self) -> None:
         config = self.config
-        runner_config = RunnerConfig(
-            seed=config.seed,
-            scale=config.scale,
-            budget=config.budget,
-            guard_limits=config.guard_limits,
-            corpus_prefix=0,  # the engine needs the world, not the corpus
-        )
         self._engine = build_engine(
             config.executor,
             config.jobs,
             self._on_result,
-            runner_config,
+            self.runner_config,
             batch_size=config.batch_size,
             on_fatal=self._on_fatal,
             on_stats=self._on_stats,
@@ -1141,17 +1134,12 @@ class ServeDaemon:
     def _write_manifest(self, status: str) -> None:
         with self._completion:
             manifest = RunManifest(
-                seed=self.config.seed,
-                scale=self.config.scale,
+                config=self.runner_config,
                 jobs=self.config.jobs,
                 total_messages=self.accepted,
                 completed=self.completed,
                 status=status,
                 stats=self.stats.as_dict(),
-                budget=self.config.budget,
-                guard_limits=[list(pair) for pair in self.config.guard_limits or ()] or None,
-                storage_faults=self.config.storage_faults,
-                storage_fault_seed=self.config.storage_fault_seed,
                 service=self._service_state(),
             )
         self.checkpoint.write_manifest(manifest)

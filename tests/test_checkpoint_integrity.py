@@ -54,7 +54,6 @@ def _checkpointed_run(corpus, directory, **store_kwargs):
         jobs=1,
         checkpoint=store,
         config=RunnerConfig(seed=SEED, scale=SCALE),
-        run_info={"seed": SEED, "scale": SCALE},
     )
     result = runner.run(corpus.messages[:SAMPLE])
     return store, result
@@ -218,7 +217,7 @@ class TestSalvage:
         manifest = repaired.read_manifest()
         assert manifest.status == "interrupted"
         assert manifest.completed == SAMPLE - 1
-        assert manifest.seed == SEED  # identity preserved
+        assert manifest.config.seed == SEED  # settings preserved
 
     def test_salvaged_checkpoint_resumes_byte_identical(
         self, tmp_path, integrity_corpus, serial_records

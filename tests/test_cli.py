@@ -132,6 +132,71 @@ class TestParser:
         assert build_parser().parse_args(["fsck", "ckpt"]).repair is None
 
 
+PRESETS = ("off", "light", "heavy", "hostile")
+EXECUTOR_CHOICES = ("auto", "inline", "process")
+DURABILITY_CHOICES = ("none", "batch", "always")
+
+#: Every option of the three run-setting subcommands with its default
+#: and choices, as the parser declared them before the shared flags were
+#: folded into one table.  No flag may be gained or lost and no accepted
+#: value may change; ``resume``'s manifest-backed settings default to
+#: None ("what the interrupted run used").
+CLI_SURFACE = {
+    "run": {
+        "--scale": (0.15, None), "--seed": (2024, None), "--jobs": (1, None),
+        "--executor": ("auto", EXECUTOR_CHOICES), "--batch-size": (None, None),
+        "--profile": (False, None), "--stages": (None, None),
+        "--faults": ("off", PRESETS), "--fault-seed": (None, None),
+        "--budget": (None, None), "--guard-limit": (None, None),
+        "--hostile": (None, None), "--checkpoint": (None, None),
+        "--durability": ("batch", DURABILITY_CHOICES),
+        "--storage-faults": ("off", PRESETS), "--storage-fault-seed": (None, None),
+        "--export": (None, None),
+    },
+    "resume": {
+        "checkpoint": (None, None), "--jobs": (None, None),
+        "--executor": ("auto", EXECUTOR_CHOICES), "--batch-size": (None, None),
+        "--profile": (False, None), "--stages": (None, None),
+        "--faults": (None, PRESETS), "--fault-seed": (None, None),
+        "--budget": (None, None), "--guard-limit": (None, None),
+        "--hostile": (None, None), "--durability": ("batch", DURABILITY_CHOICES),
+        "--storage-faults": (None, PRESETS), "--storage-fault-seed": (None, None),
+        "--export": (None, None),
+    },
+    "serve": {
+        "--checkpoint": (None, None), "--host": ("127.0.0.1", None),
+        "--port": (0, None), "--seed": (2024, None), "--scale": (0.15, None),
+        "--jobs": (1, None), "--executor": ("auto", EXECUTOR_CHOICES),
+        "--batch-size": (8, None), "--admit-rate": (None, None),
+        "--admit-burst": (None, None), "--reporter-rate": (None, None),
+        "--reporter-burst": (None, None), "--backlog": (256, None),
+        "--budget": (None, None), "--guard-limit": (None, None),
+        "--compact-lines": (100000, None), "--retain": (None, None),
+        "--durability": ("batch", DURABILITY_CHOICES),
+        "--storage-faults": ("off", PRESETS), "--storage-fault-seed": (None, None),
+        "--max-sessions": (64, None), "--line-deadline": (30.0, None),
+        "--idle-timeout": (300.0, None), "--send-deadline": (30.0, None),
+        "--strikes": (8, None), "--listen-backlog": (64, None),
+        "--flush-timeout": (300.0, None),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+def test_cli_surface_is_pinned(command):
+    import argparse
+
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    surface = {
+        (action.option_strings[0] if action.option_strings else action.dest):
+            (action.default, tuple(action.choices) if action.choices else None)
+        for action in subparsers.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+    assert surface == CLI_SURFACE[command]
+
+
 class TestFlows:
     def test_run_and_report(self, tmp_path, capsys):
         artifacts = tmp_path / "run.json"
@@ -212,8 +277,19 @@ class TestFlows:
         assert main(["run", "--scale", "0.02", "--seed", "9", "--hostile", "7",
                      "--checkpoint", str(checkpoint)]) == 0
         capsys.readouterr()
-        # Without the spec the regenerated corpus is short: refuse with
-        # a hint rather than resuming against the wrong index space.
+        # The manifest records the spec, so a bare resume repeats it.
+        assert main(["resume", str(checkpoint)]) == 0
+        assert "0 analysed" in capsys.readouterr().out
+
+        # A manifest without the spec (written before it was recorded)
+        # regenerates a short corpus: refuse with a hint rather than
+        # resuming against the wrong index space.
+        import json
+
+        manifest_path = checkpoint / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["hostile"]
+        manifest_path.write_text(json.dumps(manifest))
         assert main(["resume", str(checkpoint)]) == 1
         assert "--hostile spec again" in capsys.readouterr().out
         assert main(["resume", str(checkpoint), "--hostile", "7"]) == 0

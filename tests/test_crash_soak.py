@@ -110,3 +110,20 @@ class TestCrashSoak:
         capsys.readouterr()
         resumed = json.loads(out.read_text())["records"]
         assert json.dumps(resumed) == json.dumps(baseline_export)
+
+
+def test_bare_resume_repeats_stages_and_hostile_spec(tmp_path, capsys):
+    """The manifest records ``--stages`` and ``--hostile``: a bare resume
+    of a killed triage run over a hostile corpus finishes the same
+    study, byte for byte, instead of analysing the rest with all seven
+    stages (or refusing the longer corpus)."""
+    settings = ["--scale", str(SCALE), "--seed", str(SEED),
+                "--stages", "auth,parse", "--hostile", "7"]
+    checkpoint = tmp_path / "ckpt"
+    _launch_doomed(["run", *settings, "--checkpoint", str(checkpoint)], kill_after=40)
+
+    resumed, uninterrupted = tmp_path / "resumed.json", tmp_path / "run.json"
+    assert main(["resume", str(checkpoint), "--export", str(resumed)]) == 0
+    assert main(["run", *settings, "--export", str(uninterrupted)]) == 0
+    capsys.readouterr()
+    assert resumed.read_bytes() == uninterrupted.read_bytes()

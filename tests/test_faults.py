@@ -500,7 +500,8 @@ class TestDeadLetterHistory:
         letter = {"index": 1, "attempts": 3, "error": "x", "backoff_seconds": 0.15}
         store = CheckpointStore(tmp_path / "ckpt")
         store.write_manifest(RunManifest(
-            seed=SEED, scale=SCALE, jobs=2, total_messages=4, completed=3,
+            config=RunnerConfig(seed=SEED, scale=SCALE), jobs=2, total_messages=4,
+            completed=3,
             status="complete", dead_letters=[letter],
         ))
         assert store.read_manifest().dead_letters == [letter]

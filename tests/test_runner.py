@@ -146,7 +146,8 @@ class TestCheckpointStore:
     def test_manifest_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
         manifest = RunManifest(
-            seed=5, scale=0.03, jobs=4, total_messages=290, completed=144,
+            config=RunnerConfig(seed=5, scale=0.03), jobs=4, total_messages=290,
+            completed=144,
             status="running", dead_letters=[{"index": 7, "attempts": 3, "error": "x"}],
             stats={"analyzed": 144},
         )

@@ -19,7 +19,13 @@ from repro.mail.guard import (
     guard_limits_from_overrides,
     parse_guard_limit,
 )
-from repro.runner import CheckpointStore, RunManifest, RunningStats, encode_record_line
+from repro.runner import (
+    CheckpointStore,
+    RunManifest,
+    RunnerConfig,
+    RunningStats,
+    encode_record_line,
+)
 from repro.serve.admission import (
     ADMITTED,
     SHED_GLOBAL,
@@ -314,7 +320,8 @@ class TestCompaction:
         for status in ("running", "serving"):
             store = CheckpointStore(tmp_path / status)
             _write_lines(store, [encode_record_line(_payload(0))])
-            store.write_manifest(RunManifest(seed=1, scale=0.1, status=status))
+            store.write_manifest(RunManifest(config=RunnerConfig(seed=1, scale=0.1),
+                                             status=status))
             assert main(["compact", str(tmp_path / status)]) == 1
             assert status in capsys.readouterr().out
 
@@ -334,23 +341,24 @@ class TestServiceManifest:
         assert RunManifest(status="running", service={"next_index": 3}).is_service
 
     def test_service_block_roundtrips_and_batch_keys_unchanged(self):
-        batch = RunManifest(seed=1, scale=0.1)
+        batch = RunManifest(config=RunnerConfig(seed=1, scale=0.1))
         assert "service" not in batch.as_dict()
         assert "guard_limits" not in batch.as_dict()
         service = RunManifest(
-            seed=1, scale=0.1, status="stopped",
+            config=RunnerConfig(seed=1, scale=0.1, guard_limits=(("max_parts", 4),)),
+            status="stopped",
             service={"next_index": 7, "admission": {"arrivals": 9}},
-            guard_limits=[["max_parts", 4]],
         )
         loaded = RunManifest.from_dict(json.loads(json.dumps(service.as_dict())))
         assert loaded.service == {"next_index": 7, "admission": {"arrivals": 9}}
-        assert loaded.guard_limits == [["max_parts", 4]]
+        assert loaded.config.guard_limits == (("max_parts", 4),)
         assert loaded.is_service
 
     def test_bare_resume_on_daemon_checkpoint_is_actionable(self, tmp_path, capsys):
         store = CheckpointStore(tmp_path)
         store.write_manifest(RunManifest(
-            seed=31, scale=0.02, status="stopped", service={"next_index": 2},
+            config=RunnerConfig(seed=31, scale=0.02), status="stopped",
+            service={"next_index": 2},
         ))
         assert main(["resume", str(tmp_path)]) == 1
         out = capsys.readouterr().out

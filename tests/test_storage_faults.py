@@ -353,8 +353,8 @@ class TestFaultyRunEndToEnd:
         assert scan.indices == {r["message_index"] for r in baseline["records"]}
         manifest = store.read_manifest()
         assert manifest.status == "complete"
-        assert manifest.storage_faults == "heavy"
-        assert manifest.storage_fault_seed == 7
+        assert manifest.config.storage_faults == "heavy"
+        assert manifest.config.storage_fault_seed == 7
 
 
 class TestDefaultPathUnchanged:
