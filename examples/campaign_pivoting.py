@@ -35,7 +35,7 @@ def main() -> None:
     campaigns = cluster_campaigns(graph)
     summary = summarize_infrastructure(records)
 
-    print(f"Pivot graph: {graph.number_of_nodes()} nodes, {graph.number_of_edges()} edges")
+    print(f"Pivot graph: {len(graph.nodes)} nodes, {len(graph.edges())} edges")
     print(f"Campaign clusters: {summary.n_campaigns} "
           f"({summary.singleton_campaigns} singletons — the paper's low-volume finding,")
     print(f"  structurally: most landing domains share nothing with any other)\n")

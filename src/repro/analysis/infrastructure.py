@@ -4,15 +4,15 @@ Threat analysts link phishing deployments through shared infrastructure:
 hosting IPs, sending domains, and — per Section V-C — identical
 obfuscated scripts reused across dozens of landing domains ("an
 obfuscated script shared between 38 distinct domains").  This module
-builds that pivot graph (networkx) from analysis records and clusters
-the landing domains into campaigns.
+builds that pivot graph from analysis records and clusters the landing
+domains into campaigns.  The graph is a plain dict adjacency: campaign
+clustering needs only connected components and pivoting a bounded BFS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import networkx as nx
+from collections import deque
+from dataclasses import dataclass, field
 
 from repro.analysis.evasion import measure_evasion_prevalence
 from repro.core.artifacts import MessageRecord
@@ -25,13 +25,47 @@ KIND_SENDER = "sender"
 KIND_SCRIPT = "script"
 
 
-def build_infrastructure_graph(records: list[MessageRecord]) -> nx.Graph:
+@dataclass
+class PivotGraph:
+    """An undirected simple graph with node and edge attributes.
+
+    ``nodes`` maps each node to its attribute dict; ``adjacency`` maps
+    each node to ``{neighbour: edge attributes}``, the one dict shared by
+    both directions of an edge.
+    """
+
+    nodes: dict[str, dict] = field(default_factory=dict)
+    adjacency: dict[str, dict[str, dict]] = field(default_factory=dict)
+
+    def add_node(self, node: str, **attrs) -> None:
+        self.nodes.setdefault(node, {}).update(attrs)
+        self.adjacency.setdefault(node, {})
+
+    def add_edge(self, u: str, v: str, **attrs) -> None:
+        for node in (u, v):
+            if node not in self.nodes:
+                self.add_node(node)
+        edge = self.adjacency[u].setdefault(v, {})
+        edge.update(attrs)
+        self.adjacency[v][u] = edge
+
+    def edges(self) -> list[tuple[str, str]]:
+        """Each edge once, as ``(u, v)`` in insertion order of ``u``."""
+        seen: set[str] = set()
+        pairs = []
+        for u, neighbours in self.adjacency.items():
+            pairs.extend((u, v) for v in neighbours if v not in seen)
+            seen.add(u)
+        return pairs
+
+
+def build_infrastructure_graph(records: list[MessageRecord]) -> PivotGraph:
     """The pivot graph over active-phishing observations.
 
     Nodes are tagged with ``kind`` (domain/ip/sender/script); edges with
     ``via`` (hosting/lure/shared-script).
     """
-    graph = nx.Graph()
+    graph = PivotGraph()
     for record in records:
         if record.category != MessageCategory.ACTIVE_PHISHING:
             continue
@@ -54,7 +88,7 @@ def build_infrastructure_graph(records: list[MessageRecord]) -> nx.Graph:
         node = f"script:{cluster.script_hash}"
         graph.add_node(node, kind=KIND_SCRIPT, script_kind=cluster.kind)
         for domain in cluster.domains:
-            if graph.has_node(domain):
+            if domain in graph.nodes:
                 graph.add_edge(domain, node, via="shared-script")
     return graph
 
@@ -73,10 +107,28 @@ class Campaign:
         return len(self.domains)
 
 
-def cluster_campaigns(graph: nx.Graph) -> list[Campaign]:
-    """Connected components, largest first."""
+def connected_components(graph: PivotGraph) -> list[set[str]]:
+    """The node sets of the connected components, by iterative DFS."""
+    components: list[set[str]] = []
+    seen: set[str] = set()
+    for start in graph.nodes:
+        if start in seen:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for neighbour in graph.adjacency[stack.pop()]:
+                if neighbour not in component:
+                    component.add(neighbour)
+                    stack.append(neighbour)
+        seen |= component
+        components.append(component)
+    return components
+
+
+def cluster_campaigns(graph: PivotGraph) -> list[Campaign]:
+    """Connected components, largest first, then by their domain names."""
     campaigns: list[Campaign] = []
-    for component in nx.connected_components(graph):
+    for component in connected_components(graph):
         domains, ips, senders, scripts = [], [], [], []
         for node in sorted(component):
             kind = graph.nodes[node].get("kind")
@@ -97,18 +149,27 @@ def cluster_campaigns(graph: nx.Graph) -> list[Campaign]:
                     shared_scripts=tuple(scripts),
                 )
             )
-    campaigns.sort(key=lambda campaign: campaign.size, reverse=True)
+    campaigns.sort(key=lambda campaign: (-campaign.size, campaign.domains))
     return campaigns
 
 
-def pivot_from_domain(graph: nx.Graph, domain: str, max_hops: int = 2) -> list[str]:
+def pivot_from_domain(graph: PivotGraph, domain: str, max_hops: int = 2) -> list[str]:
     """Analyst pivot: related landing domains within ``max_hops`` edges."""
-    if not graph.has_node(domain):
+    if domain not in graph.nodes:
         return []
-    reachable = nx.single_source_shortest_path_length(graph, domain, cutoff=max_hops)
+    hops = {domain: 0}
+    frontier = deque([domain])
+    while frontier:
+        node = frontier.popleft()
+        if hops[node] >= max_hops:
+            continue
+        for neighbour in graph.adjacency[node]:
+            if neighbour not in hops:
+                hops[neighbour] = hops[node] + 1
+                frontier.append(neighbour)
     return sorted(
         node
-        for node, hops in reachable.items()
+        for node in hops
         if node != domain and graph.nodes[node].get("kind") == KIND_DOMAIN
     )
 

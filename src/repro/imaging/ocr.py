@@ -12,6 +12,16 @@ The engine works in four steps:
 2. estimate the cell scale from ink run lengths,
 3. segment lines and, per line, search a small set of grid alignments,
 4. decode each grid cell by nearest-glyph template matching.
+
+Steps 3 and 4 are whole-array kernels.  One integral image (summed-area
+table) of the ink mask serves every scale; for one grid alignment a
+single fancy-indexed lookup of its corners yields the ink count of all
+7x5 font cells of every glyph cell on the line, with coordinates clipped
+to the mask exactly as array slicing clips a block.  A bit is set when
+``2 * ink >= area > 0``, the integer form of ``block.mean() >= 0.5``, so
+the bits equal a per-cell loop's (``tests/test_imaging_ocr.py`` keeps
+that loop as the reference).  All cells of the alignment are then matched
+against the glyph stack in one broadcast XOR.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ _CELL_WIDTH = GLYPH_WIDTH + 1
 _GLYPH_ITEMS = sorted(GLYPHS.items())
 _GLYPH_STACK = np.stack([glyph for _, glyph in _GLYPH_ITEMS])
 _GLYPH_CHARS = [char for char, _ in _GLYPH_ITEMS]
+_SPACE = _GLYPH_CHARS.index(" ")
 
 
 @dataclass(frozen=True)
@@ -53,18 +64,19 @@ def _binarize(image: Image) -> np.ndarray:
 
 
 def _run_lengths(mask: np.ndarray) -> Counter:
-    """Count lengths of consecutive-True runs along both axes."""
-    counts: Counter = Counter()
+    """Count lengths of consecutive-True runs along both axes.
+
+    Runs are counted row by row, rows first and then columns, so the
+    counter's insertion order (``most_common``'s tie-break) is scan order.
+    """
+    lengths = []
     for axis_mask in (mask, mask.T):
-        padded = np.zeros((axis_mask.shape[0], axis_mask.shape[1] + 2), dtype=bool)
+        padded = np.zeros((axis_mask.shape[0], axis_mask.shape[1] + 2), dtype=np.int8)
         padded[:, 1:-1] = axis_mask
-        diff = np.diff(padded.astype(np.int8), axis=1)
-        for row_diff in diff:
-            starts = np.flatnonzero(row_diff == 1)
-            ends = np.flatnonzero(row_diff == -1)
-            for start, end in zip(starts, ends):
-                counts[int(end - start)] += 1
-    return counts
+        diff = np.diff(padded, axis=1)
+        # Row-major order pairs the k-th run start with the k-th run end.
+        lengths.append(np.nonzero(diff == -1)[1] - np.nonzero(diff == 1)[1])
+    return Counter(np.concatenate(lengths).tolist())
 
 
 def _estimate_scale(mask: np.ndarray) -> int:
@@ -104,44 +116,58 @@ def _line_bands(mask: np.ndarray, scale: int) -> list[tuple[int, int]]:
     return merged
 
 
-def _cell_bits(mask: np.ndarray, x: int, y: int, scale: int) -> np.ndarray:
-    """Downsample a glyph cell at (x, y) to a 7x5 boolean matrix."""
-    bits = np.zeros((GLYPH_HEIGHT, GLYPH_WIDTH), dtype=bool)
-    height, width = mask.shape
-    for row in range(GLYPH_HEIGHT):
-        y0, y1 = y + row * scale, y + (row + 1) * scale
-        if y1 <= 0 or y0 >= height:
-            continue
-        for col in range(GLYPH_WIDTH):
-            x0, x1 = x + col * scale, x + (col + 1) * scale
-            if x1 <= 0 or x0 >= width:
-                continue
-            block = mask[max(y0, 0) : y1, max(x0, 0) : x1]
-            if block.size:
-                bits[row, col] = block.mean() >= 0.5
-    return bits
+def _integral_image(mask: np.ndarray) -> np.ndarray:
+    """Summed-area table: ``table[y, x]`` counts the ink in ``mask[:y, :x]``."""
+    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+    np.cumsum(mask, axis=0, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    return table
 
 
-def _match_glyph(bits: np.ndarray) -> tuple[str, float]:
-    """Return the best-matching character and its similarity in [0, 1]."""
-    distances = (np.logical_xor(_GLYPH_STACK, bits)).reshape(len(_GLYPH_CHARS), -1).sum(axis=1)
-    best = int(distances.argmin())
-    similarity = 1.0 - distances[best] / (GLYPH_WIDTH * GLYPH_HEIGHT)
-    return _GLYPH_CHARS[best], float(similarity)
+def _grid_bits(
+    integral: np.ndarray, x_origins: np.ndarray, y_origin: int, scale: int
+) -> np.ndarray:
+    """Downsample the glyph cells at ``(x_origins[i], y_origin)`` to 7x5 bits.
+
+    Returns an ``(n, 7, 5)`` boolean array.  Each bit is the majority
+    vote of its ``scale x scale`` block, clipped to the mask; a block
+    that lies wholly outside the mask is unset.  The block sums come
+    from one fancy-indexed lookup of the integral image, and
+    ``2 * ink >= area`` is the exact integer form of ``mean >= 0.5``.
+    """
+    height, width = integral.shape[0] - 1, integral.shape[1] - 1
+    ys = np.clip(y_origin + scale * np.arange(GLYPH_HEIGHT + 1), 0, height)
+    xs = np.clip(x_origins[:, None] + scale * np.arange(GLYPH_WIDTH + 1), 0, width)
+    corners = integral[ys[:, None, None], xs[None, :, :]]  # (8, n, 6)
+    ink = corners[1:, :, 1:] - corners[:-1, :, 1:] - corners[1:, :, :-1] + corners[:-1, :, :-1]
+    area = np.diff(ys)[:, None, None] * np.diff(xs, axis=1)[None, :, :]
+    return ((area > 0) & (2 * ink >= area)).transpose(1, 0, 2)
+
+
+def _match_glyphs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest glyph index and similarity in [0, 1] for each ``(7, 5)`` cell.
+
+    A cell with no ink is at distance 0 from the all-blank space glyph
+    only (glyphs are distinct), so it reads as a space with similarity 1.
+    """
+    distances = np.logical_xor(_GLYPH_STACK, bits[:, None]).sum(axis=(2, 3))
+    best = distances.argmin(axis=1)
+    similarity = 1.0 - distances[np.arange(len(best)), best] / (GLYPH_WIDTH * GLYPH_HEIGHT)
+    return best, similarity
 
 
 def _decode_line(
-    mask: np.ndarray, band: tuple[int, int], scale: int
+    mask: np.ndarray, integral: np.ndarray, band: tuple[int, int], scale: int
 ) -> tuple[str, float]:
     """Decode one line band, searching grid alignments for the best fit."""
     top, bottom = band
-    line_mask = mask[top:bottom]
-    col_has_ink = line_mask.any(axis=0)
+    col_has_ink = mask[top:bottom].any(axis=0)
     inked = np.flatnonzero(col_has_ink)
     if inked.size == 0:
         return "", 1.0
     x_first, x_last = int(inked[0]), int(inked[-1])
     band_height = bottom - top
+    pitch = _CELL_WIDTH * scale
 
     best_text = ""
     best_key: tuple[float, int, int] = (-1.0, -1, -1)
@@ -158,31 +184,20 @@ def _decode_line(
             continue
         for col_offset in range(GLYPH_WIDTH):
             x_origin = x_first - col_offset * scale
-            n_cells = int(np.ceil((x_last + 1 - x_origin) / (_CELL_WIDTH * scale)))
-            if n_cells <= 0:
-                continue
-            chars: list[str] = []
-            scores: list[float] = []
-            for index in range(n_cells):
-                x = x_origin + index * _CELL_WIDTH * scale
-                bits = _cell_bits(mask, x, y_origin, scale)
-                if not bits.any():
-                    chars.append(" ")
-                    scores.append(1.0)
-                    continue
-                char, similarity = _match_glyph(bits)
-                chars.append(char)
-                scores.append(similarity)
-            mean_score = float(np.mean(scores)) if scores else 0.0
-            n_ink_chars = sum(1 for char in chars if char != " ")
-            key = (mean_score, n_ink_chars, -row_offset)
+            n_cells = -(-(x_last + 1 - x_origin) // pitch)  # >= 1: x_origin <= x_last
+            x_origins = x_origin + pitch * np.arange(n_cells)
+            glyphs, scores = _match_glyphs(_grid_bits(integral, x_origins, y_origin, scale))
+            mean_score = float(np.mean(scores))
+            key = (mean_score, int(np.count_nonzero(glyphs != _SPACE)), -row_offset)
             if key > best_key:
                 best_key = key
-                best_text = "".join(chars).rstrip()
+                best_text = "".join(_GLYPH_CHARS[index] for index in glyphs.tolist()).rstrip()
     return best_text, best_key[0]
 
 
-def _decode_at_scale(mask: np.ndarray, scale: int) -> tuple[str, float, int]:
+def _decode_at_scale(
+    mask: np.ndarray, integral: np.ndarray, scale: int
+) -> tuple[str, float, int]:
     """Decode the whole mask at one candidate scale."""
     from repro._budget import OCR_BAND_UNITS, current_budget
 
@@ -194,9 +209,9 @@ def _decode_at_scale(mask: np.ndarray, scale: int) -> tuple[str, float, int]:
         if budget is not None:
             # One line band costs a full alignment sweep of glyph
             # matches; charging per band bounds adversarially busy
-            # images without touching the per-cell inner loops.
+            # images without touching the per-cell kernels.
             budget.charge(OCR_BAND_UNITS, "ocr-tiles")
-        text, score = _decode_line(mask, band, scale)
+        text, score = _decode_line(mask, integral, band, scale)
         lines.append(text)
         scores.append(score)
     joined = "\n".join(lines)
@@ -226,9 +241,10 @@ def ocr_image(image: Image) -> OcrResult:
     candidates = sorted(
         divisor for divisor in range(1, estimate + 1) if estimate % divisor == 0
     )
+    integral = _integral_image(mask)
     best_text, best_key = "", (-1.0, -1)
     for scale in candidates:
-        text, score, ink_chars = _decode_at_scale(mask, scale)
+        text, score, ink_chars = _decode_at_scale(mask, integral, scale)
         key = (score, ink_chars)
         if key > best_key:
             best_key = key

@@ -12,6 +12,12 @@ with ``np.add.reduceat`` over *integer* per-mille BT.601 luminance
 independent of summation order — the vectorized fast path is
 bit-identical to a naive per-block double loop by construction (see
 ``tests/test_imaging_phash.py``), not merely close in floating point.
+
+The DCT is numpy's own FFT by Makhoul's reordering, so hashing needs no
+scipy.  Its coefficients differ from ``scipy.fft.dctn(norm="ortho")``
+only by rounding (about 1e-12 against a DC term near 8,000); the hash
+thresholds them at their median, and the tests pin the 64 bits, not the
+coefficients, to scipy's on random, flat, striped and quantised inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from repro.imaging.image import Image
 HASH_BITS = 64
 
 #: Integer per-mille ITU-R BT.601 luminance weights (R, G, B).
-_LUMA_WEIGHTS = np.array([299, 587, 114], dtype=np.int64)
+_LUMA_WEIGHTS = (299, 587, 114)
 
 
 def _block_edges(src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,15 +52,42 @@ def _resize_gray(image: Image, width: int, height: int) -> np.ndarray:
     Block averaging (rather than nearest-neighbour) keeps the hash stable
     under small noise, which is the whole point of a fuzzy hash.
     """
-    luma = image.pixels.astype(np.int64) @ _LUMA_WEIGHTS  # exact, (H, W)
+    pixels = image.pixels
+    # The products are cast to int32 explicitly, so the result type does
+    # not hang on NumPy's promotion rules (NumPy 1.x would pick uint16 for
+    # uint8 times a small scalar and wrap).  int32 holds one pixel's
+    # luminance (at most 255,000); block sums below use int64.
+    luma = sum(
+        np.multiply(pixels[..., channel], weight, dtype=np.int32)
+        for channel, weight in enumerate(_LUMA_WEIGHTS)
+    )
     y_starts, y_counts = _block_edges(luma.shape[0], height)
     x_starts, x_counts = _block_edges(luma.shape[1], width)
     # reduceat sums [starts[i], starts[i+1]); a non-increasing pair —
     # a degenerate upscaling bin — yields the single row/col at starts[i],
     # which matches the one-pixel widening of ``_block_edges``.
-    sums = np.add.reduceat(np.add.reduceat(luma, y_starts, axis=0), x_starts, axis=1)
+    column_sums = np.add.reduceat(luma, x_starts, axis=1, dtype=np.int64)
+    sums = np.add.reduceat(column_sums, y_starts, axis=0)
     counts = np.outer(y_counts, x_counts)
     return sums / (counts * 1000.0)
+
+
+def _dct_ortho(values: np.ndarray, axis: int) -> np.ndarray:
+    """Orthonormal DCT-II along ``axis``, from one complex FFT of length N.
+
+    Makhoul's reordering (even samples ascending, then odd samples
+    descending) turns the DCT into an FFT: ``X[k] = Re(exp(-iπk/2N) ·
+    FFT(v)[k])``, scaled by ``sqrt(1/N)`` at ``k = 0`` and ``sqrt(2/N)``
+    elsewhere, which is ``scipy.fft.dct(..., norm="ortho")``.
+    """
+    values = np.moveaxis(values, axis, -1)
+    n = values.shape[-1]
+    reordered = np.concatenate((values[..., ::2], values[..., 1::2][..., ::-1]), axis=-1)
+    twiddle = np.exp(-1j * np.pi * np.arange(n) / (2 * n))
+    coefficients = (np.fft.fft(reordered, axis=-1) * twiddle).real
+    coefficients[..., 0] *= np.sqrt(1.0 / n)
+    coefficients[..., 1:] *= np.sqrt(2.0 / n)
+    return np.moveaxis(coefficients, -1, axis)
 
 
 def phash(image: Image) -> int:
@@ -64,13 +97,8 @@ def phash(image: Image) -> int:
     and the top-left 8x8 low-frequency block (excluding the DC term for
     the median) is thresholded at its median.
     """
-    # Imported here, not at module level: scipy.fft adds about 0.35 s to
-    # every process that merely imports the browser.
-    from scipy.fft import dctn
-
     small = _resize_gray(image, 32, 32)
-    spectrum = dctn(small, norm="ortho")
-    block = spectrum[:8, :8].copy()
+    block = _dct_ortho(_dct_ortho(small, axis=0), axis=1)[:8, :8]
     median = float(np.median(block.flatten()[1:]))  # exclude DC coefficient
     bits = (block.flatten() > median).astype(np.uint8)
     return _bits_to_int(bits)

@@ -49,7 +49,7 @@ def render_text(
     if margin < 0:
         raise ValueError("margin must be >= 0")
     matrix = _line_matrix(text)
-    scaled = np.kron(matrix, np.ones((scale, scale), dtype=bool))
+    scaled = matrix.repeat(scale, axis=0).repeat(scale, axis=1)
     height, width = scaled.shape
     image = Image.new(width + 2 * margin, height + 2 * margin, bg)
     region = image.pixels[margin : margin + height, margin : margin + width]
@@ -75,7 +75,7 @@ def render_lines(
     for index, matrix in enumerate(matrices):
         y = index * line_height
         combined[y : y + GLYPH_HEIGHT, : matrix.shape[1]] = matrix
-    scaled = np.kron(combined, np.ones((scale, scale), dtype=bool))
+    scaled = combined.repeat(scale, axis=0).repeat(scale, axis=1)
     height, width = scaled.shape
     image = Image.new(width + 2 * margin, height + 2 * margin, bg)
     region = image.pixels[margin : margin + height, margin : margin + width]

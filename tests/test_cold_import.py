@@ -1,12 +1,13 @@
-"""Cold-start guard: the command-line entry points import no scipy.
+"""Cold-start guard: a whole ``repro run`` loads neither scipy nor networkx.
 
-Importing ``scipy.stats`` costs about a second and ``scipy.fft`` about a
-third of one, paid by every ``repro run``, pool worker and ``repro
-serve`` before its first record.  Only two places may import scipy, both
-inside the function that needs it: ``imaging.phash.phash`` (``dctn``)
-and ``analysis.stats.paired_t_test`` (Figure 2 only).  These checks run
-in a fresh interpreter, because the test process itself has long since
-loaded scipy.
+Importing ``scipy.stats`` costs about a second, ``scipy.fft`` about a
+third of one and networkx 0.15–0.2 s, paid by every ``repro run``, pool
+worker and ``repro serve`` before (or, for the study report, after) its
+records.  The runtime path is numpy only: pHash computes its DCT with
+``np.fft`` and the infrastructure graph is a dict adjacency.  The one
+place left that imports scipy is ``analysis.stats.paired_t_test``
+(Figure 2 only), inside the function.  These checks run in a fresh
+interpreter, because the test process itself has long since loaded both.
 """
 
 from __future__ import annotations
@@ -39,7 +40,25 @@ def test_entry_points_import_neither_scipy_nor_networkx():
     assert _loaded_after("import repro.cli\nimport repro.serve\nimport repro.runner") == []
 
 
+def test_whole_run_loads_neither_scipy_nor_networkx(tmp_path):
+    """Corpus, analysis (OCR, screenshots, pHash), study report, export."""
+    export = tmp_path / "out.json"
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from repro import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    status = cli.main(['run', '--scale', '0.02', '--jobs', '1',\n"
+        f"                       '--export', {str(export)!r}])\n"
+        "assert status in (0, None), status\n"
+        "assert 'Infrastructure:' in out.getvalue(), out.getvalue()\n"
+    )
+    assert export.exists()
+    assert loaded == []
+
+
 def test_study_report_leaves_scipy_stats_unloaded():
+    """The study report (timelines, infrastructure campaigns) loads no
+    scipy module, ``scipy.stats`` included, and no networkx."""
     loaded = _loaded_after(
         "import contextlib, io\n"
         "from repro import cli\n"
@@ -51,4 +70,36 @@ def test_study_report_leaves_scipy_stats_unloaded():
         "    cli._print_study_report(records, corpus.world)\n"
         "assert 'Timelines:' in out.getvalue(), out.getvalue()\n"
     )
-    assert "scipy.stats" not in loaded
+    assert loaded == []
+
+
+def test_reference_portal_crawl_loads_neither_scipy_nor_networkx():
+    """``CrawlerBox.for_world`` hashes the reference portals at build time."""
+    loaded = _loaded_after(
+        "from repro.core import CrawlerBox\n"
+        "from repro.dataset import CorpusGenerator\n"
+        "corpus = CorpusGenerator(seed=5, scale=0.02).generate()\n"
+        "CrawlerBox.for_world(corpus.world)\n"
+    )
+    assert loaded == []
+
+
+def test_drained_serve_daemon_loads_neither_scipy_nor_networkx(tmp_path):
+    """A daemon builds its box (the reference-portal crawl), answers
+    submissions and drains without either package."""
+    loaded = _loaded_after(
+        "from repro.serve import ServeClient, ServeConfig, ServeDaemon\n"
+        "raw = (b'From: <it@spammer.ru>\\nTo: victim@corp.example\\nSubject: expires\\n'\n"
+        "       b'MIME-Version: 1.0\\nContent-Type: text/html\\n\\n'\n"
+        "       b'<a href=\"https://phish.example/portal\">Open</a>\\n')\n"
+        "config = ServeConfig(seed=31, scale=0.02, jobs=1, executor='inline', batch_size=2)\n"
+        f"daemon = ServeDaemon(config, {str(tmp_path)!r})\n"
+        "daemon.start()\n"
+        "with ServeClient('127.0.0.1', daemon.port, timeout=120) as client:\n"
+        "    outcomes = [client.submit_bytes(raw, reporter='company-0') for _ in range(2)]\n"
+        "    client.wait_verdicts(timeout=120)\n"
+        "assert all(outcome.status == 'verdict' for outcome in outcomes), outcomes\n"
+        "daemon.request_shutdown()\n"
+        "assert daemon.wait() == 0\n"
+    )
+    assert loaded == []

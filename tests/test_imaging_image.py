@@ -121,3 +121,70 @@ class TestTransforms:
         a = Image.new(3, 3, (1, 2, 3))
         b = Image.new(3, 3, (1, 2, 3))
         assert hash(a) == hash(b)
+
+
+# ----------------------------------------------------------------------
+# Row-broadcast fills and repeat upscaling == the assignment forms
+# ----------------------------------------------------------------------
+class TestFillKernelsMatchAssignment:
+    """The fast paths give the pixels of the plain numpy assignments."""
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (7, 3), (320, 260)])
+    @pytest.mark.parametrize("color", [WHITE, BLACK, (244, 246, 248), (1, 2, 3)])
+    def test_new(self, width, height, color):
+        expected = np.empty((height, width, 3), dtype=np.uint8)
+        expected[:, :] = color
+        image = Image.new(width, height, color)
+        assert np.array_equal(image.pixels, expected)
+        assert image.pixels.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize(
+        "rect",
+        [
+            (2, 3, 5, 4),  # inside
+            (0, 0, 20, 12),  # the whole image
+            (15, 8, 10, 10),  # clipped right and bottom
+            (-4, -2, 7, 5),  # negative offset, clipped left and top
+            (-30, 2, 5, 5),  # wholly left of the image
+            (3, 20, 4, 4),  # wholly below the image
+            (5, 5, 0, 4),  # zero width
+            (5, 5, 4, 0),  # zero height
+            (5, 5, -3, 4),  # negative width
+            (4, 6, 1, 1),  # one pixel
+            (0, 11, 20, 1),  # one row
+        ],
+    )
+    def test_fill_rect(self, rect):
+        rng = np.random.default_rng(7)
+        start = rng.integers(0, 256, size=(12, 20, 3), dtype=np.uint8)
+        x, y, width, height = rect
+        expected = start.copy()
+        x0, y0 = max(x, 0), max(y, 0)
+        x1, y1 = min(x + width, 20), min(y + height, 12)
+        if x1 > x0 and y1 > y0:
+            expected[y0:y1, x0:x1] = (9, 99, 199)
+        image = Image(start)
+        image.fill_rect(x, y, width, height, (9, 99, 199))
+        assert np.array_equal(image.pixels, expected)
+
+    @pytest.mark.parametrize("scale", [1, 2, 3, 5])
+    @pytest.mark.parametrize("border", [0, 2])
+    def test_from_bool_matrix(self, scale, border):
+        matrix = np.random.default_rng(scale).random((9, 13)) < 0.4
+        padded = np.pad(matrix, border, constant_values=False)
+        scaled = np.kron(padded, np.ones((scale, scale), dtype=bool))
+        expected = np.empty(scaled.shape + (3,), dtype=np.uint8)
+        expected[~scaled] = (200, 10, 20)
+        expected[scaled] = (5, 6, 7)
+        image = Image.from_bool_matrix(matrix, scale=scale, fg=(5, 6, 7), bg=(200, 10, 20),
+                                       border=border)
+        assert np.array_equal(image.pixels, expected)
+
+    @pytest.mark.parametrize("scale", [1, 2, 4])
+    def test_render_text_upscale(self, scale):
+        from repro.imaging.render import _line_matrix, render_text
+
+        scaled = np.kron(_line_matrix("AB:1"), np.ones((scale, scale), dtype=bool))
+        expected = np.full((scaled.shape[0] + 6, scaled.shape[1] + 6, 3), 255, dtype=np.uint8)
+        expected[3:-3, 3:-3][scaled] = 0
+        assert np.array_equal(render_text("AB:1", scale=scale, margin=3).pixels, expected)

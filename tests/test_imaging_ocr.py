@@ -1,13 +1,22 @@
 """OCR round-trip tests, including property-based ones."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.imaging import ocr
 from repro.imaging.effects import add_gaussian_noise, crop_border
-from repro.imaging.font import GLYPHS, normalize_char, supported_characters
+from repro.imaging.font import (
+    GLYPH_HEIGHT,
+    GLYPH_WIDTH,
+    GLYPHS,
+    normalize_char,
+    supported_characters,
+)
 from repro.imaging.image import Image
 from repro.imaging.ocr import ocr_image
 from repro.imaging.render import render_lines, render_text
@@ -100,3 +109,179 @@ def test_ocr_roundtrip_property(text, scale):
     assume(text.strip("_- ") != "")
     rendered = render_text(text, scale=scale)
     assert ocr_image(rendered).text == text.rstrip()
+
+
+# ----------------------------------------------------------------------
+# Integral-image kernels == the per-cell loops they replaced
+# ----------------------------------------------------------------------
+def _cell_bits_reference(mask, x, y, scale):
+    """Downsample a glyph cell at (x, y) to a 7x5 boolean matrix, one
+    ``block.mean()`` per font cell."""
+    bits = np.zeros((GLYPH_HEIGHT, GLYPH_WIDTH), dtype=bool)
+    height, width = mask.shape
+    for row in range(GLYPH_HEIGHT):
+        y0, y1 = y + row * scale, y + (row + 1) * scale
+        if y1 <= 0 or y0 >= height:
+            continue
+        for col in range(GLYPH_WIDTH):
+            x0, x1 = x + col * scale, x + (col + 1) * scale
+            if x1 <= 0 or x0 >= width:
+                continue
+            block = mask[max(y0, 0) : y1, max(x0, 0) : x1]
+            if block.size:
+                bits[row, col] = block.mean() >= 0.5
+    return bits
+
+
+def _match_glyph_reference(bits):
+    distances = np.logical_xor(ocr._GLYPH_STACK, bits).reshape(len(ocr._GLYPH_CHARS), -1)
+    distances = distances.sum(axis=1)
+    best = int(distances.argmin())
+    similarity = 1.0 - distances[best] / (GLYPH_WIDTH * GLYPH_HEIGHT)
+    return ocr._GLYPH_CHARS[best], float(similarity)
+
+
+def _decode_line_reference(mask, band, scale):
+    """Decode one line band cell by cell, searching grid alignments."""
+    top, bottom = band
+    line_mask = mask[top:bottom]
+    col_has_ink = line_mask.any(axis=0)
+    inked = np.flatnonzero(col_has_ink)
+    if inked.size == 0:
+        return "", 1.0
+    x_first, x_last = int(inked[0]), int(inked[-1])
+    band_height = bottom - top
+
+    best_text = ""
+    best_key = (-1.0, -1, -1)
+    for row_offset in range(GLYPH_HEIGHT):
+        y_origin = top - row_offset * scale
+        if band_height > GLYPH_HEIGHT * scale and row_offset > 0:
+            break
+        if y_origin + GLYPH_HEIGHT * scale < bottom:
+            continue
+        for col_offset in range(GLYPH_WIDTH):
+            x_origin = x_first - col_offset * scale
+            n_cells = int(np.ceil((x_last + 1 - x_origin) / (ocr._CELL_WIDTH * scale)))
+            if n_cells <= 0:
+                continue
+            chars = []
+            scores = []
+            for index in range(n_cells):
+                x = x_origin + index * ocr._CELL_WIDTH * scale
+                bits = _cell_bits_reference(mask, x, y_origin, scale)
+                if not bits.any():
+                    chars.append(" ")
+                    scores.append(1.0)
+                    continue
+                char, similarity = _match_glyph_reference(bits)
+                chars.append(char)
+                scores.append(similarity)
+            mean_score = float(np.mean(scores)) if scores else 0.0
+            n_ink_chars = sum(1 for char in chars if char != " ")
+            key = (mean_score, n_ink_chars, -row_offset)
+            if key > best_key:
+                best_key = key
+                best_text = "".join(chars).rstrip()
+    return best_text, best_key[0]
+
+
+def _run_lengths_reference(mask):
+    counts = Counter()
+    for axis_mask in (mask, mask.T):
+        padded = np.zeros((axis_mask.shape[0], axis_mask.shape[1] + 2), dtype=bool)
+        padded[:, 1:-1] = axis_mask
+        diff = np.diff(padded.astype(np.int8), axis=1)
+        for row_diff in diff:
+            starts = np.flatnonzero(row_diff == 1)
+            ends = np.flatnonzero(row_diff == -1)
+            for start, end in zip(starts, ends):
+                counts[int(end - start)] += 1
+    return counts
+
+
+def _ocr_reference(image):
+    """``ocr_image`` assembled from the reference loops."""
+    mask = ocr._binarize(image)
+    if not mask.any():
+        return ocr.OcrResult(text="", confidence=1.0)
+    counts = _run_lengths_reference(mask)
+    estimate = max(1, counts.most_common(1)[0][0]) if counts else 1
+    best_text, best_key = "", (-1.0, -1)
+    for scale in (d for d in range(1, estimate + 1) if estimate % d == 0):
+        decoded = [_decode_line_reference(mask, band, scale)
+                   for band in ocr._line_bands(mask, scale)]
+        joined = "\n".join(text for text, _ in decoded)
+        score = float(np.mean([score for _, score in decoded])) if decoded else 0.0
+        key = (score, sum(1 for char in joined if char not in " \n"))
+        if key > best_key:
+            best_key, best_text = key, joined
+    return ocr.OcrResult(text=best_text, confidence=best_key[0])
+
+
+def _random_mask(seed, height, width, density):
+    return np.random.default_rng(seed).random((height, width)) < density
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    height=st.integers(min_value=1, max_value=40),
+    width=st.integers(min_value=1, max_value=60),
+    density=st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.95]),
+    scale=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_grid_bits_match_cell_loop(seed, height, width, density, scale, data):
+    """Integral-image block sums give the per-cell ``mean >= 0.5`` bits for
+    cell origins before, inside and past the edges of the mask."""
+    mask = _random_mask(seed, height, width, density)
+    y = data.draw(st.integers(min_value=-8 * scale, max_value=height + 2), label="y")
+    xs = data.draw(
+        st.lists(st.integers(min_value=-6 * scale, max_value=width + 6), min_size=1, max_size=8),
+        label="xs",
+    )
+    fast = ocr._grid_bits(ocr._integral_image(mask), np.array(xs), y, scale)
+    for bits, x in zip(fast, xs):
+        assert np.array_equal(bits, _cell_bits_reference(mask, x, y, scale)), (x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    height=st.integers(min_value=1, max_value=40),
+    width=st.integers(min_value=1, max_value=60),
+    density=st.sampled_from([0.05, 0.5, 0.95]),
+)
+def test_run_lengths_match_row_loop(seed, height, width, density):
+    """Same counts in the same insertion order (``most_common``'s tie-break)."""
+    mask = _random_mask(seed, height, width, density)
+    assert list(ocr._run_lengths(mask).items()) == list(_run_lengths_reference(mask).items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lines=st.lists(st.text(alphabet=_OCR_ALPHABET + " ", min_size=1, max_size=12),
+                   min_size=1, max_size=3),
+    scale=st.integers(min_value=1, max_value=4),
+    noise=st.sampled_from([0.0, 20.0, 60.0]),
+    inverted=st.booleans(),
+    crop=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_ocr_image_matches_reference_decode(lines, scale, noise, inverted, crop, seed):
+    """Equal text and confidence on rendered, noised, inverted and cropped text."""
+    fg, bg = ((255, 255, 255), (0, 0, 0)) if inverted else ((0, 0, 0), (255, 255, 255))
+    image = render_lines(lines, scale=scale, fg=fg, bg=bg, margin=5)
+    if noise:
+        image = add_gaussian_noise(image, noise, random.Random(seed))
+    if crop:
+        image = crop_border(image, crop)
+    assert ocr_image(image) == _ocr_reference(image)
+
+
+@pytest.mark.parametrize("text", ["HELLO WORLD 123", "...", "_", "A-B", "!:!", "HTTPS://X.RU/?A=1"])
+@pytest.mark.parametrize("scale", [1, 2, 3, 4])
+def test_ocr_image_matches_reference_on_examples(text, scale):
+    image = render_text(text, scale=scale)
+    assert ocr_image(image) == _ocr_reference(image)

@@ -10,7 +10,14 @@ from scipy.fft import dctn
 
 from repro.imaging.effects import add_gaussian_noise, crop_border, hue_rotate, overlay_text
 from repro.imaging.image import Image
-from repro.imaging.phash import HASH_BITS, _resize_gray, dhash, hamming_distance, phash
+from repro.imaging.phash import (
+    HASH_BITS,
+    _dct_ortho,
+    _resize_gray,
+    dhash,
+    hamming_distance,
+    phash,
+)
 from repro.imaging.render import render_lines
 
 
@@ -232,3 +239,61 @@ class TestVectorizedBitIdentity:
     def test_dhash_bit_identical(self, name):
         image = _synthetic_images()[name]
         assert dhash(image) == _dhash_reference(image), name
+
+
+# ----------------------------------------------------------------------
+# The numpy-FFT DCT gives scipy's hash bits
+# ----------------------------------------------------------------------
+def _hash_bits(block):
+    median = float(np.median(block.flatten()[1:]))
+    return (block.flatten() > median).astype(np.uint8)
+
+
+def _fft_dct_bits(values):
+    return _hash_bits(_dct_ortho(_dct_ortho(values, axis=0), axis=1)[:8, :8])
+
+
+def _scipy_dct_bits(values):
+    return _hash_bits(dctn(values, norm="ortho")[:8, :8])
+
+
+@st.composite
+def _thumbnails(draw):
+    """32x32 grayscale thumbnails: random, flat, striped and quantised."""
+    kind = draw(st.sampled_from(["random", "flat", "striped", "quantised"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "random":
+        return rng.random((32, 32)) * 255.0
+    if kind == "flat":
+        return np.full((32, 32), draw(st.floats(min_value=0.0, max_value=255.0)))
+    if kind == "striped":
+        period = draw(st.integers(min_value=1, max_value=16))
+        values = np.zeros((32, 32))
+        values[:, ::period] = draw(st.floats(min_value=1.0, max_value=255.0))
+        return values.T.copy() if draw(st.booleans()) else values
+    levels = draw(st.sampled_from([2, 3, 4, 8, 16]))
+    return np.round(rng.random((32, 32)) * levels) / levels * 255.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_thumbnails())
+def test_fft_dct_hash_bits_match_scipy(values):
+    """The coefficients differ from scipy's by rounding only (~1e-12 on a
+    DC term of ~8,000), so the pin is on the 64 hash bits, including the
+    median ties of flat inputs."""
+    assert np.array_equal(_fft_dct_bits(values), _scipy_dct_bits(values))
+
+
+@pytest.mark.parametrize("name", list(_synthetic_images()))
+def test_fft_dct_hash_bits_match_scipy_on_synthetic_images(name):
+    small = _resize_gray(_synthetic_images()[name], 32, 32)
+    assert np.array_equal(_fft_dct_bits(small), _scipy_dct_bits(small)), name
+
+
+def test_block_sums_accumulate_in_int64():
+    """A 128x128 block of white sums to 4.2e9 per-mille luminance, past
+    int32: the thumbnail must still read exactly 255 everywhere."""
+    white = Image.new(4096, 4096, (255, 255, 255))
+    assert np.array_equal(_resize_gray(white, 32, 32), np.full((32, 32), 255.0))
+    assert phash(white) == phash(Image.new(32, 32, (255, 255, 255)))
+    assert dhash(white) == 0
