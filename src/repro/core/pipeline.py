@@ -20,13 +20,13 @@ auth,parse``) performs cheap triage without ever invoking the crawler.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro._budget import DEFAULT_WORK_LIMIT, MessageBudget, activate
+from repro._chaos import keyed_seed
 from repro.core.artifacts import MessageRecord
 from repro.core.outcomes import MessageCategory
 from repro.core.stages.base import StageStatus
@@ -186,10 +186,7 @@ class CrawlerBox:
         streams; depends only on the seed material and the index, never
         on how many messages were analyzed before this one.
         """
-        digest = hashlib.blake2b(
-            f"{self._seed_material}:{message_index}".encode("ascii"), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big")
+        return keyed_seed(self._seed_material, message_index)
 
     # ------------------------------------------------------------------
     def analyze(self, message: EmailMessage, message_index: int = 0) -> MessageRecord:

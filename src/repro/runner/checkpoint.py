@@ -112,7 +112,8 @@ def parse_record_line(line: str) -> tuple[dict | None, str | None]:
         source = line  # v1 line from a pre-CRC checkpoint
     try:
         return json.loads(source), None
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
+        # ValueError covers JSONDecodeError and over-long integers.
         return None, "bad-json"
 
 

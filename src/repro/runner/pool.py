@@ -100,13 +100,17 @@ def pack_frame(entries: list[tuple[int, bytes]]) -> bytes:
 
 
 def unpack_frame(blob: bytes) -> list[tuple[int, bytes]]:
-    """Inverse of :func:`pack_frame`."""
+    """Inverse of :func:`pack_frame`; a truncated blob raises ValueError."""
     entries = []
     offset = 0
     header = _FRAME_ENTRY.size
     while offset < len(blob):
+        if offset + header > len(blob):
+            raise ValueError(f"frame truncated inside an entry header at byte {offset}")
         index, length = _FRAME_ENTRY.unpack_from(blob, offset)
         offset += header
+        if offset + length > len(blob):
+            raise ValueError(f"frame truncated inside entry {index} ({length} bytes)")
         entries.append((index, blob[offset : offset + length]))
         offset += length
     return entries

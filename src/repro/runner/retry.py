@@ -5,14 +5,13 @@ injected test fault) are re-delivered, each retry on its own, up to
 ``max_attempts``; jobs that exhaust their attempts land on the runner's
 dead-letter list instead of poisoning the run.  Non-transient
 exceptions are *not* retried — they indicate a pipeline bug and abort
-the run.  The scheduler re-delivers at once; the backoff schedule
-(:meth:`RetryPolicy.backoff_delay`) prices the simulated internet's
-retries (:mod:`repro.web.resilient`).
+the run.  The scheduler re-delivers at once; only the simulated
+internet's retries are priced with a backoff
+(:mod:`repro.web.resilient`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 
@@ -26,28 +25,9 @@ class RetryPolicy:
 
     #: Total delivery attempts per job (1 = no retries).
     max_attempts: int = 3
-    #: Delay before the first retry, in seconds.
-    base_delay: float = 0.05
-    #: Growth factor per subsequent retry.
-    multiplier: float = 2.0
-    #: Upper bound on any single delay.
-    max_delay: float = 2.0
-    #: Jitter as a fraction of the computed delay (0.25 = up to +25%).
-    jitter: float = 0.25
-    #: Exception types considered transient.
-    transient_types: tuple[type[BaseException], ...] = (TransientFault,)
 
     def is_transient(self, error: BaseException) -> bool:
-        return isinstance(error, self.transient_types)
-
-    def backoff_delay(self, attempt: int, rng: random.Random | None = None) -> float:
-        """Delay before retry number ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        delay = min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
-        if self.jitter and rng is not None:
-            delay += delay * self.jitter * rng.random()
-        return delay
+        return isinstance(error, TransientFault)
 
 
 @dataclass(frozen=True)

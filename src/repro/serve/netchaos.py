@@ -3,13 +3,10 @@
 Luo et al. (PAPERS.md) characterize the networks behind enterprise
 phishing mail as bursty, abusive, and adversarial at the connection
 level — and the paper's pipeline is fed by exactly that population.
-PR 4 gave the simulated internet a seeded fault engine
-(:mod:`repro.web.faults`) and PR 8 gave the filesystem one
-(:mod:`repro.storage.faults`); this module closes the triad with the
-third layer: the *clients* of ``repro serve``.  A
-:class:`ClientFaultEngine` schedules hostile connection behavior and a
-:class:`ChaosClient` executes it over real sockets against a live
-daemon:
+This module schedules that abuse against the *clients* of
+``repro serve``: a :class:`ClientFaultEngine` schedules hostile
+connection behavior and a :class:`ChaosClient` executes it over real
+sockets against a live daemon:
 
 ===============  ====================================================
 kind             observable behavior
@@ -25,14 +22,12 @@ kind             observable behavior
 ``noop``         a well-formed ``ping`` (keeps the schedule honest)
 ===============  ====================================================
 
-Determinism contract (the same discipline as the web and storage
-engines): every decision is a pure function of
-``(client_fault_seed, client id, op index)`` hashed through BLAKE2 into
-a private :class:`random.Random` — the engine keeps no mutable request
-state beyond telemetry.  The ``op index`` ordinal is supplied by the
-driving :class:`ChaosClient`, so the same seed replays the same abuse
-schedule on every run, which is what lets the churn bench assert that
-well-behaved reporters' records are byte-identical under chaos.
+Decisions are keyed on ``(client_fault_seed, client id, op index)``
+through :mod:`repro._chaos`, which owns the draw contract.  The
+``op index`` ordinal is supplied by the driving :class:`ChaosClient`,
+so the same seed replays the same abuse schedule on every run, which
+is what lets the churn bench assert that well-behaved reporters'
+records are byte-identical under chaos.
 
 Crucially, no hostile behavior ever submits a *valid* message: fuzz
 lines are never admissible submissions, trickled lines never complete,
@@ -45,7 +40,6 @@ chaos-free run over the same messages.
 from __future__ import annotations
 
 import collections
-import hashlib
 import random
 import socket
 import struct
@@ -53,6 +47,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro._chaos import ChaosProfile, keyed_rng, pick_band, preset
 from repro.serve.protocol import MAX_LINE_BYTES, encode_line
 
 __all__ = [
@@ -62,23 +57,26 @@ __all__ = [
     "ClientBehavior",
     "ClientFaultEngine",
     "ClientFaultProfile",
+    "TRICKLE_CHUNKS",
     "client_fault_profile",
     "fuzz_corpus",
     "run_chaos_fleet",
 ]
 
 
-@dataclass(frozen=True)
-class ClientFaultProfile:
-    """Per-op behavior rates (disjoint bands of a single uniform draw).
+#: Segments a slowloris line is trickled in.
+TRICKLE_CHUNKS = 8
 
-    At most one hostile behavior fires per op slot and each keeps its
-    configured probability; the leftover band is a benign ``noop``
-    (a well-formed ping), so even a hostile client exercises the happy
-    path between attacks — the nastiest traffic shape to harden for.
+
+@dataclass(frozen=True)
+class ClientFaultProfile(ChaosProfile):
+    """Per-op behavior rates (bands of one roll per op slot).
+
+    The leftover band is a benign ``noop`` (a well-formed ping), so even
+    a hostile client exercises the happy path between attacks — the
+    nastiest traffic shape to harden for.
     """
 
-    name: str = "custom"
     slowloris: float = 0.0
     idle_camp: float = 0.0
     mid_line: float = 0.0
@@ -88,8 +86,6 @@ class ClientFaultProfile:
     flap: float = 0.0
     #: Bare connections one flood op opens.
     flood_burst: int = 6
-    #: Segments a slowloris line is trickled in.
-    trickle_chunks: int = 8
 
     RATE_FIELDS = (
         "slowloris",
@@ -100,11 +96,6 @@ class ClientFaultProfile:
         "flood",
         "flap",
     )
-
-    @property
-    def active(self) -> bool:
-        """Any hostile behavior has a non-zero probability."""
-        return any(getattr(self, name) > 0.0 for name in self.RATE_FIELDS)
 
 
 #: The presets (``--client-faults {off,light,heavy,hostile}``).
@@ -148,13 +139,7 @@ CLIENT_FAULT_PROFILES: dict[str, ClientFaultProfile] = {
 
 def client_fault_profile(name: str) -> ClientFaultProfile:
     """Look up a preset by name (``off``/``light``/``heavy``/``hostile``)."""
-    try:
-        return CLIENT_FAULT_PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown client fault profile {name!r}; "
-            f"expected one of {sorted(CLIENT_FAULT_PROFILES)}"
-        ) from None
+    return preset(CLIENT_FAULT_PROFILES, name, "client fault")
 
 
 @dataclass(frozen=True)
@@ -237,13 +222,7 @@ def fuzz_corpus(seed: int, count: int = 64) -> list[bytes]:
     Pure function of ``(seed, index)`` — the i-th line is the same on
     every machine, so a fuzz failure reproduces from its seed alone.
     """
-    lines = []
-    for index in range(count):
-        digest = hashlib.blake2b(
-            f"fuzz:{seed}:{index}".encode("utf-8"), digest_size=8
-        ).digest()
-        lines.append(_fuzz_payload(random.Random(int.from_bytes(digest, "big"))))
-    return lines
+    return [_fuzz_payload(keyed_rng("fuzz", seed, index)) for index in range(count)]
 
 
 # ----------------------------------------------------------------------
@@ -262,34 +241,18 @@ class ClientFaultEngine:
         self.profile = profile or CLIENT_FAULT_PROFILES["off"]
         self.seed = seed
         #: Telemetry: behavior kind -> times scheduled.
-        self.injected: dict[str, int] = {}
+        self.injected: collections.Counter[str] = collections.Counter()
 
     @property
     def active(self) -> bool:
         return self.profile.active
 
-    def _rng(self, client_id: str, op_index: int) -> random.Random:
-        digest = hashlib.blake2b(
-            f"{self.seed}:{client_id}:{op_index}".encode("utf-8"),
-            digest_size=8,
-        ).digest()
-        return random.Random(int.from_bytes(digest, "big"))
-
-    def _note(self, kind: str) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-
     def behavior(self, client_id: str, op_index: int) -> ClientBehavior:
         """The scheduled behavior for one ``(client, op)`` coordinate."""
-        rng = self._rng(client_id, op_index)
-        roll = rng.random()
-        kind = "noop"
-        for name in self.profile.RATE_FIELDS:
-            rate = getattr(self.profile, name)
-            if roll < rate:
-                kind = name
-                break
-            roll -= rate
-        self._note(kind)
+        rng = keyed_rng(self.seed, client_id, op_index)
+        profile = self.profile
+        kind = pick_band(rng.random(), profile.bands(*profile.RATE_FIELDS)) or "noop"
+        self.injected[kind] += 1
         if kind == "fuzz":
             return ClientBehavior(kind, client_id, op_index, payload=_fuzz_payload(rng))
         if kind == "slowloris":
@@ -300,7 +263,7 @@ class ClientFaultEngine:
                 client_id,
                 op_index,
                 payload=_fuzz_payload(rng) + b"\n",
-                chunks=max(2, self.profile.trickle_chunks),
+                chunks=TRICKLE_CHUNKS,
             )
         if kind == "mid_line":
             return ClientBehavior(

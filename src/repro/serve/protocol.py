@@ -123,11 +123,12 @@ def decode_line(line: bytes) -> dict:
 
     ``RecursionError`` is caught alongside decode errors: a deeply
     nested JSON bomb must yield a machine-readable protocol error, not
-    an unwinding daemon thread.
+    an unwinding daemon thread.  ``ValueError`` covers the UTF-8 and
+    JSON decode errors and an integer past ``int()``'s digit limit.
     """
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+    except (ValueError, RecursionError) as error:
         raise ProtocolError(f"undecodable protocol line: {error!r:.120}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("op"), str):
         raise ProtocolError("protocol message must be a JSON object with a string 'op'")

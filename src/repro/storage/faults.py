@@ -2,11 +2,10 @@
 
 The paper's CrawlerBox ingested user-reported mail for ten months; over
 that horizon the disk under an always-on analysis daemon *will* fill,
-flake, and lose power mid-rename.  This module extends the seeded fault
-discipline of :mod:`repro.web.faults` one layer down: a
-:class:`StorageFaultEngine` installed on :mod:`repro.storage.durable`
-intercepts every durable write at the single choke point and injects
-the failure taxonomy crash-consistent storage code must survive:
+flake, and lose power mid-rename.  A :class:`StorageFaultEngine`
+installed on :mod:`repro.storage.durable` intercepts every durable write
+at the single choke point and injects the failure taxonomy
+crash-consistent storage code must survive:
 
 ===============  ====================================================
 kind             observable effect
@@ -20,24 +19,23 @@ kind             observable effect
                  the temp survives, the rename never happens
 ===============  ====================================================
 
-Determinism contract: every decision is a pure function of
-``(storage_fault_seed, path key, op, op_index)`` hashed through BLAKE2
-into a private :class:`random.Random`.  The *path key* is the file's
-basename (``records.jsonl``, ``manifest.json`` …), not its absolute
-path, so the same seed produces the same weather in any checkpoint
-directory — a soak run reproduces under pytest's tmp_path exactly as it
-did in CI.  ``op_index`` is a per-``(path key, op)`` counter maintained
-by the engine: the i-th append to ``records.jsonl`` rolls the same
-fault on every replay of the same call sequence.
+Decisions are keyed on ``(storage_fault_seed, path key, op, op_index)``
+through :mod:`repro._chaos`, which owns the draw contract.  The *path
+key* is the file's basename (``records.jsonl``, ``manifest.json`` …),
+so the same seed produces the same weather in any checkpoint directory.
+``op_index`` is a per-``(path key, op)`` counter kept by the engine:
+the i-th append to ``records.jsonl`` rolls the same fault on every
+replay of the same call sequence.
 """
 
 from __future__ import annotations
 
+import collections
 import errno
-import hashlib
 import pathlib
-import random
 from dataclasses import dataclass
+
+from repro._chaos import ChaosProfile, keyed_rng, pick_band, preset
 
 __all__ = [
     "STORAGE_FAULT_PROFILES",
@@ -105,19 +103,17 @@ class TornRename(StorageFaultError):
 
 
 @dataclass(frozen=True)
-class StorageFaultProfile:
+class StorageFaultProfile(ChaosProfile):
     """Per-operation fault rates (independent probabilities per op).
 
-    Write-phase kinds (enospc / eio / short write) roll as disjoint
-    bands of a single uniform draw, so at most one fires per write and
-    each keeps its configured probability.  ``enospc`` is *episodic*:
-    one firing marks the start of a full-disk episode lasting
+    Write-phase kinds (eio / short write) share one roll per write.
+    ``enospc`` is *episodic*: one firing marks the start of a full-disk
+    episode lasting
     ``enospc_run_length`` consecutive operations on that file, after
     which space "returns" — exactly the failure shape a degraded serve
     daemon must ride out and recover from.
     """
 
-    name: str = "custom"
     short_write: float = 0.0
     enospc: float = 0.0
     eio: float = 0.0
@@ -133,11 +129,6 @@ class StorageFaultProfile:
         "fsync_fail",
         "torn_rename",
     )
-
-    @property
-    def active(self) -> bool:
-        """Any fault kind has a non-zero probability."""
-        return any(getattr(self, name) > 0.0 for name in self.RATE_FIELDS)
 
 
 #: The CLI presets (``--storage-faults {off,light,heavy,hostile}``).
@@ -175,13 +166,7 @@ STORAGE_FAULT_PROFILES: dict[str, StorageFaultProfile] = {
 
 def storage_fault_profile(name: str) -> StorageFaultProfile:
     """Look up a preset by name (``off``/``light``/``heavy``/``hostile``)."""
-    try:
-        return STORAGE_FAULT_PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown storage fault profile {name!r}; "
-            f"expected one of {sorted(STORAGE_FAULT_PROFILES)}"
-        ) from None
+    return preset(STORAGE_FAULT_PROFILES, name, "storage fault")
 
 
 class StorageFaultEngine:
@@ -202,7 +187,7 @@ class StorageFaultEngine:
         #: (path key, op) -> next op_index.
         self._op_counts: dict[tuple[str, str], int] = {}
         #: Telemetry: fault kind -> times injected.
-        self.injected: dict[str, int] = {}
+        self.injected: collections.Counter[str] = collections.Counter()
 
     @property
     def active(self) -> bool:
@@ -216,22 +201,11 @@ class StorageFaultEngine:
         """Basename, so weather reproduces across checkpoint dirs."""
         return pathlib.PurePath(path).name
 
-    def _rng(self, key: str, op: str, op_index: int) -> random.Random:
-        """A private RNG that depends only on the decision coordinates."""
-        digest = hashlib.blake2b(
-            f"{self.seed}:{key}:{op}:{op_index}".encode("utf-8"),
-            digest_size=8,
-        ).digest()
-        return random.Random(int.from_bytes(digest, "big"))
-
     def _next_index(self, key: str, op: str) -> int:
         slot = (key, op)
         op_index = self._op_counts.get(slot, 0)
         self._op_counts[slot] = op_index + 1
         return op_index
-
-    def _note(self, kind: str) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
 
     def _enospc_active(self, key: str, op_index: int) -> bool:
         """True when ``op_index`` falls inside a full-disk episode.
@@ -245,7 +219,7 @@ class StorageFaultEngine:
             return False
         run = max(1, self.profile.enospc_run_length)
         for start in range(max(0, op_index - run + 1), op_index + 1):
-            if self._rng(key, "enospc", start).random() < rate:
+            if keyed_rng(self.seed, key, "enospc", start).random() < rate:
                 return True
         return False
 
@@ -267,17 +241,16 @@ class StorageFaultEngine:
         key = self.path_key(path)
         op_index = self._next_index(key, "write")
         if self._enospc_active(key, op_index):
-            self._note("enospc")
+            self.injected["enospc"] += 1
             return InjectedDiskFull(f"{key}: no space left on device (injected)"), 0
-        rng = self._rng(key, "write", op_index)
-        roll = rng.random()
-        if roll < self.profile.eio:
-            self._note("eio")
+        rng = keyed_rng(self.seed, key, "write", op_index)
+        kind = pick_band(rng.random(), self.profile.bands("eio", "short_write"))
+        if kind is not None:
+            self.injected[kind] += 1
+        if kind == "eio":
             return InjectedIOError(f"{key}: I/O error (injected)"), 0
-        roll -= self.profile.eio
-        if roll < self.profile.short_write:
+        if kind == "short_write":
             prefix = rng.randrange(max(1, nbytes)) if nbytes else 0
-            self._note("short_write")
             return (
                 ShortWrite(
                     f"{key}: short write, {prefix}/{nbytes} bytes (injected)",
@@ -293,8 +266,8 @@ class StorageFaultEngine:
             return
         key = self.path_key(path)
         op_index = self._next_index(key, "fsync")
-        if self._rng(key, "fsync", op_index).random() < self.profile.fsync_fail:
-            self._note("fsync_fail")
+        if keyed_rng(self.seed, key, "fsync", op_index).random() < self.profile.fsync_fail:
+            self.injected["fsync_fail"] += 1
             raise FsyncFailure(f"{key}: fsync failed (injected)")
 
     def check_replace(self, path) -> None:
@@ -304,6 +277,6 @@ class StorageFaultEngine:
             return
         key = self.path_key(path)
         op_index = self._next_index(key, "replace")
-        if self._rng(key, "replace", op_index).random() < self.profile.torn_rename:
-            self._note("torn_rename")
+        if keyed_rng(self.seed, key, "replace", op_index).random() < self.profile.torn_rename:
+            self.injected["torn_rename"] += 1
             raise TornRename(f"{key}: crashed between write and rename (injected)")

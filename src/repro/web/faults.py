@@ -25,31 +25,26 @@ kind                 observable effect
 ``redirect_loop``    response replaced by a self-redirect
 ===================  ==============================================
 
-Determinism contract: every decision is a pure function of
-``(fault_seed, host, attempt, epoch)`` — hashed through BLAKE2 into a
-private :class:`random.Random` — so the engine keeps *no* mutable
-request state.  The same seed produces the same weather whether the
-corpus runs inline on one Network or across N worker processes that
-each rebuilt their own; ``--jobs N`` exports
-stay byte-identical to ``--jobs 1``.  The ``attempt`` ordinal is
-supplied by the retrying caller (:class:`repro.web.resilient.ResilientFetcher`)
-via :attr:`HttpRequest.fault_attempt`, which is what makes
-"flaky-then-recovers" hosts recoverable: a retry re-rolls the schedule
-at the next attempt index instead of replaying the same failure.
+Decisions are keyed on ``(fault_seed, host, attempt, epoch)`` through
+:mod:`repro._chaos`, which owns the draw contract.  The ``attempt``
+ordinal comes from the retrying caller
+(:class:`repro.web.resilient.ResilientFetcher`) via
+:attr:`HttpRequest.fault_attempt`, so a retry re-rolls at the next
+attempt index: that is what lets flaky hosts recover.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass
 
+from repro._chaos import ChaosProfile, keyed_rng, pick_band, preset
 from repro.web.dns import NxDomainError
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.network import ConnectionFailed, TLSValidationError
 
 __all__ = [
     "FAULT_PROFILES",
+    "FLAKY_MAX_DEAD_ATTEMPTS",
     "ConnectTimeout",
     "DnsFlap",
     "DnsServFail",
@@ -58,6 +53,7 @@ __all__ = [
     "FaultProfile",
     "FlakyHostDown",
     "MidBodyStall",
+    "RETRY_AFTER_SECONDS",
     "SlowStart",
     "TLSHandshakeFailure",
     "TruncatedResponse",
@@ -117,18 +113,21 @@ class TruncatedResponse(FaultError, ConnectionFailed):
     kind = "truncated_body"
 
 
+#: A flaky host is down for its first 1..this many attempts.
+FLAKY_MAX_DEAD_ATTEMPTS = 2
+#: Advertised ``Retry-After`` on injected 429s (simulated seconds).
+RETRY_AFTER_SECONDS = 30
+
+
 @dataclass(frozen=True)
-class FaultProfile:
+class FaultProfile(ChaosProfile):
     """Per-host fault rates (independent probabilities per request).
 
-    Connection-phase kinds (flap/servfail/connect/tls/slow-start) are
-    rolled once per request as disjoint bands of a single uniform draw,
-    so at most one fires and each keeps its configured probability;
-    response-phase kinds (stall/truncation/5xx/429/redirect loop) roll
-    the same way after the server produced a response.
+    Connection-phase kinds (flap/servfail/connect/tls/slow-start) share
+    one roll per request; response-phase kinds (stall/truncation/5xx/
+    429/redirect loop) share another after the server answered.
     """
 
-    name: str = "custom"
     nxdomain_flap: float = 0.0
     dns_servfail: float = 0.0
     connect_timeout: float = 0.0
@@ -140,13 +139,9 @@ class FaultProfile:
     http_429: float = 0.0
     redirect_loop: float = 0.0
     #: Fraction of hosts that are "flaky-then-recovers": down for their
-    #: first 1..``flaky_max_dead_attempts`` attempts, healthy afterwards.
+    #: first 1..``FLAKY_MAX_DEAD_ATTEMPTS`` attempts, healthy afterwards.
     flaky_host_fraction: float = 0.0
-    flaky_max_dead_attempts: int = 2
-    #: Advertised ``Retry-After`` on injected 429s (simulated seconds).
-    retry_after_seconds: float = 30.0
 
-    #: The probability fields (everything that can make the profile fire).
     RATE_FIELDS = (
         "nxdomain_flap",
         "dns_servfail",
@@ -160,11 +155,6 @@ class FaultProfile:
         "redirect_loop",
         "flaky_host_fraction",
     )
-
-    @property
-    def active(self) -> bool:
-        """Any fault kind has a non-zero probability."""
-        return any(getattr(self, name) > 0.0 for name in self.RATE_FIELDS)
 
 
 #: The CLI presets (``repro run --faults {off,light,heavy,hostile}``).
@@ -217,38 +207,36 @@ FAULT_PROFILES: dict[str, FaultProfile] = {
 
 def fault_profile(name: str) -> FaultProfile:
     """Look up a preset by name (``off``/``light``/``heavy``/``hostile``)."""
-    try:
-        return FAULT_PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault profile {name!r}; expected one of {sorted(FAULT_PROFILES)}"
-        ) from None
+    return preset(FAULT_PROFILES, name, "fault")
 
 
 _5XX_STATUSES = (500, 502, 503)
+
+#: Connection-phase kinds in band order, with what each raises.
+_CONNECT_FAULTS = {
+    "nxdomain_flap": (DnsFlap, "transient NXDOMAIN flap"),
+    "dns_servfail": (DnsServFail, "DNS SERVFAIL"),
+    "connect_timeout": (ConnectTimeout, "connect timed out"),
+    "tls_handshake": (TLSHandshakeFailure, "TLS handshake failed"),
+    "slow_start": (SlowStart, "no first byte before deadline"),
+}
 
 
 class FaultEngine:
     """Stateless, seeded fault scheduler for one Network fabric.
 
-    ``host_profiles`` overrides the default profile per host (tests pin
-    a single host's weather; everything else follows the preset).  The
-    engine is installed with :meth:`Network.install_faults` and consulted
-    at the fabric's single dispatch point — browsers, crawlers, and
-    enrichment lookups all flow through it without knowing it exists.
+    :meth:`set_host_profile` overrides the default profile per host
+    (tests pin a single host's weather; everything else follows the
+    preset).  The engine is installed with :meth:`Network.install_faults`
+    and consulted at the fabric's single dispatch point — browsers,
+    crawlers, and enrichment lookups all flow through it without knowing
+    it exists.
     """
 
-    def __init__(
-        self,
-        profile: FaultProfile | None = None,
-        seed: int = 0,
-        host_profiles: dict[str, FaultProfile] | None = None,
-    ):
+    def __init__(self, profile: FaultProfile | None = None, seed: int = 0):
         self.profile = profile or FAULT_PROFILES["off"]
         self.seed = seed
-        self.host_profiles = {
-            host.lower(): entry for host, entry in (host_profiles or {}).items()
-        }
+        self.host_profiles: dict[str, FaultProfile] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -266,13 +254,8 @@ class FaultEngine:
     # ------------------------------------------------------------------
     # The deterministic schedule
     # ------------------------------------------------------------------
-    def _rng(self, host: str, attempt: int, epoch: int, salt: str) -> random.Random:
-        """A private RNG that depends only on the decision coordinates."""
-        digest = hashlib.blake2b(
-            f"{self.seed}:{host.lower()}:{attempt}:{epoch}:{salt}".encode("utf-8"),
-            digest_size=8,
-        ).digest()
-        return random.Random(int.from_bytes(digest, "big"))
+    def _rng(self, host: str, attempt: int, epoch: int, salt: str):
+        return keyed_rng(self.seed, host.lower(), attempt, epoch, salt)
 
     @staticmethod
     def _epoch(timestamp: float) -> int:
@@ -290,7 +273,7 @@ class FaultEngine:
         rng = self._rng(host, 0, 0, "flaky-trait")
         if rng.random() >= profile.flaky_host_fraction:
             return 0
-        return 1 + rng.randrange(max(1, profile.flaky_max_dead_attempts))
+        return 1 + rng.randrange(FLAKY_MAX_DEAD_ATTEMPTS)
 
     # ------------------------------------------------------------------
     # Interception points (called by Network.request)
@@ -308,18 +291,12 @@ class FaultEngine:
                 f"{host}: flaky host down (recovers at attempt {dead_until})"
             )
         roll = self._rng(host, attempt, self._epoch(request.timestamp), "connect").random()
-        for rate, exc_type, message in (
-            (profile.nxdomain_flap, DnsFlap, "transient NXDOMAIN flap"),
-            (profile.dns_servfail, DnsServFail, "DNS SERVFAIL"),
-            (profile.connect_timeout, ConnectTimeout, "connect timed out"),
-            (profile.tls_handshake, TLSHandshakeFailure, "TLS handshake failed"),
-            (profile.slow_start, SlowStart, "no first byte before deadline"),
-        ):
-            if exc_type is TLSHandshakeFailure and request.url.scheme != "https":
-                continue
-            if roll < rate:
-                raise exc_type(f"{host}: {message}")
-            roll -= rate
+        https = request.url.scheme == "https"
+        kinds = [kind for kind in _CONNECT_FAULTS if https or kind != "tls_handshake"]
+        kind = pick_band(roll, profile.bands(*kinds))
+        if kind is not None:
+            exc_type, message = _CONNECT_FAULTS[kind]
+            raise exc_type(f"{host}: {message}")
 
     def shape_response(self, request: HttpRequest, response: HttpResponse) -> HttpResponse:
         """Response-phase faults: stall/truncate (raise) or replace the
@@ -332,13 +309,17 @@ class FaultEngine:
         attempt = getattr(request, "fault_attempt", 0)
         epoch = self._epoch(request.timestamp)
         roll = self._rng(host, attempt, epoch, "response").random()
-        if roll < profile.mid_body_stall:
+        kind = pick_band(
+            roll,
+            profile.bands(
+                "mid_body_stall", "truncated_body", "http_5xx", "http_429", "redirect_loop"
+            ),
+        )
+        if kind == "mid_body_stall":
             raise MidBodyStall(f"{host}: transfer stalled past deadline mid-body")
-        roll -= profile.mid_body_stall
-        if roll < profile.truncated_body:
+        if kind == "truncated_body":
             raise TruncatedResponse(f"{host}: connection reset mid-body")
-        roll -= profile.truncated_body
-        if roll < profile.http_5xx:
+        if kind == "http_5xx":
             status = self._rng(host, attempt, epoch, "5xx").choice(_5XX_STATUSES)
             shaped = HttpResponse(
                 status=status,
@@ -346,17 +327,15 @@ class FaultEngine:
             )
             shaped.fault_kind = "http_5xx"
             return shaped
-        roll -= profile.http_5xx
-        if roll < profile.http_429:
+        if kind == "http_429":
             shaped = HttpResponse(
                 status=429,
                 body="<html><body><h1>429 Too Many Requests</h1></body></html>",
             )
-            shaped.headers.set("Retry-After", str(int(profile.retry_after_seconds)))
+            shaped.headers.set("Retry-After", str(RETRY_AFTER_SECONDS))
             shaped.fault_kind = "http_429"
             return shaped
-        roll -= profile.http_429
-        if roll < profile.redirect_loop:
+        if kind == "redirect_loop":
             # A self-redirect: the browser re-requests the same URL with
             # the same decision coordinates, gets the same answer, and
             # its redirect budget converges to the redirect_loop outcome.
@@ -377,8 +356,8 @@ class FaultEngine:
         if not profile.active:
             return
         roll = self._rng(domain, 0, self._epoch(timestamp), "lookup").random()
-        if roll < profile.connect_timeout:
+        kind = pick_band(roll, profile.bands("connect_timeout", "tls_handshake"))
+        if kind == "connect_timeout":
             raise ConnectTimeout(f"{domain}: enrichment lookup timed out")
-        roll -= profile.connect_timeout
-        if roll < profile.tls_handshake:
+        if kind == "tls_handshake":
             raise TLSHandshakeFailure(f"{domain}: enrichment lookup TLS failure")

@@ -5,8 +5,7 @@ servers, and rate limits by degrading instead of dying.  This module is
 the consumer side of :mod:`repro.web.faults`: a
 :class:`ResilientFetcher` wraps the crawler's ``crawl_url`` with
 
-- bounded, jittered exponential-backoff retries (the backoff math is
-  the runner's :class:`~repro.runner.retry.RetryPolicy`, honouring an
+- bounded, jittered exponential-backoff retries (honouring an
   injected 429's ``Retry-After`` when present),
 - a per-host **circuit breaker** with half-open probes, so a
   permanently-dead host stops consuming attempts after it trips,
@@ -48,6 +47,13 @@ RETRYABLE_OUTCOMES = frozenset(("nxdomain", "connection_failed", "tls_error"))
 
 #: Fault kinds counted as per-request deadline hits.
 DEADLINE_KINDS = frozenset(("slow_start", "mid_body_stall"))
+
+#: Backoff before retry n (1-based, simulated seconds):
+#: ``min(BASE * MULTIPLIER ** (n - 1), CAP)`` plus up to ``JITTER`` of itself.
+BACKOFF_BASE_SECONDS = 0.5
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP_SECONDS = 30.0
+BACKOFF_JITTER = 0.25
 
 
 @dataclass
@@ -143,27 +149,6 @@ class ResiliencePolicy:
     #: Documented per-request deadline (simulated seconds); the fault
     #: engine's slow-start/mid-body stalls model this deadline firing.
     deadline_seconds: float = 30.0
-    #: Backoff shape, reusing the runner's retry policy math.
-    backoff_base_delay: float = 0.5
-    backoff_multiplier: float = 2.0
-    backoff_max_delay: float = 30.0
-    backoff_jitter: float = 0.25
-
-    def backoff_policy(self):
-        """The equivalent :class:`~repro.runner.retry.RetryPolicy`.
-
-        Imported lazily: this module sits in the ``web`` substrate and
-        is imported by ``core.artifacts``, below the runner package.
-        """
-        from repro.runner.retry import RetryPolicy
-
-        return RetryPolicy(
-            max_attempts=self.max_attempts_per_request,
-            base_delay=self.backoff_base_delay,
-            multiplier=self.backoff_multiplier,
-            max_delay=self.backoff_max_delay,
-            jitter=self.backoff_jitter,
-        )
 
 
 class _HostState:
@@ -265,7 +250,6 @@ class ResilientFetcher:
             probe_after=self.policy.breaker_probe_after,
         )
         self.budget_left = self.policy.retry_budget_per_message
-        self._backoff = self.policy.backoff_policy()
 
     # ------------------------------------------------------------------
     def fetch(self, url: str, host: str, timestamp: float):
@@ -303,7 +287,7 @@ class ResilientFetcher:
                 return result
             self.budget_left -= 1
             telemetry.retries += 1
-            telemetry.backoff_seconds += self._delay(result, attempt)
+            telemetry.backoff_seconds += self.backoff_delay(result, attempt)
 
     # ------------------------------------------------------------------
     def _note_result(self, result) -> None:
@@ -326,10 +310,10 @@ class ResilientFetcher:
             return "redirect_loop" in getattr(result, "fault_kinds", ())
         return False
 
-    def _delay(self, result, attempt: int) -> float:
+    def backoff_delay(self, result, attempt: int) -> float:
         """Simulated seconds before retry ``attempt`` (1-based): the
-        server's ``Retry-After`` when the final response carries one,
-        else jittered exponential backoff."""
+        server's ``Retry-After`` when ``result``'s final response
+        carries one, else jittered exponential backoff."""
         response = getattr(result, "final_response", None)
         if response is not None:
             retry_after = response.headers.get("Retry-After")
@@ -338,4 +322,7 @@ class ResilientFetcher:
                     return max(0.0, float(retry_after))
                 except ValueError:
                     pass
-        return self._backoff.backoff_delay(attempt, self.rng)
+        delay = min(
+            BACKOFF_BASE_SECONDS * BACKOFF_MULTIPLIER ** (attempt - 1), BACKOFF_CAP_SECONDS
+        )
+        return delay + delay * BACKOFF_JITTER * self.rng.random()

@@ -38,6 +38,7 @@ from repro.enrichment.enricher import Enricher
 from repro.runner import CorpusRunner, RetryPolicy, RunnerConfig
 from repro.web.faults import (
     FAULT_PROFILES,
+    FLAKY_MAX_DEAD_ATTEMPTS,
     FaultEngine,
     FaultProfile,
     fault_profile,
@@ -45,6 +46,8 @@ from repro.web.faults import (
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.network import ConnectionFailed, Network
 from repro.web.resilient import (
+    BACKOFF_BASE_SECONDS,
+    BACKOFF_JITTER,
     CircuitBreaker,
     FaultTelemetry,
     ResiliencePolicy,
@@ -54,7 +57,7 @@ from repro.web.site import Page, Website
 from repro.web.tls import TLSCertificate
 
 SEED, SCALE, FAULT_SEED = 31, 0.02, 77
-FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.001, max_delay=0.01, jitter=0.0)
+FAST_RETRY = RetryPolicy(max_attempts=2)
 
 
 def _hostile_corpus():
@@ -137,7 +140,7 @@ class TestEngineDeterminism:
         traits = [engine.flaky_dead_attempts(host) for host in hosts]
         assert traits == [engine.flaky_dead_attempts(host) for host in hosts]
         assert any(traits)  # fraction 0.30 over 64 hosts
-        assert all(t <= fault_profile("hostile").flaky_max_dead_attempts for t in traits)
+        assert all(t <= FLAKY_MAX_DEAD_ATTEMPTS for t in traits)
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +299,19 @@ class TestRetryBudget:
         assert telemetry.budget_exhausted
         assert telemetry.retries == policy.retry_budget_per_message
         assert telemetry.requests_attempted == policy.retry_budget_per_message + 1
+
+
+class TestBackoff:
+    def test_backoff_grows_and_caps(self):
+        fetcher = ResilientFetcher(None, rng=SimpleNamespace(random=lambda: 0.0))
+        delays = [fetcher.backoff_delay(None, attempt) for attempt in range(1, 10)]
+        assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0, 30.0]
+
+    def test_jitter_bounded(self, rng):
+        fetcher = ResilientFetcher(None, rng=rng)
+        for _ in range(50):
+            delay = fetcher.backoff_delay(None, 1)
+            assert BACKOFF_BASE_SECONDS <= delay <= BACKOFF_BASE_SECONDS * (1 + BACKOFF_JITTER)
 
 
 class TestRetryAfter:

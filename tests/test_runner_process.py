@@ -34,7 +34,7 @@ from repro.runner import (
 
 SEED, SCALE = 31, 0.02
 CONFIG = RunnerConfig(seed=SEED, scale=SCALE)
-FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.001, max_delay=0.01, jitter=0.0)
+FAST_RETRY = RetryPolicy(max_attempts=2)
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +196,7 @@ class TestWorkerCrash:
         # the resilient crawl path compose — the run completes with zero
         # dead letters and the retried record is checkpointed exactly once.
         flaky = 2
-        retry = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01, jitter=0.0)
+        retry = RetryPolicy(max_attempts=3)
         runner = _runner(
             runner_corpus,
             config=RunnerConfig(
