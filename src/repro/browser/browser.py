@@ -78,10 +78,6 @@ class VisitResult:
     def final_response(self) -> HttpResponse | None:
         return self.responses[-1] if self.responses else None
 
-    def screenshot(self):
-        session = self.final_session
-        return session.screenshot() if session is not None else None
-
 
 class Browser:
     """A scriptable client over the network fabric."""

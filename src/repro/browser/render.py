@@ -5,17 +5,70 @@ login box with title, labelled input fields, a submit button, and a
 footer.  Clones of the same spec rasterise identically; small noise,
 crops, victim-email overlays, and hue rotations perturb pixels without
 destroying the grayscale structure the fuzzy hashes read.
+
+A screenshot is a pure function of a small *screenshot key* (see
+``PageSession.screenshot_key``): ``("visual", spec, overlay_text,
+logo_label, dynamic_hue)`` for a page with a :class:`VisualSpec`, or
+``("lines", lines)`` for a text-only page.  :func:`render_screenshot`
+is the one render path from such a key.  Phishing kits clone the same
+few brand pages, so a corpus run sees a handful of distinct keys;
+:func:`screenshot_fingerprint` therefore memoises the ``(phash,
+dhash)`` pair per key in a bounded LRU (``SCREENSHOT_MEMO_SIZE``
+entries of two ints each, never pixels).  The logo subrequest and the
+signals read that produce a key happen outside the memo, so request
+logs and fault draws are the same on a hit as on a miss.
 """
 
 from __future__ import annotations
 
+from repro._memo import LRU
 from repro.imaging.effects import hue_rotate
 from repro.imaging.image import Image
-from repro.imaging.render import render_text
+from repro.imaging.phash import fingerprint
+from repro.imaging.render import render_lines, render_text
 from repro.web.site import VisualSpec
 
 PAGE_WIDTH = 320
 PAGE_HEIGHT = 260
+
+#: Distinct screenshot keys whose fingerprints are kept.  A seed-1 run
+#: at scale 0.05 sees 17; each entry is a key plus two ints.
+SCREENSHOT_MEMO_SIZE = 512
+
+_SCREENSHOT_MEMO: LRU[tuple[int, int]] = LRU(SCREENSHOT_MEMO_SIZE)
+
+
+def render_screenshot(key: tuple) -> Image:
+    """Rasterise a screenshot key (see the module docstring)."""
+    if key[0] == "lines":
+        return render_lines(list(key[1]), scale=2)
+    _, spec, overlay_text, logo_label, dynamic_hue = key
+    logo_image = None
+    if logo_label is not None:
+        logo_image = render_text(logo_label, scale=1, margin=1)
+    image = render_visual(spec, overlay_text=overlay_text, logo_image=logo_image)
+    if dynamic_hue and not spec.hue_rotate_deg:
+        image = hue_rotate(image, dynamic_hue)
+    return image
+
+
+def screenshot_fingerprint(key: tuple) -> tuple[int, int]:
+    """``(phash, dhash)`` of ``render_screenshot(key)``, memoised per key."""
+    pair = _SCREENSHOT_MEMO.get(key)
+    if pair is None:
+        pair = fingerprint(render_screenshot(key))
+        _SCREENSHOT_MEMO.put(key, pair)
+    return pair
+
+
+def screenshot_memo_info() -> dict:
+    """Hit/miss/size counters of the screenshot fingerprint memo."""
+    return _SCREENSHOT_MEMO.info()
+
+
+def clear_screenshot_memo() -> None:
+    """Drop all memoised fingerprints and reset the counters."""
+    _SCREENSHOT_MEMO.clear()
 
 
 def render_visual(

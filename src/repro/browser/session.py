@@ -18,9 +18,8 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.browser.dom import parse_html
 from repro.browser.hosts import install_browser_hosts
-from repro.browser.render import render_visual
+from repro.browser.render import render_screenshot, screenshot_fingerprint
 from repro.imaging.image import Image
-from repro.imaging.render import render_lines
 from repro.js.interp import Interpreter, JSError, JSObject, UNDEFINED, NativeFunction, to_js_string
 from repro.web.http import HttpResponse
 from repro.web.urls import ParsedUrl, UrlError, parse_url
@@ -351,25 +350,34 @@ class PageSession:
 
     def screenshot(self) -> Image:
         """Rasterise the page as the paper's pipeline does after load."""
+        return render_screenshot(self.screenshot_key())
+
+    def fingerprint(self) -> tuple[int, int]:
+        """``(phash, dhash)`` of :meth:`screenshot`, memoised per key."""
+        return screenshot_fingerprint(self.screenshot_key())
+
+    def screenshot_key(self) -> tuple:
+        """Everything the screenshot's pixels depend on.
+
+        Issues the logo subrequest and reads :meth:`signals` exactly as
+        rendering always has, so request logs and fault draws do not
+        depend on whether the fingerprint memo hits.
+        """
         visual = getattr(self.response, "visual", None)
-        overlay = getattr(self.response, "overlay_text", None)
         if visual is None:
             title = self.parsed.title or self.url.host
             words = (self.parsed.text or " ").split()
             lines = [title.upper()[:36]] + [
                 " ".join(words[i : i + 6]).upper()[:36] for i in range(0, min(len(words), 18), 6)
             ]
-            return render_lines([line or " " for line in lines], scale=2)
-        logo_image = self._fetch_logo(visual)
-        image = render_visual(visual, overlay_text=overlay, logo_image=logo_image)
+            return ("lines", tuple(line or " " for line in lines))
+        overlay = getattr(self.response, "overlay_text", None)
+        logo_label = self._fetch_logo(visual)
         dynamic_hue = self.signals().hue_rotation_deg
-        if dynamic_hue and not visual.hue_rotate_deg:
-            from repro.imaging.effects import hue_rotate
+        return ("visual", visual, overlay, logo_label, dynamic_hue)
 
-            image = hue_rotate(image, dynamic_hue)
-        return image
-
-    def _fetch_logo(self, visual) -> Image | None:
+    def _fetch_logo(self, visual) -> str | None:
+        """Fetch a hotlinked logo; the label the render draws, or None."""
         if not visual.logo_url:
             return None
         absolute = self.resolve_url(visual.logo_url)
@@ -378,6 +386,4 @@ class PageSession:
         response = self.browser.subrequest("GET", absolute, referrer=self.url.raw, kind="resource")
         if response is None or response.status != 200:
             return None
-        from repro.imaging.render import render_text
-
-        return render_text((getattr(response, "logo_text", None) or absolute.host)[:10].upper(), scale=1, margin=1)
+        return (getattr(response, "logo_text", None) or absolute.host)[:10].upper()

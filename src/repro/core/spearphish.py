@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.imaging.image import Image
-from repro.imaging.phash import dhash, hamming_distance, phash
+from repro.imaging.phash import fingerprint, hamming_distance
 
 #: Default per-hash Hamming-distance threshold (out of 64 bits), chosen
 #: "manually ... tailored to our needs" per the paper.
@@ -50,8 +50,9 @@ class SpearPhishClassifier:
 
     # ------------------------------------------------------------------
     def add_reference(self, brand: str, screenshot: Image) -> None:
+        reference_phash, reference_dhash = fingerprint(screenshot)
         self.references.append(
-            ReferencePage(brand=brand, phash=phash(screenshot), dhash=dhash(screenshot))
+            ReferencePage(brand=brand, phash=reference_phash, dhash=reference_dhash)
         )
 
     @classmethod
@@ -83,21 +84,18 @@ class SpearPhishClassifier:
         crawler = NotABot(network, rng=random.Random(99))
         references = []
         for brand in brands:
-            result = crawler.crawl_url(f"https://{brand.login_domain}/")
-            screenshot = result.screenshot()
-            if screenshot is not None:
+            session = crawler.crawl_url(f"https://{brand.login_domain}/").final_session
+            if session is not None:
+                reference_phash, reference_dhash = session.fingerprint()
                 references.append(
-                    ReferencePage(
-                        brand=brand.name, phash=phash(screenshot), dhash=dhash(screenshot)
-                    )
+                    ReferencePage(brand=brand.name, phash=reference_phash, dhash=reference_dhash)
                 )
         return tuple(references)
 
     # ------------------------------------------------------------------
     def match(self, screenshot: Image) -> SpearMatch | None:
         """The closest reference within threshold on *both* hashes."""
-        candidate_phash = phash(screenshot)
-        candidate_dhash = dhash(screenshot)
+        candidate_phash, candidate_dhash = fingerprint(screenshot)
         best: SpearMatch | None = None
         for reference in self.references:
             p_distance = hamming_distance(candidate_phash, reference.phash)
@@ -110,8 +108,7 @@ class SpearPhishClassifier:
 
     def match_with_single_hash(self, screenshot: Image, which: str) -> SpearMatch | None:
         """Ablation helper: classify using only pHash or only dHash."""
-        candidate_phash = phash(screenshot)
-        candidate_dhash = dhash(screenshot)
+        candidate_phash, candidate_dhash = fingerprint(screenshot)
         best: SpearMatch | None = None
         for reference in self.references:
             p_distance = hamming_distance(candidate_phash, reference.phash)

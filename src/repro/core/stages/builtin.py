@@ -26,7 +26,7 @@ from repro.core.outcomes import (
 )
 from repro.core.stages.base import AnalysisContext, Token
 from repro.core.stages.plan import register_stage
-from repro.imaging.phash import dhash, hamming_distance, phash
+from repro.imaging.phash import hamming_distance
 from repro.mail.auth import evaluate_authentication
 from repro.web.dns import NxDomainError
 from repro.web.faults import FaultError
@@ -211,9 +211,7 @@ class CrawlStage:
             and page_class
             in (PageClass.LOGIN_FORM, PageClass.GATED_LOGIN, PageClass.INTERACTION, PageClass.BENIGN)
         ):
-            screenshot = session.screenshot()
-            screenshot_phash = phash(screenshot)
-            screenshot_dhash = dhash(screenshot)
+            screenshot_phash, screenshot_dhash = session.fingerprint()
 
         resource_requests = tuple(
             (request.url, request.kind, request.referrer)

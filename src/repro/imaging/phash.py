@@ -12,6 +12,8 @@ with ``np.add.reduceat`` over *integer* per-mille BT.601 luminance
 independent of summation order — the vectorized fast path is
 bit-identical to a naive per-block double loop by construction (see
 ``tests/test_imaging_phash.py``), not merely close in floating point.
+:func:`fingerprint` feeds both hashes from one luminance array, since
+the classifier always wants the pair.
 
 The DCT is numpy's own FFT by Makhoul's reordering, so hashing needs no
 scipy.  Its coefficients differ from ``scipy.fft.dctn(norm="ortho")``
@@ -46,21 +48,25 @@ def _block_edges(src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends - starts
 
 
-def _resize_gray(image: Image, width: int, height: int) -> np.ndarray:
-    """Grayscale + block-mean resize to (height, width).
-
-    Block averaging (rather than nearest-neighbour) keeps the hash stable
-    under small noise, which is the whole point of a fuzzy hash.
-    """
+def _luma(image: Image) -> np.ndarray:
+    """Integer per-mille BT.601 luminance, one int32 per pixel."""
     pixels = image.pixels
     # The products are cast to int32 explicitly, so the result type does
     # not hang on NumPy's promotion rules (NumPy 1.x would pick uint16 for
     # uint8 times a small scalar and wrap).  int32 holds one pixel's
     # luminance (at most 255,000); block sums below use int64.
-    luma = sum(
+    return sum(
         np.multiply(pixels[..., channel], weight, dtype=np.int32)
         for channel, weight in enumerate(_LUMA_WEIGHTS)
     )
+
+
+def _block_mean(luma: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Block-mean resize of a luminance array to (height, width) gray levels.
+
+    Block averaging (rather than nearest-neighbour) keeps the hash stable
+    under small noise, which is the whole point of a fuzzy hash.
+    """
     y_starts, y_counts = _block_edges(luma.shape[0], height)
     x_starts, x_counts = _block_edges(luma.shape[1], width)
     # reduceat sums [starts[i], starts[i+1]); a non-increasing pair —
@@ -70,6 +76,11 @@ def _resize_gray(image: Image, width: int, height: int) -> np.ndarray:
     sums = np.add.reduceat(column_sums, y_starts, axis=0)
     counts = np.outer(y_counts, x_counts)
     return sums / (counts * 1000.0)
+
+
+def _resize_gray(image: Image, width: int, height: int) -> np.ndarray:
+    """Grayscale + block-mean resize to (height, width)."""
+    return _block_mean(_luma(image), width, height)
 
 
 def _dct_ortho(values: np.ndarray, axis: int) -> np.ndarray:
@@ -97,11 +108,7 @@ def phash(image: Image) -> int:
     and the top-left 8x8 low-frequency block (excluding the DC term for
     the median) is thresholded at its median.
     """
-    small = _resize_gray(image, 32, 32)
-    block = _dct_ortho(_dct_ortho(small, axis=0), axis=1)[:8, :8]
-    median = float(np.median(block.flatten()[1:]))  # exclude DC coefficient
-    bits = (block.flatten() > median).astype(np.uint8)
-    return _bits_to_int(bits)
+    return _phash_of_luma(_luma(image))
 
 
 def dhash(image: Image) -> int:
@@ -111,7 +118,25 @@ def dhash(image: Image) -> int:
     the raw sign of a near-zero difference would flip under noise or the
     slight luminance drift of a hue rotation.
     """
-    small = _resize_gray(image, 9, 8)
+    return _dhash_of_luma(_luma(image))
+
+
+def fingerprint(image: Image) -> tuple[int, int]:
+    """``(phash(image), dhash(image))`` from one luminance pass."""
+    luma = _luma(image)
+    return _phash_of_luma(luma), _dhash_of_luma(luma)
+
+
+def _phash_of_luma(luma: np.ndarray) -> int:
+    small = _block_mean(luma, 32, 32)
+    block = _dct_ortho(_dct_ortho(small, axis=0), axis=1)[:8, :8]
+    median = float(np.median(block.flatten()[1:]))  # exclude DC coefficient
+    bits = (block.flatten() > median).astype(np.uint8)
+    return _bits_to_int(bits)
+
+
+def _dhash_of_luma(luma: np.ndarray) -> int:
+    small = _block_mean(luma, 9, 8)
     bits = ((small[:, 1:] - small[:, :-1]) > 1.0).astype(np.uint8).flatten()
     return _bits_to_int(bits)
 

@@ -7,14 +7,15 @@ same few hundred distinct scripts thousands of times.  The cache
 returns the *same* ``Program`` object for identical sources — safe
 because AST nodes are plain dataclasses that the interpreter never
 mutates (all mutable evaluation state lives in ``Environment``).
+The LRU is the one :class:`repro._memo.LRU` the screenshot fingerprint
+memo also uses; its capacity is the constant ``PARSE_CACHE_SIZE``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 
+from repro._memo import LRU
 from repro.js import nodes as ast
 from repro.js.lexer import JSSyntaxError, Token, tokenize
 
@@ -533,54 +534,14 @@ class Parser:
         return ast.ObjectLiteral(entries)
 
 
-class _ParseCache:
-    """Thread-safe LRU of parsed programs keyed by source hash."""
+#: Distinct scripts kept parsed; a corpus run sees a few hundred.
+PARSE_CACHE_SIZE = 256
 
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._programs: OrderedDict[bytes, ast.Program] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(source: str) -> bytes:
-        return hashlib.blake2b(source.encode("utf-8"), digest_size=16).digest()
-
-    def get(self, key: bytes) -> ast.Program | None:
-        with self._lock:
-            program = self._programs.get(key)
-            if program is None:
-                self.misses += 1
-                return None
-            self._programs.move_to_end(key)
-            self.hits += 1
-            return program
-
-    def put(self, key: bytes, program: ast.Program) -> None:
-        with self._lock:
-            self._programs[key] = program
-            self._programs.move_to_end(key)
-            while len(self._programs) > self.maxsize:
-                self._programs.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._programs.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def info(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._programs),
-                "maxsize": self.maxsize,
-            }
+_PARSE_CACHE: LRU[ast.Program] = LRU(PARSE_CACHE_SIZE)
 
 
-_PARSE_CACHE = _ParseCache()
+def _source_key(source: str) -> bytes:
+    return hashlib.blake2b(source.encode("utf-8"), digest_size=16).digest()
 
 
 def parse_cache_info() -> dict:
@@ -597,7 +558,7 @@ def parse(source: str, use_cache: bool = True) -> ast.Program:
     """Parse PhishScript source into a program AST (LRU-cached)."""
     if not use_cache:
         return Parser(tokenize(source)).parse_program()
-    key = _ParseCache.key(source)
+    key = _source_key(source)
     program = _PARSE_CACHE.get(key)
     if program is None:
         program = Parser(tokenize(source)).parse_program()

@@ -362,7 +362,7 @@ class CheckpointStore:
                     )
                 )
                 continue
-            if data.get("message_index") is None:
+            if not isinstance(data, dict) or data.get("message_index") is None:
                 scan.issues.append(
                     LineIssue(
                         line_number=line_number,
@@ -480,22 +480,14 @@ class CheckpointStore:
                     continue
                 if not text:
                     continue
-                payload, separator, crc = text.rpartition(_CRC_SEPARATOR)
-                if separator:
-                    if _crc_suffix(payload) != crc:
-                        corrupt += 1
-                        continue
-                else:
-                    payload = text  # v1 line: no suffix to verify
-                try:
-                    index = json.loads(payload).get("message_index")
-                except json.JSONDecodeError:
+                data, issue = parse_record_line(text)
+                index = data.get("message_index") if isinstance(data, dict) else None
+                if issue is not None or not isinstance(index, int):
                     corrupt += 1
                     continue
-                if not isinstance(index, int):
-                    corrupt += 1
-                    continue
-                payloads[index] = payload
+                # The verbatim payload: a v2 line minus its CRC suffix,
+                # or the whole of a v1 line.
+                payloads[index] = text.rpartition(_CRC_SEPARATOR)[0] or text
             duplicates = lines_before - corrupt - len(payloads)
             survivors = sorted(payloads)
             retired = 0

@@ -1,9 +1,11 @@
-"""Hot-path caches: the JS parse LRU and the spear-reference memo.
+"""Hot-path caches: the JS parse LRU, the screenshot fingerprint memo
+and the spear-reference memo.
 
-Both caches are pure wins only if they are invisible: a cached parse
-must yield an AST equal to a fresh parse, and a memoized reference
-crawl must yield the same pHash/dHash reference set a fresh crawl
-would.  These tests pin the invisibility and the actually-caching
+All three are pure wins only if they are invisible: a cached parse
+must yield an AST equal to a fresh parse, a memoised fingerprint must
+equal the hashes of a freshly rendered screenshot, and a memoized
+reference crawl must yield the same pHash/dHash reference set a fresh
+crawl would.  These tests pin the invisibility and the actually-caching
 behaviour (hit counters, LRU eviction, per-key isolation).
 """
 
@@ -11,8 +13,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro._memo import LRU
+from repro.browser.render import (
+    SCREENSHOT_MEMO_SIZE,
+    _SCREENSHOT_MEMO,
+    clear_screenshot_memo,
+    render_screenshot,
+    screenshot_fingerprint,
+    screenshot_memo_info,
+)
+from repro.imaging.image import Image
+from repro.imaging.phash import dhash, phash
 from repro.js.parser import (
-    _ParseCache,
+    PARSE_CACHE_SIZE,
+    _source_key,
     clear_parse_cache,
     parse,
     parse_cache_info,
@@ -32,8 +46,10 @@ check(false) + check(false);
 @pytest.fixture(autouse=True)
 def fresh_cache():
     clear_parse_cache()
+    clear_screenshot_memo()
     yield
     clear_parse_cache()
+    clear_screenshot_memo()
 
 
 class TestParseCache:
@@ -50,6 +66,7 @@ class TestParseCache:
         assert second is first  # shared immutable AST, no reparse
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
+        assert after["maxsize"] == PARSE_CACHE_SIZE
 
     def test_different_sources_do_not_collide(self):
         a = parse("var x = 1;")
@@ -73,8 +90,8 @@ class TestParseCache:
         assert parse(SCRIPT) is not first  # reparsed after eviction
 
     def test_lru_evicts_least_recently_used(self):
-        cache = _ParseCache(maxsize=2)
-        key_a, key_b, key_c = (_ParseCache.key(s) for s in ("a;", "b;", "c;"))
+        cache = LRU(maxsize=2)
+        key_a, key_b, key_c = (_source_key(s) for s in ("a;", "b;", "c;"))
         cache.put(key_a, parse("a;", use_cache=False))
         cache.put(key_b, parse("b;", use_cache=False))
         assert cache.get(key_a) is not None  # touch a: b becomes LRU
@@ -94,6 +111,128 @@ class TestParseCache:
             program = parse(SCRIPT, use_cache=use_cache)
             results.append(interpreter.run_program(program, interpreter.globals))
         assert results[0] == results[1] == results[2] == 30
+
+
+def _analyse(world, messages) -> list[bytes]:
+    from repro.core import CrawlerBox
+    from repro.core.export import record_to_wire
+
+    box = CrawlerBox.for_world(world)
+    return [record_to_wire(box.analyze(message, index)) for index, message in enumerate(messages)]
+
+
+def _hotlinking_session(small_corpus):
+    """A crawled landing page whose screenshot fetches the brand's logo."""
+    from repro.core import CrawlerBox
+
+    box = CrawlerBox.for_world(small_corpus.world)
+    box.crawler.retain_results = True
+    for index, message in enumerate(small_corpus.messages):
+        box.analyze(message, index)
+        for result in box.crawler.crawled:
+            for session in result.sessions:
+                visual = getattr(session.response, "visual", None)
+                if visual is not None and visual.logo_url:
+                    return session
+        box.crawler.crawled.clear()
+    raise AssertionError("expected a page that hotlinks its brand's logo")
+
+
+class TestScreenshotMemo:
+    def test_fingerprint_equals_fresh_hashes_for_every_crawled_session(self, small_corpus):
+        from repro.core import CrawlerBox
+
+        box = CrawlerBox.for_world(small_corpus.world)
+        box.crawler.retain_results = True
+        checked = 0
+        for index, message in enumerate(small_corpus.messages):
+            box.analyze(message, index)
+            for result in box.crawler.crawled:
+                for session in result.sessions:
+                    screenshot = session.screenshot()
+                    assert session.fingerprint() == (phash(screenshot), dhash(screenshot))
+                    checked += 1
+            box.crawler.crawled.clear()  # bound memory: sessions hold interpreters
+        info = screenshot_memo_info()
+        assert checked > 100
+        # Analysis plus this loop fingerprinted every session; most hit.
+        assert info["hits"] > info["misses"] > 0
+
+    def test_cold_and_warm_memo_give_identical_records(self):
+        from repro.dataset import CorpusGenerator
+
+        # A fresh (identical) world per pass: kit servers keep state
+        # across visits, so only the memo may differ between passes.
+        cold_corpus = CorpusGenerator(seed=2024, scale=0.03).generate()
+        cold = _analyse(cold_corpus.world, cold_corpus.messages)
+        cold_info = screenshot_memo_info()
+        warm_corpus = CorpusGenerator(seed=2024, scale=0.03).generate()
+        warm = _analyse(warm_corpus.world, warm_corpus.messages)
+        warm_info = screenshot_memo_info()
+        assert cold == warm
+        assert cold_info["misses"] > 0
+        # The warm pass renders nothing new.
+        assert warm_info["misses"] == cold_info["misses"]
+        assert warm_info["hits"] > cold_info["hits"]
+
+    def test_memo_hit_still_issues_logo_subrequest(self, small_corpus):
+        session = _hotlinking_session(small_corpus)
+        logo_url = session.resolve_url(session.response.visual.logo_url)
+        portal = small_corpus.world.network.website(logo_url.host)
+        issued = []
+        subrequest = session.browser.subrequest
+
+        def logging_subrequest(method, url, *args, **kwargs):
+            issued.append((url.raw, kwargs.get("kind")))
+            return subrequest(method, url, *args, **kwargs)
+
+        session.browser.subrequest = logging_subrequest
+        session.fingerprint()  # miss or hit, depending on earlier tests
+        before = screenshot_memo_info()
+        served_before = len(portal.access_log)
+        pair = session.fingerprint()
+        after = screenshot_memo_info()
+        assert after["hits"] == before["hits"] + 1
+        assert issued == [(logo_url.raw, "resource")] * 2
+        # The impersonated organisation sees the hotlink on a hit too.
+        assert len(portal.access_log) == served_before + 1
+        assert pair == session.fingerprint()
+
+    def test_keys_differing_in_one_render_input_render_different_pixels(self):
+        from repro.kits.brands import COMPANY_BRANDS
+
+        spec = COMPANY_BRANDS[0].spec
+        assert not spec.hue_rotate_deg
+        base = ("visual", spec, None, None, 0.0)
+        variants = (
+            ("visual", spec, "victim@example.com", None, 0.0),
+            ("visual", spec, None, "EVILCORP", 0.0),
+            ("visual", spec, None, None, 30.0),
+        )
+        base_pixels = render_screenshot(base).pixels
+        for key in variants:
+            assert key != base
+            assert not (render_screenshot(key).pixels == base_pixels).all(), key
+
+    def test_memo_stores_int_pairs_and_evicts_at_its_constant(self):
+        from repro.kits.brands import COMPANY_BRANDS
+
+        first = ("visual", COMPANY_BRANDS[0].spec, None, None, 0.0)
+        pair = screenshot_fingerprint(first)
+        assert pair == (phash(render_screenshot(first)), dhash(render_screenshot(first)))
+        for index in range(SCREENSHOT_MEMO_SIZE):
+            screenshot_fingerprint(("lines", (f"PAGE {index}",)))
+        stored = list(_SCREENSHOT_MEMO._entries.values())
+        assert len(stored) == SCREENSHOT_MEMO_SIZE == screenshot_memo_info()["maxsize"]
+        assert all(
+            isinstance(value, tuple) and len(value) == 2
+            and all(type(half) is int for half in value)
+            for value in stored
+        )
+        assert not any(isinstance(half, Image) for value in stored for half in value)
+        misses = screenshot_memo_info()["misses"]
+        assert screenshot_fingerprint(first) == pair  # evicted: recomputed
+        assert screenshot_memo_info()["misses"] == misses + 1
 
 
 class TestSpearReferenceMemo:

@@ -294,6 +294,26 @@ class TestCompaction:
         # Surviving payloads are preserved verbatim: index 0 is the NEW one.
         assert [e["tag"] for e in scan.entries] == ["new", "a", "v1"]
 
+    def test_valid_json_that_is_not_a_record_counts_as_corrupt(self, tmp_path):
+        # v1 lines (no CRC suffix) that decode to a non-dict, or that
+        # Python's int parser refuses, are corrupt lines, not exceptions.
+        store = CheckpointStore(tmp_path)
+        _write_lines(store, [
+            _payload(0),
+            "42",
+            "1" * 5000,
+            encode_record_line(_payload(1)),
+        ])
+        scan = store.scan()
+        assert [issue.line_number for issue in scan.issues] == [2, 3]
+        result = store.compact()
+        assert (result.lines_before, result.lines_after) == (4, 2)
+        assert result.corrupt_dropped == 2
+        assert result.duplicates_dropped == 0
+        scan = store.scan()
+        assert not scan.issues
+        assert [entry["message_index"] for entry in scan.entries] == [0, 1]
+
     def test_retain_keeps_newest_indices(self, tmp_path):
         store = CheckpointStore(tmp_path)
         _write_lines(store, [encode_record_line(_payload(i)) for i in range(10)])
