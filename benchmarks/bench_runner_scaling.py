@@ -9,9 +9,14 @@ byte-identical records.
 Interpretation note: the analysis pipeline is pure CPython, so only
 the *process* transport — each worker rebuilds the world from a
 picklable :class:`RunnerConfig` — can take ``--jobs N`` past one core.
-Process measurements prewarm the worker pool first, so timed runs
-capture analysis throughput, not corpus regeneration; the inline row
-is the single-process baseline they are compared against.
+Each rate counts records landed from the run's first landed record to
+its last (the window of perfbench's ``msg_per_s``), so the workers'
+world rebuild stays out of it and timed runs capture analysis
+throughput; the inline row is the single-process baseline they are
+compared against.  Runs dispatch one message at a time: each record
+lands as soon as it is analysed, so the window never opens on other
+workers' half-finished batches, whose records would land inside it
+and inflate the rate at ``jobs`` > 1.
 
 Honest reporting on small hosts: a speedup ratio measured with more
 workers than schedulable cores is noise, not signal — CI containers
@@ -39,7 +44,6 @@ import time
 from repro.core import CrawlerBox
 from repro.core.export import export_records
 from repro.runner import CorpusRunner, RunnerConfig
-from repro.runner.executor import prewarm_process_pool
 from repro.runner.pool import effective_cpu_count
 
 JOB_COUNTS = (1, 2, 4, 8)
@@ -57,13 +61,24 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "0"))
 _GATE_JOBS = 4
 
 
-def _make_runner(corpus, executor: str, jobs: int, seed: int, scale: float):
+def _make_runner(corpus, executor: str, jobs: int, seed: int, scale: float,
+                 progress=None):
     return CorpusRunner(
         box=CrawlerBox.for_world(corpus.world) if executor == "inline" else None,
         jobs=jobs,
         executor=executor,
         config=RunnerConfig(seed=seed, scale=scale),
+        progress=progress,
+        progress_every=1,
+        batch_size=1,
     )
+
+
+def _landed_rate(landed: list[float]) -> float:
+    """Records per second after the first landed one, over the span
+    from the first landed record to the last."""
+    later = [t for t in landed if t > landed[0]]
+    return len(later) / (landed[-1] - landed[0]) if later else 0.0
 
 
 def _measure(corpus, sample, executor: str, job_counts, seed: int, scale: float):
@@ -71,17 +86,13 @@ def _measure(corpus, sample, executor: str, job_counts, seed: int, scale: float)
     throughputs: dict[int, float] = {}
     exports: dict[int, str] = {}
     for jobs in job_counts:
-        if executor == "process":
-            # Park a ready pool at this exact width so the timed run
-            # reuses warm workers instead of paying their world build.
-            prewarm_process_pool(RunnerConfig(seed=seed, scale=scale), jobs)
-        runner = _make_runner(corpus, executor, jobs, seed, scale)
-        started = time.perf_counter()
+        landed: list[float] = []
+        runner = _make_runner(corpus, executor, jobs, seed, scale,
+                              progress=lambda *_: landed.append(time.perf_counter()))
         result = runner.run(sample)
-        elapsed = time.perf_counter() - started
         assert len(result.records) == len(sample)
         assert not result.dead_letters
-        throughputs[jobs] = len(result.records) / elapsed
+        throughputs[jobs] = _landed_rate(landed)
         exports[jobs] = json.dumps(export_records(result.records))
     return throughputs, exports
 

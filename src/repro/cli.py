@@ -707,14 +707,6 @@ def cmd_serve(args) -> int:
     print(f"repro serve: drained ({daemon.completed} completed, "
           f"{daemon.shed} shed, {daemon.rejected} rejected); "
           f"manifest status 'stopped'.", flush=True)
-    # The drain parks the process engine's workers in the warm registry
-    # for in-process reuse; this process is exiting, so tear them down
-    # now — multiprocessing's own atexit join can run before the
-    # registry's, leaving the drained daemon blocked on parked workers
-    # that were never told to stop.
-    from repro.runner.pool import drop_warm_pool
-
-    drop_warm_pool()
     return code
 
 

@@ -76,9 +76,6 @@ class GeneratedCorpus:
     calibration: Calibration
     scale: float
 
-    def plans_by_role(self, role: str) -> list[DomainPlan]:
-        return [plan for plan in self.domain_plans if plan.role == role]
-
 
 # ----------------------------------------------------------------------
 # Exact-sum domain picking for feature budgets

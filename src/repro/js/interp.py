@@ -217,7 +217,6 @@ class Interpreter:
 
         self._budget = current_budget()
         self.rng = rng or random.Random(0)
-        self._clock_value = 0.0
         self.clock_ms = clock_ms or self._default_clock
         self.timers: list[Timer] = []
         #: Called whenever a ``debugger`` statement executes.
@@ -230,10 +229,7 @@ class Interpreter:
 
     def _default_clock(self) -> float:
         """A fake monotonic clock advancing 1 ms per 1000 steps."""
-        return self._clock_value + self.steps / 1000.0
-
-    def advance_clock(self, ms: float) -> None:
-        self._clock_value += ms
+        return self.steps / 1000.0
 
     # ------------------------------------------------------------------
     # Public API

@@ -19,8 +19,9 @@ the per-message pipeline in a production-style engine:
   CrawlerBox) and ``process`` (workers rebuild their world from a
   picklable :class:`RunnerConfig`, so the CPU-bound analysis scales
   past the GIL).
-- :mod:`~repro.runner.pool` — worker-process lifecycle, result frames,
-  and warm pool reuse for the process transport.
+- :mod:`~repro.runner.pool` — worker-process lifecycle and result
+  frames for the process transport; a pool lives as long as the run or
+  daemon that opened it.
 - :mod:`~repro.runner.profile` — per-stage wall-clock timing
   (``repro run --profile``), mergeable across processes.
 - :mod:`~repro.runner.runner` — the :class:`CorpusRunner` facade.

@@ -22,10 +22,11 @@ it, :func:`analyse_batch`.  Two transports carry it:
   It runs one message per :meth:`InlineTransport.get`, so records land
   one at a time and a drain stops after the current message.
 
-:class:`Scheduler` is the only policy over both: batch dispatch,
-isolated retries, dead letters, stall quarantine, and drain.  Worker
-lifecycle (spawn, sentinel-based death detection, stall ticks, warm
-reuse across runs) lives in :mod:`repro.runner.pool`.
+Both transports open with a ``ready`` message per worker, the only
+handshake, and end with ``stop``.  :class:`Scheduler` is the only
+policy over both: batch dispatch, isolated retries, dead letters, stall
+quarantine, and drain.  Worker lifecycle (spawn, sentinel-based death
+detection, stall ticks) lives in :mod:`repro.runner.pool`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import queue
 import time
 from dataclasses import dataclass
 
-from repro.runner.pool import ResultBatcher, RespawnGovernor, prewarm, unpack_frame
+from repro.runner.pool import ResultBatcher, RespawnGovernor, unpack_frame
 from repro.runner.retry import TransientFault
 
 #: Default seconds of total silence (no results, no crashes, work
@@ -340,13 +341,6 @@ def _worker_main(worker_id: int, config: RunnerConfig, inq, outq) -> None:
         if command[0] == "stop":
             _farewell(box, outq, worker_id)
             return
-        if command[0] == "sync":
-            # Warm-reuse handshake: the echo proves the result queue
-            # holds nothing older from this worker, and — because this
-            # loop only runs after ``config.build()`` — that the worker
-            # is fully initialized.
-            outq.put(("synced", worker_id, command[1]))
-            continue
         if command[0] == "eml-batch":
             # Service-mode dispatch (``repro serve``): submissions are
             # raw RFC-822 bytes that do not exist in the regenerated
@@ -364,27 +358,17 @@ def _worker_main(worker_id: int, config: RunnerConfig, inq, outq) -> None:
             pass
 
 
-def prewarm_process_pool(config: RunnerConfig, jobs: int, timeout: float = 300.0) -> None:
-    """Build and park a warm worker pool for ``config``.
-
-    Benchmarks call this before timed runs so measurements capture
-    analysis throughput rather than corpus regeneration; ordinary runs
-    get the same effect implicitly from the warm registry.
-    """
-    prewarm(_worker_main, config, jobs, timeout=timeout)
-
-
 # ----------------------------------------------------------------------
 # Inline transport
 # ----------------------------------------------------------------------
 class InlineTransport:
     """An in-process stand-in for :class:`~repro.runner.pool.WorkerPool`.
 
-    One always-ready "worker" (id 0) that runs :func:`analyse_batch` on
-    the caller's live ``box``, resolving indices through
-    ``message_at``.  Commands queue on :meth:`send`; the work happens
-    inside :meth:`get`, one message per call, on the caller's thread —
-    so the messages that come back are exactly a worker's (``frame``,
+    One "worker" (id 0) that runs :func:`analyse_batch` on the caller's
+    live ``box``, resolving indices through ``message_at``.  Commands
+    queue on :meth:`send`; the work happens inside :meth:`get`, one
+    message per call, on the caller's thread — so the messages that come
+    back are exactly a worker's (``ready`` first, then ``frame``,
     ``fail``, ``batch-done``), in the same order, and the scheduler
     cannot tell the transports apart.  Frames carry the live records
     next to their wire bytes, and failures the original exception.
@@ -404,10 +388,9 @@ class InlineTransport:
         self.box = box
         self.message_at = message_at
         self.workers = {0: None}
-        self.ready = {0}
         self.stall_timeout: float | None = None
         self._commands: queue.SimpleQueue = queue.SimpleQueue()
-        self._out: collections.deque = collections.deque()
+        self._out: collections.deque = collections.deque([("ready", 0)])
         self._batch = None
         self._batcher = ResultBatcher(self, 0, flush_records=1, live=True)
 
@@ -422,9 +405,6 @@ class InlineTransport:
         """Post a no-op wakeup (signal-handler safe: SimpleQueue.put is
         reentrant)."""
         self._commands.put(("wake",))
-
-    def note_ready(self, worker_id: int) -> None:
-        pass
 
     def get(self, timeout: float | None = None) -> tuple:
         """Next message; analyses the next queued message to make one."""
@@ -450,16 +430,13 @@ class InlineTransport:
             )
         return self._out.popleft()
 
-    def release(self, on_message=None) -> None:
-        """End of a run: hand the stage-timing snapshot to ``on_message``."""
-        _farewell(self.box, self, 0)
-        while self._out:
-            message = self._out.popleft()
-            if on_message is not None:
-                on_message(message)
-
     def stop(self, graceful: bool = True, on_message=None) -> None:
-        self.release(on_message if graceful else None)
+        """End of the driver: hand the stage-timing snapshot to
+        ``on_message`` (graceful stops only)."""
+        if graceful and on_message is not None:
+            _farewell(self.box, self, 0)
+            while self._out:
+                on_message(self._out.popleft())
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +458,6 @@ class Scheduler:
         self.batch = batch
         self.inflight: dict[int, set[int]] = {}
         self.idle: set[int] = set()
-        self.stopped: set[int] = set()
         #: Crash-loop protection: backoff between respawns, clean abort
         #: once the windowed crash budget is exhausted.
         self.governor = RespawnGovernor()
@@ -505,12 +481,6 @@ class Scheduler:
         self._last_progress = time.monotonic()
         graceful = True
         try:
-            # Ready workers (warm ones passed their init handshake in a
-            # previous run; the inline worker always is): feed them now
-            # instead of waiting for a "ready" that already happened.
-            for worker_id in sorted(pool.ready):
-                self.inflight.setdefault(worker_id, set())
-                self._dispatch(worker_id)
             draining = False
             while self.remaining and runner._fatal is None:
                 if runner._drain.is_set():
@@ -565,7 +535,6 @@ class Scheduler:
             self._dispatch(worker_id)
         elif kind == "ready":
             self._last_progress = time.monotonic()
-            self.pool.note_ready(worker_id)
             if not self.inflight.get(worker_id):
                 self._dispatch(worker_id)
         elif kind == "fail":
@@ -582,13 +551,11 @@ class Scheduler:
                 self._reap_stalled()
         elif kind == "profile":
             self.runner._merge_stage_snapshot(message[2])
-        elif kind == "stopped":
-            self.stopped.add(worker_id)
         elif kind == "init-failed":
             self.runner._set_fatal(
                 RuntimeError(f"worker {worker_id} failed to initialize: {message[2]}")
             )
-        # "wake" / stale "synced": no-op wakeups
+        # "wake": no-op wakeup
 
     def _handle_frame(self, worker_id: int, blob: bytes, shard, records=None) -> None:
         """Land one result frame: absorb the shard, append wire bytes.
@@ -641,8 +608,8 @@ class Scheduler:
 
     def _reap_worker(self, worker_id: int) -> None:
         """A process sentinel fired: charge the lost in-flight work."""
-        if worker_id in self.stopped or worker_id not in self.pool.workers:
-            return  # deliberate stop (resize/shutdown), already handled
+        if worker_id not in self.pool.workers:
+            return  # reaped for a stall, already charged
         process = self.pool.discard(worker_id)
         lost = sorted(self.inflight.pop(worker_id, set()) & self.remaining)
         self.idle.discard(worker_id)
@@ -695,7 +662,6 @@ class Scheduler:
             self.pool.discard(worker_id, terminate=True)
             lost = sorted(self.inflight.pop(worker_id, set()) & self.remaining)
             self.idle.discard(worker_id)
-            self.stopped.add(worker_id)  # sentinel fires later: ignore it
             stall = WorkerStalled(
                 f"worker produced no output for {self.stall_timeout:g}s with "
                 f"{len(lost)} job(s) in flight; reaped"
@@ -709,16 +675,12 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     def _finish(self, graceful: bool) -> None:
-        """Hand the transport back: a process pool parks warm after a
-        clean run and is torn down hard after a fatal one (worker state
-        is then suspect)."""
-        pool = self.pool
-        pool.stall_timeout = None
-        if graceful:
-            pool.release(
-                on_message=lambda message: self.runner._merge_stage_snapshot(message[2])
-                if message[0] == "profile"
-                else None,
-            )
-        else:
-            pool.stop(graceful=False)
+        """Stop the transport: after a clean run workers sign off and
+        ship their stage timings; after a fatal one they are terminated
+        (worker state is then suspect)."""
+        self.pool.stop(
+            graceful,
+            on_message=lambda message: self.runner._merge_stage_snapshot(message[2])
+            if message[0] == "profile"
+            else None,
+        )

@@ -1,13 +1,11 @@
-"""Persistent process worker pools: lifecycle, frames, and warm reuse.
+"""Process worker pools: lifecycle and result frames.
 
 The process backend's scaling ceiling was never the analysis — it was
 the plumbing around it: one pickled dict per message crossing the mp
-queue, a parent busy-polling ``outq.get`` at 250 ms, and a cold pool
-rebuild (corpus regeneration + CrawlerBox construction in every worker)
-for every run.  This module extracts that plumbing into one reusable
-layer shared by the batch :class:`~repro.runner.executor.Scheduler`,
-``resume``, and the serve daemon's
-:class:`~repro.serve.engine.ProcessEngine`:
+queue, and a parent busy-polling ``outq.get`` at 250 ms.  This module
+extracts that plumbing into one layer shared by the batch
+:class:`~repro.runner.executor.Scheduler`, ``resume``, and the serve
+daemon's :class:`~repro.serve.engine.ProcessEngine`:
 
 - **Result frames** — workers accumulate finished records as their
   final checkpoint wire bytes and ship *one* length-prefixed frame per
@@ -19,11 +17,10 @@ layer shared by the batch :class:`~repro.runner.executor.Scheduler`,
   and posts ``worker-died`` / ``stall-tick`` wakeups into the same
   queue, and drain paths post an explicit ``wake``.  No poll interval,
   no idle wakeups.
-- **Warm reuse** — a pool whose :class:`RunnerConfig` matches the next
-  run's is parked instead of torn down; acquisition re-syncs surviving
-  workers (draining any stale output) and they keep their built worlds.
-  Reuse is refused for configs whose workers accumulate run-scoped
-  state (``--profile`` timing, injected test faults).
+
+A pool lives exactly as long as the driver that opened it: one batch
+run or one daemon builds its workers' worlds once, and
+:meth:`WorkerPool.stop` ends every worker before the driver returns.
 
 The pool is mechanism only: drivers own scheduling policy (dispatch,
 retries, dead letters, quarantine).  Everything a driver consumes
@@ -34,7 +31,6 @@ in-process, so drivers run unchanged on either.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import pickle
 import queue as stdlib_queue
@@ -291,7 +287,7 @@ class WorkerPool:
     arrives via :meth:`get`:
 
     - worker messages: ``ready``, ``frame``, ``fail``, ``batch-done``,
-      ``profile``, ``stopped``, ``init-failed``, ``synced``
+      ``profile``, ``stopped``, ``init-failed``
     - watcher wakeups: ``("worker-died", worker_id)`` when a process
       sentinel fires, ``("stall-tick", -1)`` when no message has been
       consumed for ``stall_timeout`` seconds
@@ -308,18 +304,11 @@ class WorkerPool:
         self.outq = self.context.Queue()
         self.workers: dict[int, object] = {}
         self.inqs: dict[int, object] = {}
-        #: Workers known to be past init (announced ``ready`` to a prior
-        #: driver, then echoed a quiesce sync).  A fresh driver dispatches
-        #: to these immediately instead of waiting for a handshake that
-        #: already happened.
-        self.ready: set[int] = set()
         #: Seconds of total consumption silence before the watcher posts
         #: a ``stall-tick`` (None disables the watchdog, e.g. serve).
         self.stall_timeout: float | None = None
         self._lock = threading.Lock()
         self._next_worker_id = 0
-        self._sync_token = 0
-        self._held: list[tuple] = []
         self._last_traffic = time.monotonic()
         self._watch_stop = threading.Event()
         self._notified_dead: set[int] = set()
@@ -362,7 +351,6 @@ class WorkerPool:
         with self._lock:
             process = self.workers.pop(worker_id, None)
             inq = self.inqs.pop(worker_id, None)
-            self.ready.discard(worker_id)
         if inq is not None:
             inq.cancel_join_thread()
         if process is not None and terminate and process.is_alive():
@@ -370,33 +358,11 @@ class WorkerPool:
             process.join(timeout=_STOP_GRACE)
         return process
 
-    def note_ready(self, worker_id: int) -> None:
-        """Driver callback: this worker completed its init handshake."""
-        if worker_id in self.workers:
-            self.ready.add(worker_id)
-
-    def resize(self, jobs: int) -> tuple[list[int], list[int]]:
-        """Grow/shrink to ``jobs`` workers → ``(kept, spawned)`` ids.
-
-        Shrinking stops the newest workers without waiting; their
-        farewell messages are drained by the next :meth:`quiesce`.
-        """
-        with self._lock:
-            live = sorted(self.workers)
-        for worker_id in live[jobs:]:
-            self.send(worker_id, ("stop",))
-            self.discard(worker_id)
-        kept = live[:jobs]
-        spawned = [self.spawn() for _ in range(jobs - len(kept))]
-        return kept, spawned
-
     # ------------------------------------------------------------------
     # Message flow
     # ------------------------------------------------------------------
     def get(self, timeout: float | None = None):
-        """Next message (blocking).  Held messages replay first."""
-        if self._held:
-            return self._held.pop(0)
+        """Next message (blocking)."""
         if timeout is None:
             message = self.outq.get()
         else:
@@ -447,58 +413,8 @@ class WorkerPool:
                     return
 
     # ------------------------------------------------------------------
-    # Warm handoff
-    # ------------------------------------------------------------------
-    def quiesce(self, worker_ids: list[int], timeout: float = 60.0) -> None:
-        """Drain stale output until each listed worker echoes a sync.
-
-        Run between runs (no driver pumping): every surviving worker is
-        sent a ``("sync", token)``; its echo proves the queue holds
-        nothing older from it.  Stale frames/acks from the previous run
-        are dropped; a genuinely *new* ``ready``/``init-failed`` (a late
-        replacement spawn) is held for the next driver.  Workers that
-        neither echo nor die by the deadline are killed.
-        """
-        self._sync_token += 1
-        token = self._sync_token
-        waiting = {wid for wid in worker_ids if wid in self.workers}
-        for worker_id in waiting:
-            self.send(worker_id, ("sync", token))
-        deadline = time.monotonic() + timeout
-        while waiting:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                message = self.outq.get(timeout=min(_WATCH_INTERVAL, remaining))
-            except stdlib_queue.Empty:
-                for worker_id in list(waiting):
-                    process = self.workers.get(worker_id)
-                    if process is None or not process.is_alive():
-                        waiting.discard(worker_id)
-                        self.discard(worker_id)
-                continue
-            kind = message[0]
-            if kind == "synced" and message[2] == token:
-                waiting.discard(message[1])
-                self.note_ready(message[1])
-            elif kind == "worker-died":
-                if message[1] in waiting:
-                    waiting.discard(message[1])
-                    self.discard(message[1])
-            elif kind in ("ready", "init-failed") and message[1] not in worker_ids:
-                self._held.append(message)  # news for the next driver
-            # anything else is last run's stale output: dropped
-        for worker_id in waiting:  # wedged mid-sync: kill, don't reuse
-            self.discard(worker_id, terminate=True)
-
-    # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
-    def release(self, on_message=None) -> None:
-        """End of a run: park warm when eligible (see :func:`release_pool`)."""
-        release_pool(self, on_message=on_message)
-
     def stop(self, graceful: bool = True, on_message=None) -> None:
         """Stop every worker and the watcher.
 
@@ -536,88 +452,3 @@ class WorkerPool:
             inq.cancel_join_thread()
         self.workers.clear()
         self.inqs.clear()
-        self.ready.clear()
-
-
-# ----------------------------------------------------------------------
-# Warm registry
-# ----------------------------------------------------------------------
-_warm_lock = threading.Lock()
-_warm_pool: WorkerPool | None = None
-
-
-def warm_eligible(config) -> bool:
-    """Whether a pool built for ``config`` may be parked for reuse.
-
-    ``--profile`` workers accumulate run-scoped timing state that only
-    ships at stop, and the test fault injector (``RunnerConfig.fault``)
-    tracks how often it already fired — both would leak across runs, so
-    those pools always tear down gracefully instead.
-    """
-    return not getattr(config, "profile", False) and not getattr(config, "fault", "")
-
-
-def acquire_pool(target, config, jobs: int, name_prefix: str = "repro-pool") -> WorkerPool:
-    """A ready pool for ``(target, config)`` — warm if one is parked.
-
-    A parked pool with a matching config is resized and re-synced (its
-    workers keep their built corpus/CrawlerBox state); a mismatched one
-    is torn down.  Either way the caller owns the returned pool until
-    :func:`release_pool`.
-    """
-    global _warm_pool
-    with _warm_lock:
-        pool = _warm_pool
-        _warm_pool = None
-    if pool is not None:
-        if pool.target == target and pool.config == config:
-            kept, _ = pool.resize(jobs)
-            pool.quiesce(kept)
-            return pool
-        pool.stop(graceful=True)
-    return WorkerPool(target, config, jobs, name_prefix=name_prefix)
-
-
-def release_pool(pool: WorkerPool, on_message=None) -> None:
-    """Hand a pool back: park it warm when eligible, else stop it.
-
-    ``on_message`` receives farewell messages (``profile`` snapshots)
-    when the pool tears down gracefully.
-    """
-    global _warm_pool
-    if not warm_eligible(pool.config):
-        pool.stop(graceful=True, on_message=on_message)
-        return
-    pool.stall_timeout = None
-    with _warm_lock:
-        previous = _warm_pool
-        _warm_pool = pool
-    if previous is not None and previous is not pool:
-        previous.stop(graceful=True)
-
-
-def drop_warm_pool() -> None:
-    """Tear down any parked pool (tests, interpreter exit)."""
-    global _warm_pool
-    with _warm_lock:
-        pool = _warm_pool
-        _warm_pool = None
-    if pool is not None:
-        pool.stop(graceful=False)
-
-
-def prewarm(target, config, jobs: int, timeout: float = 300.0) -> None:
-    """Build and park a ready pool so the next run starts hot.
-
-    Waits for every worker's init (corpus regeneration + CrawlerBox
-    construction) to finish — benchmarks call this so timed runs measure
-    analysis throughput, not pool construction.
-    """
-    pool = acquire_pool(target, config, jobs)
-    with pool._lock:
-        worker_ids = list(pool.workers)
-    pool.quiesce(worker_ids, timeout=timeout)
-    release_pool(pool)
-
-
-atexit.register(drop_warm_pool)

@@ -126,13 +126,6 @@ class StageProfiler:
                 for name in sorted(self.stage_calls)
             }
 
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold another profiler's snapshot (e.g. a worker process's) in."""
-        with self._lock:
-            for name, entry in snapshot.items():
-                self.stage_calls[name] += int(entry["calls"])
-                self.stage_seconds[name] += float(entry["seconds"])
-
 
 def format_stage_report(stage_calls, stage_seconds) -> str:
     """A fixed-width per-stage table (stage, calls, total, per-call, share).

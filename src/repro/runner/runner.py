@@ -48,7 +48,7 @@ from repro.runner.executor import (
     Scheduler,
     _worker_main,
 )
-from repro.runner.pool import acquire_pool
+from repro.runner.pool import WorkerPool
 from repro.runner.retry import DeadLetter, RetryPolicy
 from repro.runner.stats import RunningStats
 
@@ -237,7 +237,7 @@ class CorpusRunner:
             fault = self.config.fault if self.config is not None else ""
             return InlineTransport(self.box, self._messages.__getitem__, fault), 1
         config = replace(self.config, profile=self.profiler is not None)
-        pool = acquire_pool(
+        pool = WorkerPool(
             _worker_main, config, min(self.jobs, pending), name_prefix="repro-proc-worker"
         )
         batch = self.batch_size or max(1, min(16, pending // (self.jobs * 4) or 1))

@@ -1,18 +1,18 @@
 """Persistent analysis engines: the runner's transports, fed forever.
 
 The batch :class:`~repro.runner.runner.CorpusRunner` takes a complete
-message list, runs it to exhaustion, and releases its transport.  A
+message list, runs it to exhaustion, and stops its transport.  A
 daemon needs the same two transports but *persistent*: built once at
 startup, fed micro-batches for as long as the daemon lives, and
 drained on shutdown.  One event loop (:class:`ProcessEngine`) drives
 either:
 
-- **process** — the same ``_worker_main`` loop as batch runs, on the
-  same warm :class:`~repro.runner.pool.WorkerPool` (so a daemon restart
-  with an unchanged config reuses the workers' built worlds), using its
-  service-mode ``eml-batch`` command: raw RFC-822 bytes ship to the
-  worker, which ingests and analyzes them against the world it rebuilt
-  from the picklable :class:`~repro.runner.executor.RunnerConfig`.
+- **process** — the same ``_worker_main`` loop as batch runs, on a
+  :class:`~repro.runner.pool.WorkerPool` that lives as long as the
+  engine, using its service-mode ``eml-batch`` command: raw RFC-822
+  bytes ship to the worker, which ingests and analyzes them against the
+  world it rebuilt (once, at startup) from the picklable
+  :class:`~repro.runner.executor.RunnerConfig`.
 - **inline** (:class:`InlineEngine`, ``--jobs 1``) — an
   :class:`~repro.runner.executor.InlineTransport` over a world built
   from the same config in the daemon's own process; it analyses the
@@ -44,7 +44,7 @@ from typing import Callable
 
 from repro.core.export import WireRecord
 from repro.runner.executor import InlineTransport, RunnerConfig, WorkerCrash, _worker_main
-from repro.runner.pool import RespawnGovernor, acquire_pool, unpack_frame
+from repro.runner.pool import RespawnGovernor, WorkerPool, unpack_frame
 from repro.runner.runner import resolve_executor
 from repro.runner.stats import RunningStats
 
@@ -86,11 +86,11 @@ class ProcessEngine:
     """The engine event loop; here over N worker processes.
 
     Submissions go out as ``eml-batch`` commands to whichever transport
-    :meth:`_open` returns.  On the shared
-    :class:`~repro.runner.pool.WorkerPool`, results arrive as batched
-    wire frames, worker deaths as sentinel-driven ``worker-died``
-    messages (no liveness polling), and :meth:`stop` parks the pool
-    warm for the next engine or batch run with the same config.
+    :meth:`_open` returns.  On a :class:`~repro.runner.pool.WorkerPool`,
+    results arrive as batched wire frames, worker deaths as
+    sentinel-driven ``worker-died`` messages (no liveness polling), and
+    :meth:`stop` ends every worker.  A worker takes submissions once its
+    ``ready`` arrives.
     """
 
     name = "process"
@@ -112,21 +112,20 @@ class ProcessEngine:
         self._inflight: dict[int, set[int]] = {}
         self._jobs: dict[int, ServeJob] = {}
         self._pending: list[ServeJob] = []
-        self._stopped_workers: set[int] = set()
         self._stopping = threading.Event()
         #: Crash-loop protection: a worker target that dies on arrival
         #: backs off exponentially and eventually trips on_fatal instead
         #: of spinning the reap/respawn loop forever.
         self._governor = RespawnGovernor()
         self._pool = self._open(config, jobs)
-        self._ready: set[int] = set(self._pool.ready)
+        self._ready: set[int] = set()
         self._loop = threading.Thread(
             target=self._event_loop, name="repro-serve-engine", daemon=True
         )
         self._loop.start()
 
     def _open(self, config: RunnerConfig, jobs: int):
-        return acquire_pool(_worker_main, config, jobs, name_prefix="repro-serve-worker")
+        return WorkerPool(_worker_main, config, jobs, name_prefix="repro-serve-worker")
 
     # ------------------------------------------------------------------
     def submit(self, jobs: list[ServeJob]) -> None:
@@ -156,7 +155,6 @@ class ProcessEngine:
             if kind in ("ready", "batch-done"):
                 with self._lock:
                     if worker_id in self._pool.workers:
-                        self._pool.note_ready(worker_id)
                         self._ready.add(worker_id)
                     self._dispatch_idle_locked()
             elif kind == "frame":
@@ -169,13 +167,11 @@ class ProcessEngine:
                     self.on_result(job, None, error)
             elif kind == "worker-died":
                 self._reap(worker_id)
-            elif kind == "stopped":
-                self._stopped_workers.add(worker_id)
             elif kind == "init-failed":
                 self.on_fatal(
                     f"serve worker {worker_id} failed to initialize: {message[2]}"
                 )
-            # "wake" / "stall-tick" / stale "synced": no-op wakeups
+            # "wake" / "stall-tick": no-op wakeups
 
     def _handle_frame(self, worker_id: int, blob: bytes, shard, records=None) -> None:
         entries = unpack_frame(blob)
@@ -206,11 +202,8 @@ class ProcessEngine:
     def _reap(self, worker_id: int) -> None:
         """A worker sentinel fired: charge its in-flight submissions."""
         with self._lock:
-            if (
-                worker_id in self._stopped_workers
-                or worker_id not in self._pool.workers
-            ):
-                return  # deliberate stop, already handled
+            if worker_id not in self._pool.workers:
+                return  # already reaped
             process = self._pool.discard(worker_id)
             lost = sorted(self._inflight.pop(worker_id, set()))
             self._ready.discard(worker_id)
@@ -244,10 +237,7 @@ class ProcessEngine:
         self._stopping.set()
         self._pool.wake()
         self._loop.join(timeout=_STOP_GRACE)
-        # Park a process pool warm (same config ⇒ the next daemon or
-        # batch run skips the per-worker world rebuild); ineligible
-        # configs tear down gracefully inside release_pool.
-        self._pool.release()
+        self._pool.stop()
 
 
 class InlineEngine(ProcessEngine):

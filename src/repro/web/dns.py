@@ -45,9 +45,6 @@ class DnsResolver:
     ) -> None:
         self._records[domain.lower()].append(DnsRecord(domain.lower(), ip, active_from, active_until))
 
-    def remove_domain(self, domain: str) -> None:
-        self._records.pop(domain.lower(), None)
-
     def resolve(self, domain: str, timestamp: float = 0.0, log: bool = True) -> str:
         """Resolve ``domain`` at a point in simulated time.
 

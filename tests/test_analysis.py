@@ -27,6 +27,14 @@ from repro.core.outcomes import MessageCategory
 BRANDS = ["amatravel", "skybooker", "contenthub", "revenuepro", "payroute", "microsoft"]
 
 
+def _assert_matches_ttest_rel(result, reference):
+    for ours, theirs in (
+        (result.t_statistic, float(reference.statistic)),
+        (result.p_value, float(reference.pvalue)),
+    ):
+        assert abs(ours - theirs) <= 1e-10 * abs(theirs), (ours, theirs)
+
+
 class TestStats:
     def test_moments(self):
         values = [1.0, 2.0, 3.0, 4.0]
@@ -84,6 +92,38 @@ class TestStats:
         b = [value + rng.gauss(0, 2) for value in a]
         result = stats.paired_t_test(a, b)
         assert 0.0 <= result.p_value <= 1.0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_paired_t_test_matches_scipy(self, seed):
+        """The incomplete-beta p-value equals scipy's ``ttest_rel``."""
+        from scipy.stats import ttest_rel
+
+        rng = random.Random(seed)
+        n = rng.choice([2, 3, 5, 10, 30, 200])
+        spread, shift = rng.uniform(1e-2, 1e3), rng.uniform(-2.0, 2.0)
+        a = [rng.gauss(0.0, spread) for _ in range(n)]
+        b = [value - shift * spread * rng.random() + rng.gauss(0.0, spread) for value in a]
+        _assert_matches_ttest_rel(stats.paired_t_test(a, b), ttest_rel(a, b))
+
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_paired_t_test_matches_scipy_on_figure2_series(self, ranked):
+        from scipy.stats import ttest_rel
+
+        from repro.dataset import CALIBRATION
+
+        a = [float(value) for value in CALIBRATION.monthly_malicious_2023]
+        b = [float(value) for value in CALIBRATION.monthly_malicious_2024]
+        if ranked:  # the pairing figure2 reports
+            a, b = sorted(a, reverse=True), sorted(b, reverse=True)
+        _assert_matches_ttest_rel(stats.paired_t_test(a, b), ttest_rel(a, b))
+
+    def test_paired_t_test_degenerate_differences(self):
+        same = stats.paired_t_test([1.0] * 5, [1.0] * 5)
+        assert math.isnan(same.t_statistic) and math.isnan(same.p_value)
+        up = stats.paired_t_test([2.0] * 5, [1.0] * 5)
+        down = stats.paired_t_test([1.0] * 5, [2.0] * 5)
+        assert (up.t_statistic, up.p_value) == (math.inf, 0.0)
+        assert (down.t_statistic, down.p_value) == (-math.inf, 0.0)
 
     def test_paired_requires_equal_length(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,12 @@
 Importing ``scipy.stats`` costs about a second, ``scipy.fft`` about a
 third of one and networkx 0.15–0.2 s, paid by every ``repro run``, pool
 worker and ``repro serve`` before (or, for the study report, after) its
-records.  The runtime path is numpy only: pHash computes its DCT with
-``np.fft`` and the infrastructure graph is a dict adjacency.  The one
-place left that imports scipy is ``analysis.stats.paired_t_test``
-(Figure 2 only), inside the function.  These checks run in a fresh
-interpreter, because the test process itself has long since loaded both.
+records.  The runtime is numpy only: pHash computes its DCT with
+``np.fft``, the infrastructure graph is a dict adjacency, and Figure 2's
+``analysis.stats.paired_t_test`` takes its p-value from the incomplete
+beta function.  scipy and networkx are dev-extra references for tests.
+These checks run in a fresh interpreter, because the test process itself
+has long since loaded both.
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ def test_study_report_leaves_scipy_stats_unloaded():
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    cli._print_study_report(records, corpus.world)\n"
         "assert 'Timelines:' in out.getvalue(), out.getvalue()\n"
+    )
+    assert loaded == []
+
+
+def test_figure2_t_test_loads_no_scipy():
+    loaded = _loaded_after(
+        "from repro.analysis.figures import figure2\n"
+        "assert 0.0 <= figure2([]).t_test.p_value <= 1.0\n"
     )
     assert loaded == []
 

@@ -11,8 +11,6 @@ that make that safe:
   parent would have serialized from the same record (so `repro fsck`,
   `repro compact`, resume, and salvage all keep working unchanged);
 - the frame codec round-trips exactly;
-- the warm pool hands back byte-identical records when a second run
-  reuses parked workers;
 - fault injection and the hostile corpus produce byte-identical
   checkpoint files on both transports;
 - worker-merged stats match inline accounting, and the inline and
@@ -43,8 +41,7 @@ from repro.runner import (
     encode_record_line,
     parse_record_line,
 )
-from repro.runner import pool as pool_module
-from repro.runner.pool import drop_warm_pool, pack_frame, unpack_frame
+from repro.runner.pool import pack_frame, unpack_frame
 
 SEED, SCALE = 31, 0.02
 CONFIG = RunnerConfig(seed=SEED, scale=SCALE)
@@ -152,44 +149,6 @@ class TestWorkerSerializedCheckpoint:
         line = (tmp_path / "plain" / "records.jsonl").read_text().rstrip("\n")
         assert "\t#crc32=" not in line
         assert line == record_to_line(record)
-
-
-# ----------------------------------------------------------------------
-# Warm pool reuse
-# ----------------------------------------------------------------------
-class TestWarmPoolReuse:
-    def test_second_run_reuses_workers_byte_identically(
-        self, plane_corpus, serial_records
-    ):
-        drop_warm_pool()
-        sample = plane_corpus.messages[:10]
-        first = _runner(plane_corpus).run(sample)
-        parked = pool_module._warm_pool
-        assert parked is not None  # the pool survived the run
-        pids = {process.pid for process in parked.workers.values()}
-        second = _runner(plane_corpus).run(sample)
-        reused = pool_module._warm_pool
-        assert reused is not None
-        assert {process.pid for process in reused.workers.values()} == pids
-        expected = json.dumps(export_records(serial_records[:10]))
-        assert json.dumps(export_records(first.records)) == expected
-        assert json.dumps(export_records(second.records)) == expected
-
-    def test_mismatched_config_rebuilds_the_pool(self, plane_corpus):
-        drop_warm_pool()
-        _runner(plane_corpus).run(plane_corpus.messages[:4])
-        parked = pool_module._warm_pool
-        assert parked is not None
-        pids = {process.pid for process in parked.workers.values()}
-        other = _runner(
-            plane_corpus,
-            config=RunnerConfig(seed=SEED, scale=SCALE, corpus_prefix=4),
-        )
-        result = other.run(plane_corpus.messages[:4])
-        assert not result.dead_letters
-        rebuilt = pool_module._warm_pool
-        assert rebuilt is not None
-        assert {process.pid for process in rebuilt.workers.values()}.isdisjoint(pids)
 
 
 # ----------------------------------------------------------------------

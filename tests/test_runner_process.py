@@ -11,12 +11,14 @@ The headline guarantees under test:
   resumes to completion with byte-identical records;
 - transient faults raised inside a worker retry and recover;
 - ``executor="auto"`` is inline at jobs=1 and process above, and a
-  transport that cannot run the request is refused up front.
+  transport that cannot run the request is refused up front;
+- no worker process outlives the run that spawned it.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -76,6 +78,11 @@ class TestProcessDeterminism:
         assert result.stats.stage_calls["auth"] == len(sample)
         assert result.stats.stage_seconds["crawl"] >= 0.0
         assert set(result.stats.as_dict()["stages"]) >= {"auth", "parse", "crawl"}
+
+    def test_no_worker_outlives_the_run(self, runner_corpus):
+        result = _runner(runner_corpus, jobs=2).run(runner_corpus.messages[:6])
+        assert len(result.records) == 6
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

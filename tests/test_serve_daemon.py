@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -272,6 +273,14 @@ class TestRestartByteIdentity:
                         client.submit_bytes(raw, reporter="acme")
                     client.wait_verdicts(timeout=240)
         assert _records_lines(process_dir) == _records_lines(inline_dir)
+
+    def test_drained_process_engine_leaves_no_worker(self, tmp_path):
+        with _daemon(tmp_path, executor="process", jobs=2) as daemon:
+            with ServeClient("127.0.0.1", daemon.port, timeout=240) as client:
+                for raw in MESSAGES[:3]:
+                    client.submit_bytes(raw, reporter="acme")
+                client.wait_verdicts(timeout=240)
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
