@@ -23,10 +23,13 @@ it, :func:`analyse_batch`.  Two transports carry it:
   one at a time and a drain stops after the current message.
 
 Both transports open with a ``ready`` message per worker, the only
-handshake, and end with ``stop``.  :class:`Scheduler` is the only
-policy over both: batch dispatch, isolated retries, dead letters, stall
-quarantine, and drain.  Worker lifecycle (spawn, sentinel-based death
-detection, stall ticks) lives in :mod:`repro.runner.pool`.
+handshake, and end with ``stop``.  :class:`Scheduler` is the one
+driver and policy over both: batch dispatch, isolated retries, dead
+letters, stall quarantine, and drain — for a batch run
+(:class:`~repro.runner.runner.CorpusRunner`) and for ``repro serve``
+(:class:`~repro.serve.engine.ProcessEngine`) alike.  Worker lifecycle
+(spawn, sentinel-based death detection, stall ticks) lives in
+:mod:`repro.runner.pool`.
 """
 
 from __future__ import annotations
@@ -39,12 +42,12 @@ from dataclasses import dataclass
 
 from repro.runner.pool import ResultBatcher, RespawnGovernor, unpack_frame
 from repro.runner.retry import TransientFault
+from repro.runner.stats import RunningStats
 
-#: Default seconds of total silence (no results, no crashes, work
-#: outstanding) before the parent reaps the stalled workers.  Far above
-#: any single-message analysis time; overridable per run via
-#: ``CorpusRunner(stall_timeout=...)``.
-_STALL_TIMEOUT = 60.0
+#: Seconds of total silence (no results, no crashes, work outstanding)
+#: before the scheduler reaps the stalled workers.  Far above any
+#: single-message analysis time.
+STALL_TIMEOUT = 60.0
 
 
 class WorkerCrash(TransientFault):
@@ -442,62 +445,122 @@ class InlineTransport:
 # ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
-class Scheduler:
-    """Drives one transport for one :class:`CorpusRunner` run.
+def stalled_record(message, index: int, attempts: int, stall_timeout: float, max_attempts: int):
+    """The quarantined record for a message that hard-wedged a worker on
+    every attempt: built from metadata (no analysis ever finished),
+    every stage ``skipped``, and a reason naming the stall watchdog."""
+    from repro.core.artifacts import MessageRecord
+    from repro.core.outcomes import MessageCategory
+    from repro.core.stages import registered_stage_names
+    from repro.core.stages.base import StageStatus
+    from repro.mail.guard import GuardViolation, QuarantineReport, triage_headers
 
-    The runner owns all durable state (checkpoint, manifest, stats,
-    dead letters); the transport (a :class:`~repro.runner.pool.
-    WorkerPool` or an :class:`InlineTransport`) owns workers and
-    wakeups; this class owns only scheduling policy: batch dispatch,
-    retry/crash accounting, stall quarantine, and drain.
+    record = MessageRecord(
+        message_index=index,
+        delivered_at=message.delivered_at,
+        recipient=message.recipient,
+        sender_domain=message.sender_domain,
+        ground_truth=dict(message.ground_truth),
+    )
+    record.category = MessageCategory.QUARANTINED
+    record.stage_status = {name: StageStatus.SKIPPED for name in registered_stage_names()}
+    record.quarantine = QuarantineReport(
+        reason=f"worker-stall: analysis wedged {attempts} worker(s); "
+        f"reaped after {stall_timeout:g}s of silence each",
+        violations=(GuardViolation("stall-timeout", attempts, max_attempts),),
+        headers=triage_headers(message),
+    )
+    return record
+
+
+class Scheduler:
+    """Drives one transport for one owner: a batch run or a daemon.
+
+    :meth:`submit` (thread-safe) queues indices and :meth:`close` ends
+    submissions; :meth:`run` returns once the inbox is closed and
+    nothing is outstanding, on a drain, or on a fatal error.
+    ``command(indices)`` builds one dispatch's transport command.  The
+    transport owns workers and wakeups, the owner every outcome, and
+    this class only policy: dispatch, isolated retries, dead letters,
+    stall quarantine, respawn governance and drain.
+
+    The owner protocol: ``retry_policy``; ``_drain`` (an Event: dispatch
+    nothing new) and ``_fatal`` (the error ending the run, or None);
+    ``_absorb(shard)`` for every stats delta (a frame's shard, a retry's
+    ``RunningStats(retried=1)``, a quarantine record's);
+    ``_land(index, wire, record)`` once per index;
+    ``_record_dead(index, attempts, error, history)`` for an index that
+    failed for good, where the owner decides what a permanent error
+    means (a batch run aborts, a daemon fails that submission);
+    ``_message_at(index)``, ``_set_fatal(error)`` and
+    ``_merge_stage_snapshot(snapshot)``.
     """
 
-    def __init__(self, runner, pool, batch: int):
-        self.runner = runner
+    def __init__(self, owner, pool, batch: int, command=None):
+        self.owner = owner
         self.pool = pool
         self.batch = batch
+        self.command = command or (lambda indices: ("batch", indices))
         self.inflight: dict[int, set[int]] = {}
         self.idle: set[int] = set()
         #: Crash-loop protection: backoff between respawns, clean abort
         #: once the windowed crash budget is exhausted.
         self.governor = RespawnGovernor()
-
-    # ------------------------------------------------------------------
-    def run(self, pending: list[int]) -> None:
-        runner = self.runner
-        self.pending: collections.deque[int] = collections.deque(pending)
+        self.pending: collections.deque[int] = collections.deque()
         #: Failed indices awaiting re-delivery; dispatched one per batch
         #: so a poison message cannot drag batch-mates into its crash
         #: accounting a second time.
         self.retries: collections.deque[int] = collections.deque()
-        self.remaining: set[int] = set(pending)
+        #: Submitted indices not yet landed or failed for good.
+        self.remaining: set[int] = set()
         self.attempts: dict[int, int] = {}
         #: Per-index error reprs across attempts, for dead-letter history.
         self.attempt_errors: dict[int, list[str]] = {}
+        self.closed = False
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
 
-        self.stall_timeout = runner.stall_timeout or _STALL_TIMEOUT
-        pool = self.pool
-        pool.stall_timeout = self.stall_timeout
+    def submit(self, indices: list[int]) -> None:
+        self._inbox.put(list(indices))
+        self.pool.wake()
+
+    def close(self) -> None:
+        self._inbox.put(None)
+        self.pool.wake()
+
+    def _take_inbox(self) -> None:
+        while not self._inbox.empty():
+            indices = self._inbox.get()
+            if indices is None:
+                self.closed = True
+                continue
+            if not self.remaining:
+                # Work after an idle spell restarts the stall clock.
+                self._last_progress = time.monotonic()
+            self.pending.extend(indices)
+            self.remaining.update(indices)
+            self._dispatch_idle()
+
+    # ------------------------------------------------------------------
+    def run(self) -> None:
+        owner, pool = self.owner, self.pool
+        self.stall_timeout = pool.stall_timeout = STALL_TIMEOUT
         self._last_progress = time.monotonic()
-        graceful = True
+        graceful = False
         try:
-            draining = False
-            while self.remaining and runner._fatal is None:
-                if runner._drain.is_set():
-                    if not draining:
-                        # Graceful shutdown: drop the backlog so no new
-                        # batch dispatches; already-dispatched batches
-                        # finish (their records checkpoint normally).
-                        draining = True
-                        self.pending.clear()
-                        self.retries.clear()
+            while owner._fatal is None:
+                self._take_inbox()
+                if owner._drain.is_set():
+                    # Graceful shutdown: drop the backlog so no new
+                    # batch dispatches; already-dispatched batches
+                    # finish (their records land normally).
+                    self.pending.clear()
+                    self.retries.clear()
                     if not any(self.inflight.values()):
                         break
+                elif self.closed and not self.remaining:
+                    break
                 self._handle(pool.get())
-            graceful = runner._fatal is None
-        except BaseException:
-            graceful = False
-            raise
+            graceful = owner._fatal is None
         finally:
             self._finish(graceful)
 
@@ -514,7 +577,7 @@ class Scheduler:
             return
         self.idle.discard(worker_id)
         self.inflight.setdefault(worker_id, set()).update(indices)
-        self.pool.send(worker_id, ("batch", indices))
+        self.pool.send(worker_id, self.command(indices))
 
     def _dispatch_idle(self) -> None:
         for worker_id in sorted(self.idle):
@@ -547,26 +610,26 @@ class Scheduler:
         elif kind == "worker-died":
             self._reap_worker(worker_id)
         elif kind == "stall-tick":
-            if time.monotonic() - self._last_progress >= self.stall_timeout:
+            if self.remaining and time.monotonic() - self._last_progress >= self.stall_timeout:
                 self._reap_stalled()
         elif kind == "profile":
-            self.runner._merge_stage_snapshot(message[2])
+            self.owner._merge_stage_snapshot(message[2])
         elif kind == "init-failed":
-            self.runner._set_fatal(
+            self.owner._set_fatal(
                 RuntimeError(f"worker {worker_id} failed to initialize: {message[2]}")
             )
         # "wake": no-op wakeup
 
     def _handle_frame(self, worker_id: int, blob: bytes, shard, records=None) -> None:
-        """Land one result frame: absorb the shard, append wire bytes.
+        """Land one result frame: absorb the shard, land each record.
 
         The shard covers exactly the frame's records, so it is absorbed
         wholesale iff every entry is fresh; on the rare duplicate
-        delivery (crash-retry race) the fresh records' stats are
-        recomputed individually instead.  Inline frames carry the live
-        ``records`` too, which the runner keeps instead of parsing.
+        delivery (crash-retry race) the fresh records are recounted
+        instead.  Inline frames carry the live ``records`` too, which
+        the owner keeps instead of parsing.
         """
-        runner = self.runner
+        owner = self.owner
         inflight = self.inflight.get(worker_id, set())
         entries = unpack_frame(blob)
         fresh = []
@@ -575,36 +638,43 @@ class Scheduler:
             if index in self.remaining:
                 self.remaining.discard(index)
                 fresh.append((index, wire, records[position] if records else None))
-        if len(fresh) == len(entries):
-            runner._stats.absorb(shard)
-        else:
+        if len(fresh) < len(entries):
             from repro.core.export import record_from_wire
 
+            shard = RunningStats()
             for _, wire, record in fresh:
-                runner._stats.update(record or record_from_wire(wire))
+                shard.update(record or record_from_wire(wire))
+        if fresh:
+            owner._absorb(shard)
         for index, wire, record in fresh:
-            runner._land(index, wire, record)
+            owner._land(index, wire, record)
 
     def _count_failure(self, index: int, error: BaseException) -> None:
-        runner = self.runner
-        policy = runner.retry_policy
-        if not policy.is_transient(error):
-            runner._set_fatal(error)
-            return
-        self.attempts[index] = self.attempts.get(index, 0) + 1
+        owner = self.owner
+        policy = owner.retry_policy
+        attempts = self.attempts[index] = self.attempts.get(index, 0) + 1
         self.attempt_errors.setdefault(index, []).append(repr(error))
-        if self.attempts[index] < policy.max_attempts:
-            runner._stats.retried += 1
+        if policy.is_transient(error) and attempts < policy.max_attempts:
+            owner._absorb(RunningStats(retried=1))
             self.retries.append(index)
+            return
+        self.remaining.discard(index)
+        history = tuple(self.attempt_errors.pop(index))
+        if isinstance(error, WorkerStalled):
+            # Deterministic hard wedge: a durable quarantined record
+            # (not a dead letter) so a resume never re-runs it.
+            record = stalled_record(
+                owner._message_at(index), index, attempts,
+                self.stall_timeout, policy.max_attempts,
+            )
+            from repro.core.export import record_to_wire
+
+            shard = RunningStats()
+            shard.update(record)
+            owner._absorb(shard)
+            owner._land(index, record_to_wire(record), record)
         else:
-            self.remaining.discard(index)
-            history = tuple(self.attempt_errors.pop(index, []))
-            if isinstance(error, WorkerStalled):
-                # Deterministic hard wedge: a durable quarantined record
-                # (not a dead letter) so a resume never re-runs it.
-                runner._quarantine_stalled(index, self.attempts[index], history)
-            else:
-                runner._record_dead(index, self.attempts[index], repr(error), history)
+            owner._record_dead(index, attempts, error, history)
 
     def _reap_worker(self, worker_id: int) -> None:
         """A process sentinel fired: charge the lost in-flight work."""
@@ -627,7 +697,7 @@ class Scheduler:
                 # A flapping worker target (dies on arrival, every
                 # time): stop feeding the reap/respawn spin and fail
                 # the run with the crash history instead.
-                self.runner._set_fatal(RuntimeError(self.governor.diagnosis()))
+                self.owner._set_fatal(RuntimeError(self.governor.diagnosis()))
             else:
                 if delay:
                     time.sleep(delay)
@@ -635,9 +705,11 @@ class Scheduler:
         self._dispatch_idle()
 
     def _should_respawn(self) -> bool:
-        runner = self.runner
+        owner = self.owner
         return bool(
-            self.remaining and runner._fatal is None and not runner._drain.is_set()
+            (self.remaining or not self.closed)
+            and owner._fatal is None
+            and not owner._drain.is_set()
         )
 
     def _reap_stalled(self) -> None:
@@ -680,7 +752,7 @@ class Scheduler:
         (worker state is then suspect)."""
         self.pool.stop(
             graceful,
-            on_message=lambda message: self.runner._merge_stage_snapshot(message[2])
+            on_message=lambda message: self.owner._merge_stage_snapshot(message[2])
             if message[0] == "profile"
             else None,
         )

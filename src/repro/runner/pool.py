@@ -3,9 +3,10 @@
 The process backend's scaling ceiling was never the analysis — it was
 the plumbing around it: one pickled dict per message crossing the mp
 queue, and a parent busy-polling ``outq.get`` at 250 ms.  This module
-extracts that plumbing into one layer shared by the batch
-:class:`~repro.runner.executor.Scheduler`, ``resume``, and the serve
-daemon's :class:`~repro.serve.engine.ProcessEngine`:
+extracts that plumbing into one layer under the one driver,
+:class:`~repro.runner.executor.Scheduler`, whichever of its owners
+opened the pool — a batch ``run``/``resume`` or the serve daemon's
+:class:`~repro.serve.engine.ProcessEngine`:
 
 - **Result frames** — workers accumulate finished records as their
   final checkpoint wire bytes and ship *one* length-prefixed frame per
@@ -18,15 +19,15 @@ daemon's :class:`~repro.serve.engine.ProcessEngine`:
   queue, and drain paths post an explicit ``wake``.  No poll interval,
   no idle wakeups.
 
-A pool lives exactly as long as the driver that opened it: one batch
-run or one daemon builds its workers' worlds once, and
-:meth:`WorkerPool.stop` ends every worker before the driver returns.
+A pool lives exactly as long as the scheduler run that drives it: one
+batch run or one daemon builds its workers' worlds once, and
+:meth:`WorkerPool.stop` ends every worker before that run returns.
 
-The pool is mechanism only: drivers own scheduling policy (dispatch,
-retries, dead letters, quarantine).  Everything a driver consumes
-arrives through :meth:`WorkerPool.get`;
+The pool is mechanism only: the scheduler owns policy (dispatch,
+retries, dead letters, quarantine).  Everything it consumes arrives
+through :meth:`WorkerPool.get`;
 :class:`~repro.runner.executor.InlineTransport` offers the same surface
-in-process, so drivers run unchanged on either.
+in-process, so the scheduler runs unchanged on either.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ class RespawnGovernor:
     An unconditional reap→respawn policy turns a worker target that
     dies on arrival (a bad native dependency, an OOM-killed cgroup, a
     corrupt world cache) into an infinite spawn spin that looks alive
-    from the outside.  Drivers consult the governor before every
+    from the outside.  The scheduler consults the governor before every
     respawn:
 
     - :meth:`permit` returns the backoff delay to sleep before the
@@ -205,7 +206,7 @@ class RespawnGovernor:
       crash streak, so a genuinely flaky target costs little and a
       flapping one backs off hard;
     - once more than ``budget`` crashes land inside ``window`` seconds,
-      :meth:`permit` returns None and the driver converts the spin into
+      :meth:`permit` returns None and the scheduler converts the spin into
       a clean abort with :meth:`diagnosis` as the error text.
 
     Any sign of worker progress (a result frame, a finished batch)
@@ -305,7 +306,8 @@ class WorkerPool:
         self.workers: dict[int, object] = {}
         self.inqs: dict[int, object] = {}
         #: Seconds of total consumption silence before the watcher posts
-        #: a ``stall-tick`` (None disables the watchdog, e.g. serve).
+        #: a ``stall-tick`` (None disables the watchdog; the scheduler
+        #: sets ``executor.STALL_TIMEOUT`` when it runs).
         self.stall_timeout: float | None = None
         self._lock = threading.Lock()
         self._next_worker_id = 0

@@ -105,7 +105,6 @@ class CorpusRunner:
         progress_every: int = 25,
         profiler=None,
         batch_size: int | None = None,
-        stall_timeout: float = 60.0,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -131,10 +130,6 @@ class CorpusRunner:
         self.profiler = profiler
         #: Indices per dispatch to a process worker (None = auto).
         self.batch_size = batch_size
-        #: Seconds of total worker silence before the process pool reaps
-        #: the stalled workers (their messages quarantine once retries
-        #: exhaust); far above any single-message analysis time.
-        self.stall_timeout = stall_timeout
 
         #: Graceful-shutdown flag: once set, no new message starts;
         #: in-flight messages finish and checkpoint, then the run
@@ -191,8 +186,11 @@ class CorpusRunner:
 
         if pending:
             self._transport, batch = self._open_transport(len(pending))
+            scheduler = Scheduler(self, self._transport, batch)
+            scheduler.submit(pending)
+            scheduler.close()
             try:
-                Scheduler(self, self._transport, batch).run(pending)
+                scheduler.run()
             finally:
                 self._transport = None
             if self._fatal is not None:
@@ -244,7 +242,8 @@ class CorpusRunner:
         return pool, batch
 
     # ------------------------------------------------------------------
-    # Bookkeeping (called from the scheduler's loop on this thread)
+    # The scheduler owner protocol (see Scheduler), called from its loop
+    # on this thread
     # ------------------------------------------------------------------
     def _land(self, index: int, wire: bytes, record: MessageRecord | None = None) -> None:
         """Land one finished record: append-bytes-and-ack.
@@ -287,53 +286,20 @@ class CorpusRunner:
             self._write_manifest(status="running")
 
     def _record_dead(
-        self, index: int, attempts: int, error: str, history: tuple[str, ...]
+        self, index: int, attempts: int, error: BaseException, history: tuple[str, ...]
     ) -> None:
-        self._dead.append(DeadLetter(index, attempts, error, history=history))
+        if not self.retry_policy.is_transient(error):
+            # Not hostile input but a pipeline bug: abort the run.
+            self._set_fatal(error)
+            return
+        self._dead.append(DeadLetter(index, attempts, repr(error), history=history))
         self._stats.dead_lettered += 1
 
-    def _quarantine_stalled(self, index: int, attempts: int, history: tuple[str, ...]) -> None:
-        """Checkpoint a quarantined record for a message whose worker
-        repeatedly hard-wedged (reaped by the process pool's stall
-        watchdog after exhausting its retries).
+    def _absorb(self, shard: RunningStats) -> None:
+        self._stats.absorb(shard)
 
-        The message never produced analysis output, so the record is
-        built parent-side from corpus metadata: category
-        ``quarantined``, every stage ``skipped``, and a
-        :class:`~repro.mail.guard.QuarantineReport` whose reason names
-        the watchdog — machine-readable, like a guard rejection, and
-        never an infinite retry loop or an unexplained dead letter.
-        """
-        from repro.core.export import record_to_wire
-        from repro.core.outcomes import MessageCategory
-        from repro.core.stages import registered_stage_names
-        from repro.core.stages.base import StageStatus
-        from repro.mail.guard import GuardViolation, QuarantineReport, triage_headers
-
-        message = self._messages[index]
-        record = MessageRecord(
-            message_index=index,
-            delivered_at=message.delivered_at,
-            recipient=message.recipient,
-            sender_domain=message.sender_domain,
-            ground_truth=dict(message.ground_truth),
-        )
-        record.category = MessageCategory.QUARANTINED
-        record.stage_status = {
-            name: StageStatus.SKIPPED for name in registered_stage_names()
-        }
-        record.quarantine = QuarantineReport(
-            reason=f"worker-stall: analysis wedged {attempts} worker(s); "
-            f"reaped after {self.stall_timeout:g}s of silence each",
-            violations=(
-                GuardViolation(
-                    "stall-timeout", attempts, self.retry_policy.max_attempts
-                ),
-            ),
-            headers=triage_headers(message),
-        )
-        self._stats.update(record)
-        self._land(index, record_to_wire(record), record)
+    def _message_at(self, index: int):
+        return self._messages[index]
 
     def _set_fatal(self, error: BaseException) -> None:
         if self._fatal is None:

@@ -16,8 +16,8 @@ package turns the batch engine of :mod:`repro.runner` into that shape:
 - :mod:`~repro.serve.scheduler` — per-reporter fair queues drained
   round-robin into micro-batches, modeling the paper's five-company
   reporting stream: one flooding reporter cannot starve the others.
-- :mod:`~repro.serve.engine` — one persistent engine event loop over
-  the runner's two transports (inline at ``--jobs 1``, worker
+- :mod:`~repro.serve.engine` — the batch runner's scheduler, run
+  persistently over its two transports (inline at ``--jobs 1``, worker
   processes above), fed incrementally instead of from a fixed corpus.
 - :mod:`~repro.serve.server` — the daemon: sessions, backpressure,
   checkpointing, rolling compaction, drain-on-SIGTERM, manifest

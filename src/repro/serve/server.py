@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 
 from repro.runner.checkpoint import CheckpointStore, RunManifest
 from repro.runner.executor import RunnerConfig
-from repro.runner.retry import RetryPolicy
 from repro.runner.stats import RunningStats
 from repro.serve.admission import REFUSED_BUSY, AdmissionConfig, AdmissionController
 from repro.serve.engine import ServeJob, build_engine
@@ -249,7 +248,6 @@ class ServeDaemon:
         self.checkpoint = CheckpointStore(self.directory, durability=config.durability)
         self.admission = AdmissionController(config.admission)
         self.scheduler = FairScheduler()
-        self.retry_policy = RetryPolicy()
         self.stats = RunningStats()
         #: Serializes arrivals; holding it defines the arrival order the
         #: determinism contract is stated in.
@@ -799,7 +797,7 @@ class ServeDaemon:
                 return
 
     def _on_stats(self, shard: RunningStats) -> None:
-        """Engine callback: fold one worker-local stats shard."""
+        """Engine callback: fold one stats delta (a frame shard, a retry)."""
         with self._completion:
             self.stats.absorb(shard)
 
@@ -875,18 +873,11 @@ class ServeDaemon:
             self._note_append_failure_locked(error)
 
     def _on_result(self, job: ServeJob, wire, error) -> None:
-        """Engine callback: exactly one verdict per accepted submission."""
+        """Engine callback: exactly one outcome per accepted submission.
+
+        An error is final: the engine's scheduler already retried it.
+        """
         if error is not None:
-            job.attempts += 1
-            job.error_history.append(repr(error))
-            if (
-                self.retry_policy.is_transient(error)
-                and job.attempts < self.retry_policy.max_attempts
-            ):
-                with self._completion:
-                    self.stats.retried += 1
-                self._engine.submit([job])
-                return
             with self._completion:
                 self.failed += 1
                 self.stats.dead_lettered += 1
@@ -898,7 +889,7 @@ class ServeDaemon:
                         "op": "failed",
                         "id": job.client_id,
                         "message_index": job.index,
-                        "error": job.error_history[-1],
+                        "error": repr(error),
                         "attempts": job.attempts,
                     }
                 )
@@ -978,7 +969,8 @@ class ServeDaemon:
         for thread in self._threads:
             thread.join(timeout=60.0)
         # Every accepted submission resolves to a verdict or a final
-        # failure; the engine's crash/retry machinery guarantees progress.
+        # failure: the engine's scheduler retries, quarantines stalls,
+        # and fails everything outstanding on a fatal error.
         with self._completion:
             while self._backlog() > 0:
                 self._completion.wait(0.25)

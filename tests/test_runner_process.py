@@ -231,17 +231,18 @@ class TestWorkerCrash:
 # ----------------------------------------------------------------------
 class TestWorkerStall:
     def test_wedged_index_quarantined_not_dead_lettered(
-        self, runner_corpus, serial_records
+        self, runner_corpus, serial_records, monkeypatch
     ):
         from repro.core.outcomes import MessageCategory
         from repro.core.stages.base import StageStatus
+        from repro.runner import executor
 
+        monkeypatch.setattr(executor, "STALL_TIMEOUT", 1.0)
         wedged = 2
         runner = _runner(
             runner_corpus,
             config=RunnerConfig(seed=SEED, scale=SCALE, fault=f"wedge:{wedged}"),
             retry_policy=FAST_RETRY,
-            stall_timeout=1.0,
         )
         result = runner.run(runner_corpus.messages[:6])
         # A hard wedge (native loop, deadlock) is hostile *input*, not

@@ -11,7 +11,11 @@ admission index), so
   same messages in admission order;
 - under sustained overload the daemon sheds with explicit machine-
   readable ``overloaded`` responses — never silent drops — and the shed
-  set is identical on every replay of the same arrival order.
+  set is identical on every replay of the same arrival order;
+- the process engine rides the batch scheduler's fault handling: a
+  crashing submission fails alone after its retries, a wedging one is
+  quarantined by the stall watchdog, and workers that cannot start
+  fail every accepted submission, so a drain always completes.
 
 The SIGTERM tests drive the real CLI in a subprocess, mirroring
 ``test_shutdown.py``.
@@ -27,12 +31,16 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
 from repro._budget import DEFAULT_WORK_LIMIT
+from repro.runner import executor
+from repro.runner.executor import RunnerConfig
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.admission import AdmissionConfig
 
@@ -281,6 +289,118 @@ class TestRestartByteIdentity:
                     client.submit_bytes(raw, reporter="acme")
                 client.wait_verdicts(timeout=240)
         assert multiprocessing.active_children() == []
+
+
+def _drain_within(daemon, timeout: float) -> int:
+    """Shut ``daemon`` down; its exit code, or fail if the drain hangs."""
+    codes: list[int] = []
+    daemon.request_shutdown()
+    waiter = threading.Thread(target=lambda: codes.append(daemon.wait()), daemon=True)
+    waiter.start()
+    waiter.join(timeout)
+    assert codes, f"drain still running after {timeout:g}s"
+    return codes[0]
+
+
+class TestServeEngineFaults:
+    """Worker faults under a ``--jobs 2`` process daemon.
+
+    Each case injects a :attr:`RunnerConfig.fault` (or a world-build
+    failure) and waits only with bounds: a client socket timeout and a
+    thread join on the drain.
+    """
+
+    def _start(self, directory, fault: str = "") -> ServeDaemon:
+        daemon = ServeDaemon(
+            ServeConfig(seed=SEED, scale=SCALE, jobs=2, executor="process", batch_size=3),
+            directory,
+        )
+        daemon.runner_config = replace(daemon.runner_config, fault=fault)
+        daemon.start()
+        return daemon
+
+    def _serve(self, daemon, messages, timeout: float = 60.0) -> list:
+        """(outcome, final response line) per submission."""
+        finals: dict[str, dict] = {}
+        with ServeClient("127.0.0.1", daemon.port, timeout=timeout) as client:
+            pump = client._pump_one
+
+            def recording_pump() -> dict:
+                payload = pump()
+                if payload.get("op") in ("verdict", "failed"):
+                    finals[payload["id"]] = payload
+                return payload
+
+            client._pump_one = recording_pump
+            outcomes = [client.submit_bytes(raw, reporter="acme") for raw in messages]
+            assert all(o.accepted for o in outcomes)
+            client.wait_verdicts(timeout=timeout)
+        return [(o, finals[o.client_id]) for o in outcomes]
+
+    def test_crashing_submission_fails_alone_after_retries(self, tmp_path):
+        with _daemon(tmp_path / "clean") as daemon:
+            clean = self._serve(daemon, MESSAGES[:4])
+        daemon = self._start(tmp_path / "crash", fault="crash:1")
+        try:
+            served = self._serve(daemon, MESSAGES[:4])
+        finally:
+            assert _drain_within(daemon, 60.0) == 0
+        assert multiprocessing.active_children() == []
+        failed = [final for _, final in served if final["op"] == "failed"]
+        assert [final["message_index"] for final in failed] == [1]
+        assert failed[0]["attempts"] == 3
+        assert "WorkerCrash" in failed[0]["error"]
+        for (outcome, _), (reference, _) in zip(served, clean):
+            if outcome.message_index != 1:
+                assert outcome.status == "verdict"
+                assert outcome.record == reference.record
+
+    def test_wedged_submission_is_quarantined(self, tmp_path, monkeypatch):
+        # ``raising=False``: a build without the constant must fail on
+        # the bounded waits below, not here.
+        monkeypatch.setattr(executor, "STALL_TIMEOUT", 1.0, raising=False)
+        daemon = self._start(tmp_path, fault="wedge:1")
+        try:
+            served = self._serve(daemon, MESSAGES[:4], timeout=30.0)
+        finally:
+            code = _drain_within(daemon, 30.0)
+        assert code == 0
+        assert multiprocessing.active_children() == []
+        assert [o.status for o, _ in served] == ["verdict"] * 4
+        record = served[1][0].record
+        assert record["category"] == "quarantined"
+        assert record["quarantine"]["reason"].startswith("worker-stall")
+
+    def test_worker_init_failure_fails_every_submission(self, tmp_path, monkeypatch):
+        parent, build = os.getpid(), RunnerConfig.build
+
+        def build_in_parent_only(config):
+            if os.getpid() != parent:
+                raise RuntimeError("injected world-build failure")
+            return build(config)
+
+        # Forked workers inherit the patch; this process never builds.
+        monkeypatch.setattr(RunnerConfig, "build", build_in_parent_only)
+        daemon = self._start(tmp_path)
+        try:
+            served = self._serve(daemon, MESSAGES[:4], timeout=30.0)
+        finally:
+            code = _drain_within(daemon, 30.0)
+        assert code == 1
+        assert multiprocessing.active_children() == []
+        assert [o.status for o, _ in served] == ["failed"] * 4
+        assert all("failed to initialize" in final["error"] for _, final in served)
+
+    def test_idle_daemon_outlives_the_stall_timeout(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(executor, "STALL_TIMEOUT", 1.0, raising=False)
+        daemon = self._start(tmp_path)
+        try:
+            time.sleep(2.5)  # idle well past the stall timeout
+            served = self._serve(daemon, MESSAGES[:3], timeout=30.0)
+        finally:
+            assert _drain_within(daemon, 30.0) == 0
+        assert multiprocessing.active_children() == []
+        assert [o.status for o, _ in served] == ["verdict"] * 3
 
 
 # ----------------------------------------------------------------------
