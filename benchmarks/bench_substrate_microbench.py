@@ -1,11 +1,14 @@
 """Substrate micro-benchmarks: the pipeline's hot inner loops.
 
 Not tied to a paper table; these keep the building blocks honest
-(QR decode, OCR, perceptual hashing, script execution) and make
-regressions visible.
+(QR decode, OCR, perceptual hashing, script execution, page setup) and
+make regressions visible.  ``bench_substrate_microbench`` writes its
+per-call medians to ``benchmarks/results/bench_substrate_microbench``.
 """
 
 import random
+import statistics
+import timeit
 
 from repro.imaging.phash import dhash, phash
 from repro.imaging.ocr import ocr_image
@@ -58,3 +61,52 @@ def bench_phishscript_obfuscated_reveal(benchmark):
 
     steps = benchmark(execute)
     assert steps > 0
+
+
+def _per_call_us(fn, number: int, repeat: int = 7) -> float:
+    """Median over ``repeat`` timings of ``number`` calls, in µs per call."""
+    return 1e6 * statistics.median(timeit.repeat(fn, number=number, repeat=repeat)) / number
+
+
+def bench_substrate_microbench(benchmark, comparison):
+    """Page setup and QR location, the two costs per crawled page and image."""
+    from repro.browser.browser import Browser
+    from repro.browser.dom import _parse_document, parse_html
+    from repro.browser.profile import human_chrome_profile
+    from repro.browser.session import PageSession
+    from repro.dataset import CorpusGenerator
+    from repro.imaging.image import Image
+    from repro.qr.encoder import encode_qr
+    from repro.qr.locator import locate_qr_matrix
+
+    corpus = CorpusGenerator(seed=2024, scale=0.02).generate()
+    message = next(
+        message for message in corpus.messages
+        if message.ground_truth.get("category") == "credential-phishing")
+    browser = Browser(corpus.world.network, human_chrome_profile(), rng=random.Random(1),
+                      timestamp=message.delivered_at)
+    page = browser.visit(message.ground_truth["landing_url"]).sessions[0]
+    assert page.parsed.inline_scripts or page.parsed.external_scripts
+
+    def build_session():
+        return PageSession(browser, page.url, page.response, page.referrer)
+
+    symbol = Image.from_bool_matrix(
+        encode_qr("https://evil-site.example/dhfYWfH", version=5), scale=4, border=4)
+    body = page.response.body
+    session_us = _per_call_us(build_session, number=200)
+    locate_us = _per_call_us(lambda: locate_qr_matrix(symbol), number=20)
+    hit_us = _per_call_us(lambda: parse_html(body), number=2000)
+    miss_us = _per_call_us(lambda: _parse_document(body), number=200)
+
+    comparison.row("PageSession build, kit landing page (us)", "n/a", f"{session_us:.1f}")
+    comparison.row("locate_qr_matrix, version 5 at scale 4 (us)", "n/a", f"{locate_us:.1f}")
+    comparison.row("parse_html memo hit / miss (us)", "n/a", f"{hit_us:.2f} / {miss_us:.1f}")
+    comparison.note(f"page: {page.url.raw} ({len(body)} bytes of markup, seed-2024 scale-0.02 corpus)")
+    comparison.metric("page_session_build_us", session_us)
+    comparison.metric("locate_qr_v5_scale4_us", locate_us)
+    comparison.metric("parse_html_hit_us", hit_us)
+    comparison.metric("parse_html_miss_us", miss_us)
+    assert hit_us < miss_us
+
+    benchmark.pedantic(build_session, rounds=1, iterations=1)

@@ -1,12 +1,14 @@
 """A small thread-safe LRU shared by the hot-path memos.
 
-Two memos sit on the analysis hot path: the JS parse cache
-(:mod:`repro.js.parser`, source hash -> shared ``Program``) and the
-screenshot fingerprint memo (:mod:`repro.browser.render`, render
-inputs -> ``(phash, dhash)``).  Both map a key that fully determines a
-pure computation to its result, so both are invisible in outputs; they
-differ only in what they store and in their capacity, which each owner
-fixes as a module constant.
+Three memos sit on the analysis hot path: the JS parse cache
+(:mod:`repro.js.parser`, source hash -> shared ``Program``), the
+parsed-document memo (:mod:`repro.browser.dom`, page body -> shared
+``ParsedDocument``) and the screenshot fingerprint memo
+(:mod:`repro.browser.render`, render inputs -> ``(phash, dhash)``).
+Each maps a key that fully determines a pure computation to its
+result, and no caller mutates a shared result, so all three are
+invisible in outputs; they differ only in what they store and in their
+capacity, which each owner fixes as a module constant.
 
 Stdlib-only and at the package top level, like :mod:`repro._budget`,
 so leaf modules can import it without an import cycle.
@@ -53,6 +55,11 @@ class LRU(Generic[V]):
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
+
+    def items(self) -> list[tuple[Hashable, V]]:
+        """A snapshot of the entries, least recently used first."""
+        with self._lock:
+            return list(self._entries.items())
 
     def clear(self) -> None:
         with self._lock:

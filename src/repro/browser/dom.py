@@ -5,12 +5,18 @@ CrawlerBox both *crawls* remote pages and *loads local HTML attachments*
 URL").  Either way the browser needs the document's inline scripts,
 referenced resources, forms, and identified elements — this module
 extracts them with a stdlib ``HTMLParser``.
+
+Kits serve the same markup to many visits, so :func:`parse_html` keeps
+each distinct body's document in a bounded :class:`repro._memo.LRU`
+keyed by the body itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+
+from repro._memo import LRU
 
 
 @dataclass
@@ -128,10 +134,39 @@ class _DomBuilder(HTMLParser):
                 self._element_stack[-1].text += stripped
 
 
-def parse_html(html: str) -> ParsedDocument:
-    """Parse markup into a :class:`ParsedDocument`."""
+#: Distinct page bodies kept parsed.  A seed-1 run at scale 0.05 loads
+#: 568 pages with 219 distinct bodies.
+DOM_MEMO_SIZE = 512
+
+_DOM_MEMO: LRU[ParsedDocument] = LRU(DOM_MEMO_SIZE)
+
+
+def dom_memo_info() -> dict:
+    """Hit/miss/size counters of the parsed-document memo."""
+    return _DOM_MEMO.info()
+
+
+def clear_dom_memo() -> None:
+    """Drop all memoised documents and reset the counters."""
+    _DOM_MEMO.clear()
+
+
+def _parse_document(html: str) -> ParsedDocument:
     builder = _DomBuilder()
     builder.feed(html)
     builder.close()
     builder.document.text = " ".join(builder._text_chunks)
     return builder.document
+
+
+def parse_html(html: str) -> ParsedDocument:
+    """Parse markup into a :class:`ParsedDocument` (memoised per body).
+
+    A memoised document is shared by every page with that body, so
+    callers must treat it as read-only.
+    """
+    document = _DOM_MEMO.get(html)
+    if document is None:
+        document = _parse_document(html)
+        _DOM_MEMO.put(html, document)
+    return document

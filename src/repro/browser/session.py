@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.browser.dom import parse_html
 from repro.browser.hosts import install_browser_hosts
@@ -29,6 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _HUE_ROTATE_RE = re.compile(r"hue-rotate\(\s*(-?\d+(?:\.\d+)?)deg\s*\)")
 _META_REFRESH_RE = re.compile(r"^\s*\d+\s*;\s*url\s*=\s*(.+)$", re.IGNORECASE)
+_PREVENT_DEFAULT = NativeFunction(lambda _i, _t, _a: UNDEFINED, "preventDefault")
+_STOP_PROPAGATION = NativeFunction(lambda _i, _t, _a: UNDEFINED, "stopPropagation")
 
 
 @dataclass
@@ -108,7 +110,7 @@ class PageSession:
         self.document = None
         self.window = None
         self.location = None
-        self.make_element: Callable | None = None
+        self.local_storage: dict[str, str] = {}
 
         self.elements: dict[str, JSObject] = {}
         self.listeners: list[tuple[JSObject, str, object]] = []
@@ -124,7 +126,7 @@ class PageSession:
         self._debugger_in_timer = False
         self._in_timer_callback = False
 
-        self.interp = Interpreter(rng=random.Random(browser.rng.getrandbits(32)))
+        self.interp = Interpreter(rng=random.Random(browser.rng.getrandbits(32)), host=self)
         self.interp.on_debugger = self._on_debugger
         install_browser_hosts(self.interp, self)
         self._original_console = {
@@ -228,8 +230,8 @@ class PageSession:
             {
                 "type": event_type,
                 "isTrusted": trusted,
-                "preventDefault": NativeFunction(lambda _i, _t, _a: UNDEFINED, "preventDefault"),
-                "stopPropagation": NativeFunction(lambda _i, _t, _a: UNDEFINED, "stopPropagation"),
+                "preventDefault": _PREVENT_DEFAULT,
+                "stopPropagation": _STOP_PROPAGATION,
                 "target": target,
             }
         )

@@ -15,6 +15,14 @@ WHITE = (255, 255, 255)
 BLACK = (0, 0, 0)
 
 
+def integral_image(mask: np.ndarray) -> np.ndarray:
+    """Summed-area table: ``table[y, x]`` counts the ink in ``mask[:y, :x]``."""
+    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+    np.cumsum(mask, axis=0, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    return table
+
+
 class Image:
     """An RGB raster image backed by a numpy array.
 

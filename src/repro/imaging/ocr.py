@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.imaging.font import GLYPH_HEIGHT, GLYPH_WIDTH, GLYPHS
-from repro.imaging.image import Image
+from repro.imaging.image import Image, integral_image
 
 #: Width of one glyph cell including tracking, in font units.
 _CELL_WIDTH = GLYPH_WIDTH + 1
@@ -114,14 +114,6 @@ def _line_bands(mask: np.ndarray, scale: int) -> list[tuple[int, int]]:
         else:
             merged.append(band)
     return merged
-
-
-def _integral_image(mask: np.ndarray) -> np.ndarray:
-    """Summed-area table: ``table[y, x]`` counts the ink in ``mask[:y, :x]``."""
-    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-    np.cumsum(mask, axis=0, out=table[1:, 1:])
-    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
-    return table
 
 
 def _grid_bits(
@@ -241,7 +233,7 @@ def ocr_image(image: Image) -> OcrResult:
     candidates = sorted(
         divisor for divisor in range(1, estimate + 1) if estimate % divisor == 0
     )
-    integral = _integral_image(mask)
+    integral = integral_image(mask)
     best_text, best_key = "", (-1.0, -1)
     for scale in candidates:
         text, score, ink_chars = _decode_at_scale(mask, integral, scale)

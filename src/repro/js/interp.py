@@ -111,12 +111,17 @@ class NativeFunction:
     """A host function callable from scripts.
 
     The wrapped callable receives ``(interp, this, args)`` and returns a
-    JS value.
+    JS value.  ``properties`` are read-only statics such as ``Date.now``:
+    scripts cannot set properties on a native function, which is what
+    lets one instance serve every interpreter in the process.
     """
 
-    def __init__(self, fn: Callable, name: str = ""):
+    __slots__ = ("fn", "name", "properties")
+
+    def __init__(self, fn: Callable, name: str = "", properties: dict | None = None):
         self.fn = fn
         self.name = name or getattr(fn, "__name__", "")
+        self.properties = properties
 
     def __repr__(self) -> str:
         return f"NativeFunction({self.name})"
@@ -186,27 +191,33 @@ class _Throw(Exception):
 class Timer:
     """A pending setTimeout/setInterval registration."""
 
-    _next_id = 1
-
-    def __init__(self, callback: object, delay_ms: float, repeating: bool):
+    def __init__(self, timer_id: int, callback: object, delay_ms: float, repeating: bool):
+        self.id = timer_id
         self.callback = callback
         self.delay_ms = delay_ms
         self.repeating = repeating
         self.cancelled = False
-        self.id = Timer._next_id
-        Timer._next_id += 1
 
 
 class Interpreter:
-    """Evaluates PhishScript programs against a (host-provided) global scope."""
+    """Evaluates PhishScript programs against a (host-provided) global scope.
+
+    ``host`` is the embedding object (the browser's page session) that
+    host natives reach through the interpreter they are called with.
+    """
 
     def __init__(
         self,
         step_limit: int = 2_000_000,
         rng: random.Random | None = None,
         clock_ms: Callable[[], float] | None = None,
+        host: object = None,
     ):
+        from repro.js.stdlib import global_table
+
         self.globals = Environment()
+        self.globals.variables = global_table()
+        self.host = host
         self.step_limit = step_limit
         self.steps = 0
         # Per-message cooperative budget, captured once so the hot tick
@@ -219,13 +230,11 @@ class Interpreter:
         self.rng = rng or random.Random(0)
         self.clock_ms = clock_ms or self._default_clock
         self.timers: list[Timer] = []
+        self._last_timer_id = 0
+        #: ``(level, message)`` per console call, observed by the host.
+        self.console_log: list[tuple[str, str]] = []
         #: Called whenever a ``debugger`` statement executes.
         self.on_debugger: Callable[[], None] | None = None
-        self.globals.declare("undefined", UNDEFINED)
-        self.globals.declare("globalThis", JSObject())
-        from repro.js.stdlib import install_stdlib
-
-        install_stdlib(self)
 
     def _default_clock(self) -> float:
         """A fake monotonic clock advancing 1 ms per 1000 steps."""
@@ -264,6 +273,13 @@ class Interpreter:
             return self._call(fn, this, args)
         except _Throw as thrown:
             raise JSError(f"Uncaught {to_js_string(thrown.value)}", thrown.value) from None
+
+    def add_timer(self, callback: object, delay_ms: float, repeating: bool) -> Timer:
+        """Register a timer; ids count from 1 in each interpreter."""
+        self._last_timer_id += 1
+        timer = Timer(self._last_timer_id, callback, delay_ms, repeating)
+        self.timers.append(timer)
+        return timer
 
     def run_due_timers(self, budget: int = 64) -> int:
         """Execute pending timers (host drives this).  Returns runs made."""

@@ -1,9 +1,9 @@
 """Built-in objects and methods for the PhishScript interpreter.
 
-Installs the globals phishing kits rely on (``atob``/``btoa``, ``console``,
-``JSON``, ``Math``, ``Date``, timers, ``RegExp``, URI coders) and provides
-``builtin_property``, the method dispatcher for primitive values, arrays,
-and objects.
+Provides the globals phishing kits rely on (``atob``/``btoa``, ``console``,
+``JSON``, ``Math``, ``Date``, timers, ``RegExp``, URI coders) as
+:func:`global_table`, and ``builtin_property``, the method dispatcher for
+primitive values, arrays, and objects.
 
 ``console`` is an ordinary mutable :class:`~repro.js.interp.JSObject`
 whose methods scripts can overwrite — exactly what the console-hijacking
@@ -20,14 +20,12 @@ import re
 import urllib.parse
 
 from repro.js.interp import (
-    Environment,
     Interpreter,
     JSArray,
     JSError,
     JSFunction,
     JSObject,
     NativeFunction,
-    Timer,
     UNDEFINED,
     js_number_to_string,
     strict_equals,
@@ -67,310 +65,6 @@ class JSRegExp:
         return f"/{self.source}/{self.flags}"
 
 
-# ----------------------------------------------------------------------
-# Global installation
-# ----------------------------------------------------------------------
-def install_stdlib(interp: Interpreter) -> None:
-    """Declare the standard globals on a fresh interpreter."""
-    declare = interp.globals.declare
-
-    def _atob(_interp, _this, args):
-        text = to_js_string(args[0] if args else "")
-        try:
-            return base64.b64decode(text.encode("ascii"), validate=False).decode("latin-1")
-        except (binascii.Error, ValueError) as exc:
-            raise JSError(f"InvalidCharacterError: {exc}") from exc
-
-    def _btoa(_interp, _this, args):
-        text = to_js_string(args[0] if args else "")
-        try:
-            return base64.b64encode(text.encode("latin-1")).decode("ascii")
-        except UnicodeEncodeError as exc:
-            raise JSError("InvalidCharacterError: non latin-1 input to btoa") from exc
-
-    declare("atob", native(_atob, "atob"))
-    declare("btoa", native(_btoa, "btoa"))
-    declare("NaN", math.nan)
-    declare("Infinity", math.inf)
-
-    def _parse_int(_interp, _this, args):
-        text = to_js_string(args[0] if args else "").strip()
-        radix = int(to_number(args[1])) if len(args) > 1 and truthy(args[1]) else 10
-        match = re.match(r"^[+-]?(0[xX][0-9a-fA-F]+|[0-9a-zA-Z]+)", text)
-        if not match:
-            return math.nan
-        token = match.group(0)
-        try:
-            if token.lower().startswith(("0x", "+0x", "-0x")) and radix in (10, 16):
-                return float(int(token, 16))
-            # Trim characters invalid for the radix, like JS does.
-            sign = 1
-            if token[0] in "+-":
-                sign = -1 if token[0] == "-" else 1
-                token = token[1:]
-            digits = ""
-            for char in token:
-                try:
-                    if int(char, radix) is not None:
-                        digits += char
-                except ValueError:
-                    break
-            if not digits:
-                return math.nan
-            return float(sign * int(digits, radix))
-        except ValueError:
-            return math.nan
-
-    declare("parseInt", native(_parse_int, "parseInt"))
-    declare(
-        "parseFloat",
-        native(
-            lambda _i, _t, args: _parse_float(to_js_string(args[0] if args else "")),
-            "parseFloat",
-        ),
-    )
-    declare(
-        "isNaN",
-        native(lambda _i, _t, args: math.isnan(to_number(args[0] if args else UNDEFINED)), "isNaN"),
-    )
-    declare(
-        "encodeURIComponent",
-        native(
-            lambda _i, _t, args: urllib.parse.quote(to_js_string(args[0] if args else ""), safe="!'()*-._~"),
-            "encodeURIComponent",
-        ),
-    )
-    declare(
-        "decodeURIComponent",
-        native(
-            lambda _i, _t, args: urllib.parse.unquote(to_js_string(args[0] if args else "")),
-            "decodeURIComponent",
-        ),
-    )
-
-    # console: a plain mutable object so kits can hijack its methods.
-    console = JSObject()
-    interp.console_log = []  # list[(level, message)] observed by the host
-
-    def _console_method(level: str):
-        def _log(_interp, _this, args):
-            message = " ".join(to_js_string(arg) for arg in args)
-            _interp.console_log.append((level, message))
-            return UNDEFINED
-
-        return native(_log, level)
-
-    for level in ("log", "warn", "error", "info", "debug", "trace"):
-        console.set(level, _console_method(level))
-    console.set("clear", native(lambda _i, _t, _a: UNDEFINED, "clear"))
-    declare("console", console)
-
-    # Math.
-    math_obj = JSObject()
-
-    def _math1(fn, name):
-        return native(lambda _i, _t, args: float(fn(to_number(args[0] if args else UNDEFINED))), name)
-
-    math_obj.set("floor", _math1(math.floor, "floor"))
-    math_obj.set("ceil", _math1(math.ceil, "ceil"))
-    math_obj.set("round", _math1(lambda x: math.floor(x + 0.5), "round"))
-    math_obj.set("abs", _math1(abs, "abs"))
-    math_obj.set("sqrt", _math1(math.sqrt, "sqrt"))
-    math_obj.set("log", _math1(math.log, "log"))
-    math_obj.set("sign", _math1(lambda x: (x > 0) - (x < 0), "sign"))
-    math_obj.set("trunc", _math1(math.trunc, "trunc"))
-    math_obj.set(
-        "pow",
-        native(lambda _i, _t, args: to_number(args[0]) ** to_number(args[1]), "pow"),
-    )
-    math_obj.set(
-        "min",
-        native(lambda _i, _t, args: min((to_number(a) for a in args), default=math.inf), "min"),
-    )
-    math_obj.set(
-        "max",
-        native(lambda _i, _t, args: max((to_number(a) for a in args), default=-math.inf), "max"),
-    )
-    math_obj.set("random", native(lambda _interp, _t, _a: _interp.rng.random(), "random"))
-    math_obj.set("PI", math.pi)
-    math_obj.set("E", math.e)
-    declare("Math", math_obj)
-
-    # JSON.
-    json_obj = JSObject()
-
-    def _json_stringify(_interp, _this, args):
-        value = args[0] if args else UNDEFINED
-        if value is UNDEFINED:
-            return UNDEFINED
-        return json.dumps(js_to_python(value), separators=(",", ":"))
-
-    def _json_parse(_interp, _this, args):
-        text = to_js_string(args[0] if args else "")
-        try:
-            return python_to_js(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise JSError(f"SyntaxError: JSON.parse: {exc}") from exc
-
-    json_obj.set("stringify", native(_json_stringify, "stringify"))
-    json_obj.set("parse", native(_json_parse, "parse"))
-    declare("JSON", json_obj)
-
-    # Date: callable constructor with a .now() static.
-    def _date_constructor(_interp, _this, args):
-        obj = JSObject()
-        now = _interp.clock_ms()
-        obj.set("getTime", native(lambda _i, _t, _a: now, "getTime"))
-        obj.set("getTimezoneOffset", native(lambda _i, _t, _a: 0.0, "getTimezoneOffset"))
-        obj.set("toISOString", native(lambda _i, _t, _a: f"1970-01-01T00:00:{now / 1000.0:06.3f}Z", "toISOString"))
-        obj.set("valueOf", native(lambda _i, _t, _a: now, "valueOf"))
-        return obj
-
-    date_fn = native(_date_constructor, "Date")
-    date_fn.properties = {  # type: ignore[attr-defined]
-        "now": native(lambda _interp, _t, _a: _interp.clock_ms(), "now"),
-    }
-    declare("Date", date_fn)
-
-    # String / Number / Boolean / Array / Object namespaces.
-    def _string_fn(_interp, _this, args):
-        return to_js_string(args[0]) if args else ""
-
-    string_fn = native(_string_fn, "String")
-    string_fn.properties = {  # type: ignore[attr-defined]
-        "fromCharCode": native(
-            lambda _i, _t, args: "".join(chr(int(to_number(a))) for a in args), "fromCharCode"
-        ),
-    }
-    declare("String", string_fn)
-
-    number_fn = native(lambda _i, _t, args: to_number(args[0]) if args else 0.0, "Number")
-    number_fn.properties = {  # type: ignore[attr-defined]
-        "isInteger": native(
-            lambda _i, _t, args: isinstance(args[0], (int, float))
-            and not isinstance(args[0], bool)
-            and float(args[0]).is_integer()
-            if args
-            else False,
-            "isInteger",
-        ),
-        "parseFloat": native(
-            lambda _i, _t, args: _parse_float(to_js_string(args[0] if args else "")), "parseFloat"
-        ),
-        "MAX_SAFE_INTEGER": float(2**53 - 1),
-    }
-    declare("Number", number_fn)
-    declare("Boolean", native(lambda _i, _t, args: truthy(args[0]) if args else False, "Boolean"))
-
-    array_fn = native(lambda _i, _t, args: JSArray(list(args)), "Array")
-    array_fn.properties = {  # type: ignore[attr-defined]
-        "isArray": native(lambda _i, _t, args: isinstance(args[0], JSArray) if args else False, "isArray"),
-        "from": native(
-            lambda _i, _t, args: JSArray(
-                list(args[0].elements) if args and isinstance(args[0], JSArray) else list(to_js_string(args[0])) if args else []
-            ),
-            "from",
-        ),
-    }
-    declare("Array", array_fn)
-
-    def _object_keys(_i, _t, args):
-        target = args[0] if args else None
-        if isinstance(target, JSObject):
-            return JSArray(target.keys())
-        if isinstance(target, JSArray):
-            return JSArray([str(i) for i in range(len(target.elements))])
-        return JSArray([])
-
-    def _object_assign(_i, _t, args):
-        if not args or not isinstance(args[0], JSObject):
-            raise JSError("TypeError: Object.assign target must be an object")
-        target = args[0]
-        for source in args[1:]:
-            if isinstance(source, JSObject):
-                target.properties.update(source.properties)
-        return target
-
-    object_fn = native(lambda _i, _t, args: args[0] if args else JSObject(), "Object")
-    object_fn.properties = {  # type: ignore[attr-defined]
-        "keys": native(_object_keys, "keys"),
-        "values": native(
-            lambda _i, _t, args: JSArray(list(args[0].properties.values()))
-            if args and isinstance(args[0], JSObject)
-            else JSArray([]),
-            "values",
-        ),
-        "assign": native(_object_assign, "assign"),
-        "entries": native(
-            lambda _i, _t, args: JSArray(
-                [JSArray([k, v]) for k, v in args[0].properties.items()]
-            )
-            if args and isinstance(args[0], JSObject)
-            else JSArray([]),
-            "entries",
-        ),
-        "defineProperty": native(_object_define_property, "defineProperty"),
-    }
-    declare("Object", object_fn)
-
-    declare(
-        "RegExp",
-        native(
-            lambda _i, _t, args: JSRegExp(
-                to_js_string(args[0]) if args else "",
-                to_js_string(args[1]) if len(args) > 1 else "",
-            ),
-            "RegExp",
-        ),
-    )
-
-    def _error_ctor(_i, _t, args):
-        obj = JSObject()
-        obj.set("message", to_js_string(args[0]) if args else "")
-        obj.set("name", "Error")
-        return obj
-
-    declare("Error", native(_error_ctor, "Error"))
-    declare("TypeError", native(_error_ctor, "TypeError"))
-
-    # Timers: registrations land on interp.timers; the host runs them.
-    def _set_timer(repeating: bool):
-        def _register(_interp, _this, args):
-            callback = args[0] if args else UNDEFINED
-            delay = to_number(args[1]) if len(args) > 1 else 0.0
-            timer = Timer(callback, delay, repeating)
-            _interp.timers.append(timer)
-            return float(timer.id)
-
-        return _register
-
-    declare("setTimeout", native(_set_timer(False), "setTimeout"))
-    declare("setInterval", native(_set_timer(True), "setInterval"))
-
-    def _clear_timer(_interp, _this, args):
-        if args:
-            timer_id = to_number(args[0])
-            for timer in _interp.timers:
-                if timer.id == timer_id:
-                    timer.cancelled = True
-        return UNDEFINED
-
-    declare("clearTimeout", native(_clear_timer, "clearTimeout"))
-    declare("clearInterval", native(_clear_timer, "clearInterval"))
-
-    # Fallback eval (calls in expression position are special-formed in
-    # the interpreter; this covers indirect references).
-    def _eval(_interp, _this, args):
-        source = args[0] if args else ""
-        if not isinstance(source, str):
-            return source
-        from repro.js.parser import parse as _parse
-
-        return _interp.run_program(_parse(source), _interp.globals)
-
-    declare("eval", native(_eval, "eval"))
-
-
 def _object_define_property(_i, _t, args):
     """Minimal Object.defineProperty supporting value descriptors."""
     if len(args) < 3 or not isinstance(args[0], JSObject):
@@ -386,6 +80,301 @@ def _parse_float(text: str) -> float:
     if not match:
         return math.nan
     return float(match.group(0))
+
+
+# ----------------------------------------------------------------------
+# The global table
+# ----------------------------------------------------------------------
+# Every native below is stateless: what it touches per run (the console
+# log, the RNG, the clock, the timers, the global scope) it reaches
+# through the interpreter it is called with.  Scripts cannot set
+# properties on a NativeFunction, so one instance of each serves every
+# interpreter in the process.  The objects scripts *can* mutate --
+# ``globalThis``, ``console``, ``Math`` and ``JSON`` -- are built fresh
+# for each interpreter by :func:`global_table`.
+def _atob(_interp, _this, args):
+    text = to_js_string(args[0] if args else "")
+    try:
+        return base64.b64decode(text.encode("ascii"), validate=False).decode("latin-1")
+    except (binascii.Error, ValueError) as exc:
+        raise JSError(f"InvalidCharacterError: {exc}") from exc
+
+
+def _btoa(_interp, _this, args):
+    text = to_js_string(args[0] if args else "")
+    try:
+        return base64.b64encode(text.encode("latin-1")).decode("ascii")
+    except UnicodeEncodeError as exc:
+        raise JSError("InvalidCharacterError: non latin-1 input to btoa") from exc
+
+
+def _parse_int(_interp, _this, args):
+    text = to_js_string(args[0] if args else "").strip()
+    radix = int(to_number(args[1])) if len(args) > 1 and truthy(args[1]) else 10
+    match = re.match(r"^[+-]?(0[xX][0-9a-fA-F]+|[0-9a-zA-Z]+)", text)
+    if not match:
+        return math.nan
+    token = match.group(0)
+    try:
+        if token.lower().startswith(("0x", "+0x", "-0x")) and radix in (10, 16):
+            return float(int(token, 16))
+        # Trim characters invalid for the radix, like JS does.
+        sign = 1
+        if token[0] in "+-":
+            sign = -1 if token[0] == "-" else 1
+            token = token[1:]
+        digits = ""
+        for char in token:
+            try:
+                if int(char, radix) is not None:
+                    digits += char
+            except ValueError:
+                break
+        if not digits:
+            return math.nan
+        return float(sign * int(digits, radix))
+    except ValueError:
+        return math.nan
+
+
+# console: a plain mutable object so kits can hijack its methods.
+def _console_method(level: str) -> NativeFunction:
+    def _log(_interp, _this, args):
+        message = " ".join(to_js_string(arg) for arg in args)
+        _interp.console_log.append((level, message))
+        return UNDEFINED
+
+    return native(_log, level)
+
+
+_CONSOLE = {level: _console_method(level) for level in ("log", "warn", "error", "info", "debug", "trace")}
+_CONSOLE["clear"] = native(lambda _i, _t, _a: UNDEFINED, "clear")
+
+
+def _math1(fn, name):
+    return native(lambda _i, _t, args: float(fn(to_number(args[0] if args else UNDEFINED))), name)
+
+
+_MATH = {
+    "floor": _math1(math.floor, "floor"),
+    "ceil": _math1(math.ceil, "ceil"),
+    "round": _math1(lambda x: math.floor(x + 0.5), "round"),
+    "abs": _math1(abs, "abs"),
+    "sqrt": _math1(math.sqrt, "sqrt"),
+    "log": _math1(math.log, "log"),
+    "sign": _math1(lambda x: (x > 0) - (x < 0), "sign"),
+    "trunc": _math1(math.trunc, "trunc"),
+    "pow": native(lambda _i, _t, args: to_number(args[0]) ** to_number(args[1]), "pow"),
+    "min": native(lambda _i, _t, args: min((to_number(a) for a in args), default=math.inf), "min"),
+    "max": native(lambda _i, _t, args: max((to_number(a) for a in args), default=-math.inf), "max"),
+    "random": native(lambda _interp, _t, _a: _interp.rng.random(), "random"),
+    "PI": math.pi,
+    "E": math.e,
+}
+
+
+def _json_stringify(_interp, _this, args):
+    value = args[0] if args else UNDEFINED
+    if value is UNDEFINED:
+        return UNDEFINED
+    return json.dumps(js_to_python(value), separators=(",", ":"))
+
+
+def _json_parse(_interp, _this, args):
+    text = to_js_string(args[0] if args else "")
+    try:
+        return python_to_js(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise JSError(f"SyntaxError: JSON.parse: {exc}") from exc
+
+
+_JSON = {"stringify": native(_json_stringify, "stringify"), "parse": native(_json_parse, "parse")}
+
+
+# Date: callable constructor with a .now() static.
+def _date_constructor(_interp, _this, args):
+    obj = JSObject()
+    now = _interp.clock_ms()
+    obj.set("getTime", native(lambda _i, _t, _a: now, "getTime"))
+    obj.set("getTimezoneOffset", native(lambda _i, _t, _a: 0.0, "getTimezoneOffset"))
+    obj.set("toISOString", native(lambda _i, _t, _a: f"1970-01-01T00:00:{now / 1000.0:06.3f}Z", "toISOString"))
+    obj.set("valueOf", native(lambda _i, _t, _a: now, "valueOf"))
+    return obj
+
+
+def _object_keys(_i, _t, args):
+    target = args[0] if args else None
+    if isinstance(target, JSObject):
+        return JSArray(target.keys())
+    if isinstance(target, JSArray):
+        return JSArray([str(i) for i in range(len(target.elements))])
+    return JSArray([])
+
+
+def _object_assign(_i, _t, args):
+    if not args or not isinstance(args[0], JSObject):
+        raise JSError("TypeError: Object.assign target must be an object")
+    target = args[0]
+    for source in args[1:]:
+        if isinstance(source, JSObject):
+            target.properties.update(source.properties)
+    return target
+
+
+def _error_ctor(_i, _t, args):
+    obj = JSObject()
+    obj.set("message", to_js_string(args[0]) if args else "")
+    obj.set("name", "Error")
+    return obj
+
+
+# Timers: registrations land on interp.timers; the host runs them.
+def _set_timer(repeating: bool):
+    def _register(_interp, _this, args):
+        callback = args[0] if args else UNDEFINED
+        delay = to_number(args[1]) if len(args) > 1 else 0.0
+        return float(_interp.add_timer(callback, delay, repeating).id)
+
+    return _register
+
+
+def _clear_timer(_interp, _this, args):
+    if args:
+        timer_id = to_number(args[0])
+        for timer in _interp.timers:
+            if timer.id == timer_id:
+                timer.cancelled = True
+    return UNDEFINED
+
+
+# Fallback eval (calls in expression position are special-formed in
+# the interpreter; this covers indirect references).
+def _eval(_interp, _this, args):
+    source = args[0] if args else ""
+    if not isinstance(source, str):
+        return source
+    from repro.js.parser import parse as _parse
+
+    return _interp.run_program(_parse(source), _interp.globals)
+
+
+#: Name -> value of every global, in declaration order.  ``None`` marks
+#: the per-interpreter containers :func:`global_table` fills in.
+_GLOBALS: dict[str, object] = {
+    "undefined": UNDEFINED,
+    "globalThis": None,
+    "atob": native(_atob, "atob"),
+    "btoa": native(_btoa, "btoa"),
+    "NaN": math.nan,
+    "Infinity": math.inf,
+    "parseInt": native(_parse_int, "parseInt"),
+    "parseFloat": native(
+        lambda _i, _t, args: _parse_float(to_js_string(args[0] if args else "")), "parseFloat"
+    ),
+    "isNaN": native(lambda _i, _t, args: math.isnan(to_number(args[0] if args else UNDEFINED)), "isNaN"),
+    "encodeURIComponent": native(
+        lambda _i, _t, args: urllib.parse.quote(to_js_string(args[0] if args else ""), safe="!'()*-._~"),
+        "encodeURIComponent",
+    ),
+    "decodeURIComponent": native(
+        lambda _i, _t, args: urllib.parse.unquote(to_js_string(args[0] if args else "")),
+        "decodeURIComponent",
+    ),
+    "console": None,
+    "Math": None,
+    "JSON": None,
+    "Date": NativeFunction(
+        _date_constructor, "Date", {"now": native(lambda _interp, _t, _a: _interp.clock_ms(), "now")}
+    ),
+    "String": NativeFunction(
+        lambda _i, _t, args: to_js_string(args[0]) if args else "",
+        "String",
+        {
+            "fromCharCode": native(
+                lambda _i, _t, args: "".join(chr(int(to_number(a))) for a in args), "fromCharCode"
+            ),
+        },
+    ),
+    "Number": NativeFunction(
+        lambda _i, _t, args: to_number(args[0]) if args else 0.0,
+        "Number",
+        {
+            "isInteger": native(
+                lambda _i, _t, args: isinstance(args[0], (int, float))
+                and not isinstance(args[0], bool)
+                and float(args[0]).is_integer()
+                if args
+                else False,
+                "isInteger",
+            ),
+            "parseFloat": native(
+                lambda _i, _t, args: _parse_float(to_js_string(args[0] if args else "")), "parseFloat"
+            ),
+            "MAX_SAFE_INTEGER": float(2**53 - 1),
+        },
+    ),
+    "Boolean": native(lambda _i, _t, args: truthy(args[0]) if args else False, "Boolean"),
+    "Array": NativeFunction(
+        lambda _i, _t, args: JSArray(list(args)),
+        "Array",
+        {
+            "isArray": native(lambda _i, _t, args: isinstance(args[0], JSArray) if args else False, "isArray"),
+            "from": native(
+                lambda _i, _t, args: JSArray(
+                    list(args[0].elements) if args and isinstance(args[0], JSArray) else list(to_js_string(args[0])) if args else []
+                ),
+                "from",
+            ),
+        },
+    ),
+    "Object": NativeFunction(
+        lambda _i, _t, args: args[0] if args else JSObject(),
+        "Object",
+        {
+            "keys": native(_object_keys, "keys"),
+            "values": native(
+                lambda _i, _t, args: JSArray(list(args[0].properties.values()))
+                if args and isinstance(args[0], JSObject)
+                else JSArray([]),
+                "values",
+            ),
+            "assign": native(_object_assign, "assign"),
+            "entries": native(
+                lambda _i, _t, args: JSArray(
+                    [JSArray([k, v]) for k, v in args[0].properties.items()]
+                )
+                if args and isinstance(args[0], JSObject)
+                else JSArray([]),
+                "entries",
+            ),
+            "defineProperty": native(_object_define_property, "defineProperty"),
+        },
+    ),
+    "RegExp": native(
+        lambda _i, _t, args: JSRegExp(
+            to_js_string(args[0]) if args else "",
+            to_js_string(args[1]) if len(args) > 1 else "",
+        ),
+        "RegExp",
+    ),
+    "Error": native(_error_ctor, "Error"),
+    "TypeError": native(_error_ctor, "TypeError"),
+    "setTimeout": native(_set_timer(False), "setTimeout"),
+    "setInterval": native(_set_timer(True), "setInterval"),
+    "clearTimeout": native(_clear_timer, "clearTimeout"),
+    "clearInterval": native(_clear_timer, "clearInterval"),
+    "eval": native(_eval, "eval"),
+}
+
+
+def global_table() -> dict[str, object]:
+    """A fresh global scope: the shared natives plus new mutable containers."""
+    table = dict(_GLOBALS)
+    table["globalThis"] = JSObject()
+    table["console"] = JSObject(_CONSOLE)
+    table["Math"] = JSObject(_MATH)
+    table["JSON"] = JSObject(_JSON)
+    return table
 
 
 # ----------------------------------------------------------------------

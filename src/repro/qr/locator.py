@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.imaging.image import Image
+from repro.imaging.image import Image, integral_image
 from repro.qr.tables import matrix_size
 
 
@@ -39,83 +40,107 @@ def _binarize(image: Image) -> np.ndarray:
     return gray < (low + high) / 2.0
 
 
-def _runs(row: np.ndarray) -> list[tuple[int, int, bool]]:
-    """Consecutive runs as (start, length, value)."""
-    runs: list[tuple[int, int, bool]] = []
-    start = 0
-    current = bool(row[0])
-    for index in range(1, len(row)):
-        value = bool(row[index])
-        if value != current:
-            runs.append((start, index - start, current))
-            start = index
-            current = value
-    runs.append((start, len(row) - start, current))
-    return runs
+#: The finder signature: dark, light, dark, light, dark in 1:1:3:1:1.
+_FINDER_COLOURS = np.array([True, False, True, False, True])
+_FINDER_RATIOS = np.array([1.0, 1.0, 3.0, 1.0, 1.0])
 
 
-def _ratio_match(lengths: list[int]) -> float | None:
-    """If five runs approximate 1:1:3:1:1, return the unit module size."""
-    total = sum(lengths)
-    if total < 7:
-        return None
-    unit = total / 7.0
-    expected = (1, 1, 3, 1, 1)
-    for length, ratio in zip(lengths, expected):
-        if abs(length - ratio * unit) > max(unit * 0.55, 1.0):
-            return None
-    return unit
+def _run_table(mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The maximal runs of every row of ``mask``, in row-major order.
 
-
-def _vertical_center(mask: np.ndarray, x: int, y: int, unit: float) -> float | None:
-    """Confirm the 1:1:3:1:1 signature vertically through (x, y).
-
-    Returns the sub-pixel centre of the middle (3-module) run, or None.
-    Refining every row candidate to this common centre makes all rows of
-    a real finder collapse onto one point, so clustering cannot be
-    skewed by adjacent data rows that merely mimic the horizontal run.
+    Returns ``(keys, rows, starts, lengths, values)``.  ``keys`` is
+    ``row * (width + 1) + start``, ascending, so ``np.searchsorted`` finds
+    the run holding any pixel.  Each line gets a sentinel boundary at
+    ``width``; the step from it to the next line's start is a spurious
+    length-1 "run", which is dropped.
     """
-    height = mask.shape[0]
-    half = int(round(unit * 4.5))
-    y0, y1 = max(0, y - half), min(height, y + half + 1)
-    column = mask[y0:y1, x]
-    if not column.any():
-        return None
-    runs = _runs(column)
-    center_offset = y - y0
-    for index in range(len(runs) - 4):
-        window = runs[index : index + 5]
-        if not (window[0][2] and not window[1][2] and window[2][2] and not window[3][2] and window[4][2]):
-            continue
-        unit_v = _ratio_match([run[1] for run in window])
-        if unit_v is None or not (0.5 * unit <= unit_v <= 2.0 * unit):
-            continue
-        middle = window[2]
-        if middle[0] <= center_offset < middle[0] + middle[1]:
-            return y0 + middle[0] + (middle[1] - 1) / 2.0
-    return None
+    height, width = mask.shape
+    change = np.ones((height, width + 1), dtype=bool)
+    np.not_equal(mask[:, 1:], mask[:, :-1], out=change[:, 1:width])
+    bounds = np.flatnonzero(change)
+    keys = bounds[:-1]
+    lengths = np.diff(bounds)
+    real = keys % (width + 1) != width
+    keys, lengths = keys[real], lengths[real]
+    rows, starts = np.divmod(keys, width + 1)
+    return keys, rows, starts, lengths, mask[rows, starts]
+
+
+def _ratio_units(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which ``(n, 5)`` run windows approximate 1:1:3:1:1, and their unit.
+
+    The float64 arithmetic of the scalar test, elementwise: a window
+    matches when its total is at least 7 and every run lies within
+    ``max(0.55 * unit, 1)`` of ``ratio * unit``, ``unit = total / 7``.
+    """
+    total = lengths.sum(axis=1)
+    unit = total / 7.0
+    tolerance = np.maximum(unit * 0.55, 1.0)
+    close = np.abs(lengths - _FINDER_RATIOS * unit[:, None]) <= tolerance[:, None]
+    return (total >= 7) & close.all(axis=1), unit
+
+
+def _finder_windows(rows: np.ndarray, lengths: np.ndarray, values: np.ndarray):
+    """Indices ``i`` of the finder-like windows ``runs[i:i + 5]`` on one line."""
+    if len(lengths) < 5:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    colours = (sliding_window_view(values, 5) == _FINDER_COLOURS).all(axis=1)
+    match, unit = _ratio_units(sliding_window_view(lengths, 5))
+    index = np.flatnonzero((rows[:-4] == rows[4:]) & colours & match)
+    return index, unit[index]
 
 
 def find_finder_candidates(mask: np.ndarray) -> list[FinderCandidate]:
-    """All pixel positions whose row+column signature matches a finder."""
-    candidates: list[FinderCandidate] = []
-    for y in range(mask.shape[0]):
-        runs = _runs(mask[y])
-        for index in range(len(runs) - 4):
-            window = runs[index : index + 5]
-            if not (window[0][2] and not window[1][2] and window[2][2] and not window[3][2] and window[4][2]):
-                continue
-            unit = _ratio_match([run[1] for run in window])
-            if unit is None:
-                continue
-            # Sub-pixel centre of the 3-module core run: pixels
-            # [start, start + length - 1] have centre start + (length-1)/2.
-            x_center_precise = window[2][0] + (window[2][1] - 1) / 2.0
-            x_center = int(round(x_center_precise))
-            y_center = _vertical_center(mask, x_center, y, unit)
-            if y_center is not None:
-                candidates.append(FinderCandidate(x_center_precise, y_center, unit))
-    return candidates
+    """All pixel positions whose row+column signature matches a finder.
+
+    A row window's candidate is the sub-pixel centre of its 3-module
+    core run, confirmed vertically through that column: the column runs
+    ``k - 2 .. k + 2`` around the run ``k`` holding the pixel, cut to
+    ``unit * 4.5`` rows either side, must read 1:1:3:1:1 at a unit within
+    a factor of two.  Only the outer two runs can be cut.  The vertical
+    centre is that of run ``k``, so all rows of a real finder collapse
+    onto one point and clustering cannot be skewed by adjacent data rows
+    that merely mimic the horizontal run.
+    """
+    height = mask.shape[0]
+    _, rows, starts, lengths, values = _run_table(mask)
+    index, unit = _finder_windows(rows, lengths, values)
+    if not len(index):
+        return []
+    core = index + 2
+    y = rows[core]
+    # Pixels [start, start + length - 1] have centre start + (length-1)/2.
+    x_precise = starts[core] + (lengths[core] - 1) / 2.0
+    x = np.rint(x_precise).astype(np.int64)
+
+    col_keys, col_x, col_starts, col_lengths, col_values = _run_table(
+        np.ascontiguousarray(mask.T))
+    k = np.searchsorted(col_keys, x * (height + 1) + y, side="right") - 1
+    window = np.clip(k[:, None] + np.arange(-2, 3), 0, len(col_keys) - 1)
+    inside = (k >= 2) & (k + 2 < len(col_keys))
+    inside &= (col_x[window[:, 0]] == x) & (col_x[window[:, 4]] == x)
+    half = np.rint(unit * 4.5).astype(np.int64)
+    y0, y1 = np.maximum(0, y - half), np.minimum(height, y + half + 1)
+    cut = col_lengths[window]
+    cut[:, 0] = col_starts[window[:, 1]] - np.maximum(col_starts[window[:, 0]], y0)
+    cut[:, 4] = np.minimum(col_starts[window[:, 4]] + cut[:, 4], y1) - col_starts[window[:, 4]]
+    inside &= (cut[:, 0] > 0) & (cut[:, 4] > 0)
+    colours = (col_values[window] == _FINDER_COLOURS).all(axis=1)
+    match, unit_v = _ratio_units(cut)
+    confirmed = inside & colours & match & (0.5 * unit <= unit_v) & (unit_v <= 2.0 * unit)
+    y_center = col_starts[k] + (col_lengths[k] - 1) / 2.0
+    return [
+        FinderCandidate(float(x_precise[i]), float(y_center[i]), float(unit[i]))
+        for i in np.flatnonzero(confirmed)
+    ]
+
+
+def _centroid(cluster: list[FinderCandidate]) -> tuple[float, float, float]:
+    return (
+        float(np.mean([c.x for c in cluster])),
+        float(np.mean([c.y for c in cluster])),
+        float(np.median([c.module_size for c in cluster])),
+    )
 
 
 def _cluster(candidates: list[FinderCandidate]) -> list[FinderCandidate]:
@@ -124,32 +149,54 @@ def _cluster(candidates: list[FinderCandidate]) -> list[FinderCandidate]:
     Every candidate has already been refined to the sub-pixel centre of
     its finder core (horizontally and vertically), so all rows of a real
     finder land on nearly the same point: a one-module radius suffices,
-    and clusters need at least two supporting rows.
+    and clusters need at least two supporting rows.  A cluster's
+    centroid is recomputed, with the same ``np.mean``/``np.median``, only
+    when it grows.
     """
     clusters: list[list[FinderCandidate]] = []
+    centroids: list[tuple[float, float, float]] = []
     for candidate in candidates:
-        best_cluster = None
-        for cluster in clusters:
-            centroid_x = float(np.mean([c.x for c in cluster]))
-            centroid_y = float(np.mean([c.y for c in cluster]))
-            unit = float(np.median([c.module_size for c in cluster]))
+        for index, (centroid_x, centroid_y, unit) in enumerate(centroids):
             limit = max(unit, candidate.module_size) * 1.0
             if abs(candidate.x - centroid_x) <= limit and abs(candidate.y - centroid_y) <= limit:
-                best_cluster = cluster
+                clusters[index].append(candidate)
+                centroids[index] = _centroid(clusters[index])
                 break
-        if best_cluster is not None:
-            best_cluster.append(candidate)
         else:
             clusters.append([candidate])
-    merged = []
-    for cluster in clusters:
-        if len(cluster) < 2:
-            continue
-        xs = float(np.mean([c.x for c in cluster]))
-        ys = float(np.mean([c.y for c in cluster]))
-        unit = float(np.median([c.module_size for c in cluster]))
-        merged.append(FinderCandidate(xs, ys, unit))
-    return merged
+            centroids.append((candidate.x, candidate.y, candidate.module_size))
+    return [
+        FinderCandidate(*centroid)
+        for cluster, centroid in zip(clusters, centroids)
+        if len(cluster) >= 2
+    ]
+
+
+def _cell_edges(centres: np.ndarray, module: float, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half-module sampling window around each centre, clipped to ``[0, limit]``."""
+    low = np.rint(centres - module * 0.25).astype(np.int64)
+    high = np.maximum(np.rint(centres + module * 0.25).astype(np.int64), low + 1)
+    return np.clip(low, 0, limit), np.clip(high, 0, limit)
+
+
+def _sample_modules(
+    mask: np.ndarray, origin_x: float, origin_y: float, module_x: float, module_y: float, size: int
+) -> np.ndarray:
+    """Majority-vote each module's central window into a ``(size, size)`` matrix.
+
+    Ink counts come from one integral-image lookup; ``2 * ink >= area``
+    is the exact integer form of ``window.mean() >= 0.5``.  A window
+    wholly outside the mask reads light.
+    """
+    height, width = mask.shape
+    steps = np.arange(size)
+    x0, x1 = _cell_edges(origin_x + steps * module_x, module_x, width)
+    y0, y1 = _cell_edges(origin_y + steps * module_y, module_y, height)
+    table = integral_image(mask)
+    ink = (table[np.ix_(y1, x1)] - table[np.ix_(y0, x1)]
+           - table[np.ix_(y1, x0)] + table[np.ix_(y0, x0)])
+    area = (y1 - y0)[:, None] * (x1 - x0)[None, :]
+    return (y1 > y0)[:, None] & (x1 > x0)[None, :] & (2 * ink >= area)
 
 
 def _identify_corners(
@@ -209,19 +256,4 @@ def locate_qr_matrix(image: Image) -> np.ndarray:
     origin_x = top_left.x - 3.0 * module_x
     origin_y = top_left.y - 3.0 * module_y
 
-    matrix = np.zeros((size, size), dtype=bool)
-    height, width = mask.shape
-    for row in range(size):
-        for col in range(size):
-            cx = origin_x + col * module_x
-            cy = origin_y + row * module_y
-            x0 = int(round(cx - module_x * 0.25))
-            x1 = max(int(round(cx + module_x * 0.25)), x0 + 1)
-            y0 = int(round(cy - module_y * 0.25))
-            y1 = max(int(round(cy + module_y * 0.25)), y0 + 1)
-            x0, x1 = max(0, x0), min(width, x1)
-            y0, y1 = max(0, y0), min(height, y1)
-            if x0 >= x1 or y0 >= y1:
-                continue
-            matrix[row, col] = mask[y0:y1, x0:x1].mean() >= 0.5
-    return matrix
+    return _sample_modules(mask, origin_x, origin_y, module_x, module_y, size)

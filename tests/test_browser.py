@@ -5,13 +5,14 @@ import random
 import pytest
 
 from repro.browser.browser import Browser, VisitOutcome
-from repro.browser.dom import parse_html
+from repro.browser.dom import _DOM_MEMO, _parse_document, clear_dom_memo, dom_memo_info, parse_html
 from repro.browser.profile import (
     BrowserProfile,
     datacenter_scanner_profile,
     human_chrome_profile,
     mobile_phone_profile,
 )
+from repro.js.interp import Interpreter, JSArray, NativeFunction
 from repro.web.context import ClientContext
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.network import Network
@@ -289,3 +290,100 @@ class TestPageExecution:
     def test_mobile_profile_is_mobile(self):
         assert mobile_phone_profile().is_mobile
         assert not human_chrome_profile().is_mobile
+
+
+_HIJACK_PAGE = """<html><head><title>Original</title><script>
+console.log = function () {};
+console.warn('from a');
+Math.random = function () { return 0.5; };
+JSON.stringify = function () { return 'hijacked'; };
+navigator.userAgent = 'Hijacked/1.0';
+document.title = 'Hijacked';
+localStorage.getItem = function () { return 'stolen'; };
+leaked = 42;
+var button = document.getElementById('go');
+button.addEventListener('click', function () { leaked = 43; });
+button.innerHTML = 'changed';
+</script></head><body><button id="go">Go</button></body></html>"""
+
+_PLAIN_PAGE = '<html><head><title>Original</title></head><body><button id="go">Go</button></body></html>'
+
+_PROBE = """[typeof leaked, Math.random() === 0.5, JSON.stringify({a: 1}), navigator.userAgent,
+  document.title, localStorage.getItem('k'), document.getElementById('go').innerHTML]"""
+
+
+class TestSessionIsolation:
+    """Natives are shared per process; everything a script can reach is not."""
+
+    def test_a_hijacking_page_leaves_the_next_session_pristine(self):
+        network, site = _simple_network(_HIJACK_PAGE)
+        site.add_page("/plain", Page(html=_PLAIN_PAGE))
+        browser = _browser(network)
+        hijacked = browser.visit("https://site.example/").final_session
+        assert hijacked.signals().console_hijacked
+        assert hijacked.interp.console_log == [("warn", "from a")]
+        assert hijacked.interp.globals.lookup("leaked") == 42.0
+        assert len(hijacked.listeners) == 1
+
+        clean = browser.visit("https://site.example/plain").final_session
+        assert clean.interp.console_log == []
+        assert not clean.signals().console_hijacked
+        assert clean.listeners == []
+        assert not clean.interp.globals.has("leaked")
+        probe = clean.interp.run(_PROBE)
+        assert isinstance(probe, JSArray)
+        assert probe.elements == [
+            "undefined", False, '{"a":1}', browser.profile.user_agent, "Original", None, "Go"]
+        # The pristine values are the process-wide natives themselves.
+        fresh = Interpreter()
+        for name, member in (("console", "log"), ("Math", "random"), ("JSON", "stringify")):
+            native = clean.interp.globals.lookup(name).get(member)
+            assert isinstance(native, NativeFunction)
+            assert native is fresh.globals.lookup(name).get(member)
+            assert native is not hijacked.interp.globals.lookup(name).get(member)
+        assert clean.interp.globals.lookup(
+            "localStorage").get("getItem") is not hijacked.interp.globals.lookup("localStorage").get("getItem")
+
+    def test_natives_reject_property_writes(self):
+        interp = Interpreter()
+        interp.run("var caught = ''; try { Date.now = 1; } catch (e) { caught = e; }")
+        assert "cannot set property" in interp.globals.lookup("caught")
+        assert isinstance(Interpreter().globals.lookup("Date").properties["now"], NativeFunction)
+
+    def test_timer_ids_start_at_one_in_every_session(self):
+        html = """<html><head><script>
+        var first = setTimeout(function () { window.__first = 1; }, 10);
+        var second = setTimeout(function () { window.__second = 1; }, 10);
+        clearTimeout(first);
+        </script></head><body></body></html>"""
+        network, _ = _simple_network(html)
+        browser = _browser(network)
+        for _ in range(2):
+            session = browser.visit("https://site.example/").final_session
+            assert session.interp.globals.lookup("first") == 1.0
+            assert session.interp.globals.lookup("second") == 2.0
+            assert not session.window.has("__first")
+            assert session.window.get("__second") == 1.0
+
+
+class TestDomMemo:
+    def test_repeated_body_is_parsed_once(self):
+        clear_dom_memo()
+        first = parse_html(_PLAIN_PAGE)
+        assert parse_html(_PLAIN_PAGE) is first
+        assert _parse_document(_PLAIN_PAGE) == first
+        assert dom_memo_info()["hits"] == 1
+
+    def test_crawl_never_mutates_a_memoised_document(self):
+        from repro.core import CrawlerBox
+        from repro.dataset import CorpusGenerator
+
+        from tests.conftest import TEST_SEED
+
+        clear_dom_memo()
+        corpus = CorpusGenerator(seed=TEST_SEED, scale=0.03).generate()
+        CrawlerBox.for_world(corpus.world).analyze_corpus(corpus.messages)
+        info = dom_memo_info()
+        assert info["hits"] > info["misses"] > 20
+        for body, document in _DOM_MEMO.items():
+            assert document == _parse_document(body)

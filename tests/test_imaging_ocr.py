@@ -241,7 +241,7 @@ def test_grid_bits_match_cell_loop(seed, height, width, density, scale, data):
         st.lists(st.integers(min_value=-6 * scale, max_value=width + 6), min_size=1, max_size=8),
         label="xs",
     )
-    fast = ocr._grid_bits(ocr._integral_image(mask), np.array(xs), y, scale)
+    fast = ocr._grid_bits(ocr.integral_image(mask), np.array(xs), y, scale)
     for bits, x in zip(fast, xs):
         assert np.array_equal(bits, _cell_bits_reference(mask, x, y, scale)), (x, y)
 
