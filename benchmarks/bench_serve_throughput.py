@@ -12,6 +12,11 @@ sessions) in a scratch checkpoint directory and drives it with the
   machine-readable ``overloaded`` responses, zero dead letters, and
   ``/stats`` totals that reconcile exactly
   (``submitted == accepted + shed + rejected``).
+- **Quiet round trip** — one submission at a time on one connection,
+  timed by the client from submit to verdict: the median must stay
+  under 20 ms.  The daemon writes ``accepted`` then ``verdict`` with
+  nothing from the client in between, so Nagle's algorithm on its
+  socket plus the client's delayed ACK would cost 40 ms a verdict.
 
 Results land in ``benchmarks/results/bench_serve_throughput.json`` —
 CI's serve-throughput job uploads them as an artifact.
@@ -23,9 +28,11 @@ sets it; the default bench sweep skips it).  Also runnable standalone::
 """
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
+import statistics
 import sys
 import tempfile
 import time
@@ -41,6 +48,9 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2024"))
 SERVE_ENABLED = bool(os.environ.get("REPRO_SERVE_BENCH"))
 
 MESSAGES = int(os.environ.get("REPRO_SERVE_BENCH_MESSAGES", "120"))
+QUIET_ROUND_TRIPS = 30
+#: Gate on the quiet round trip's median (a delayed-ACK stall is 40 ms).
+QUIET_MEDIAN_MS = 20.0
 JOBS = int(os.environ.get("REPRO_SERVE_BENCH_JOBS", "1"))
 EXECUTOR = os.environ.get("REPRO_SERVE_BENCH_EXECUTOR", "inline")
 
@@ -69,9 +79,9 @@ def _overload_admission() -> AdmissionConfig:
     return AdmissionConfig(cost=cost, global_rate=cost // 2, global_burst=cost)
 
 
-def _drive(directory, count: int, reporters: int = 5,
-           admission: AdmissionConfig | None = None) -> dict:
-    """One daemon lifecycle: submit ``count`` messages, drain, report."""
+@contextlib.contextmanager
+def _session(directory, admission: AdmissionConfig | None = None):
+    """A fresh daemon and one client session; the daemon must drain cleanly."""
     config = ServeConfig(
         seed=BENCH_SEED, scale=BENCH_SCALE, jobs=JOBS, executor=EXECUTOR,
         admission=admission or AdmissionConfig(),
@@ -79,22 +89,29 @@ def _drive(directory, count: int, reporters: int = 5,
     daemon = ServeDaemon(config, directory)
     daemon.start()
     try:
-        started = time.perf_counter()
         with ServeClient("127.0.0.1", daemon.port, timeout=600) as client:
-            outcomes = [
-                # The paper's reporting model: a handful of companies
-                # feeding one analysis daemon.
-                client.submit_bytes(_eml(i), reporter=f"company-{i % reporters}")
-                for i in range(count)
-            ]
-            client.wait_verdicts(timeout=600)
-            stats = client.stats()
-        elapsed = time.perf_counter() - started
+            yield client
     finally:
         daemon.request_shutdown()
         exit_code = daemon.wait()
-    shed = [o for o in outcomes if o.status == "overloaded"]
     assert exit_code == 0, "daemon did not drain cleanly"
+
+
+def _drive(directory, count: int, reporters: int = 5,
+           admission: AdmissionConfig | None = None) -> dict:
+    """One daemon lifecycle: submit ``count`` messages, drain, report."""
+    with _session(directory, admission) as client:
+        started = time.perf_counter()
+        outcomes = [
+            # The paper's reporting model: a handful of companies
+            # feeding one analysis daemon.
+            client.submit_bytes(_eml(i), reporter=f"company-{i % reporters}")
+            for i in range(count)
+        ]
+        client.wait_verdicts(timeout=600)
+        stats = client.stats()
+        elapsed = time.perf_counter() - started
+    shed = [o for o in outcomes if o.status == "overloaded"]
     assert all(o.status in ("verdict", "overloaded") for o in outcomes), \
         "a submission ended without an explicit terminal response"
     assert stats["submitted"] == stats["accepted"] + stats["shed"] + stats["rejected"]
@@ -114,13 +131,31 @@ def _drive(directory, count: int, reporters: int = 5,
     }
 
 
+def _quiet_round_trips(directory, count: int) -> dict:
+    """One submission in flight at a time, timed submit -> verdict."""
+    elapsed_ms = []
+    with _session(directory) as client:
+        for i in range(count):
+            started = time.perf_counter()
+            outcome = client.submit_bytes(_eml(i), reporter=f"company-{i % 5}")
+            client.wait_verdicts(timeout=600)
+            elapsed_ms.append(1000.0 * (time.perf_counter() - started))
+            assert outcome.status == "verdict", outcome.status
+    return {
+        "round_trips": count,
+        "median_ms": round(statistics.median(elapsed_ms), 3),
+        "max_ms": round(max(elapsed_ms), 3),
+    }
+
+
 def run_bench(count: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="serve-bench-") as scratch:
         scratch = pathlib.Path(scratch)
         sustained = _drive(scratch / "sustained", count)
         overload = _drive(scratch / "overload", count,
                           admission=_overload_admission())
-    return {"sustained": sustained, "overload_2x": overload}
+        quiet = _quiet_round_trips(scratch / "quiet", QUIET_ROUND_TRIPS)
+    return {"sustained": sustained, "overload_2x": overload, "quiet_round_trip": quiet}
 
 
 def _check(results: dict) -> list[str]:
@@ -142,6 +177,11 @@ def _check(results: dict) -> list[str]:
         violations.append(
             f"overload accounting broken: {overload['completed']} completed "
             f"+ {overload['shed']} shed != {overload['messages']}")
+    quiet = results["quiet_round_trip"]
+    if quiet["median_ms"] >= QUIET_MEDIAN_MS:
+        violations.append(
+            f"quiet round trip median {quiet['median_ms']} ms, "
+            f"gate {QUIET_MEDIAN_MS:g} ms")
     return violations
 
 
@@ -157,13 +197,20 @@ def bench_serve_throughput(benchmark, comparison):
     comparison.row("sustained: shed (must be 0)", 0, sustained["shed"])
     comparison.row("2x overload: shed rate (~0.5)", 0.5, overload["shed_rate"])
     comparison.row("dead letters (both phases)", 0, 0)
+    comparison.row(f"quiet round trip: median ms (< {QUIET_MEDIAN_MS:g})",
+                   f"<{QUIET_MEDIAN_MS:g}", results["quiet_round_trip"]["median_ms"])
     comparison.metric("sustained", sustained)
     comparison.metric("overload_2x", overload)
+    comparison.metric("quiet_round_trip", results["quiet_round_trip"])
     comparison.note("")
     comparison.note(
         f"sustained: {sustained['throughput_msg_per_s']} msg/s, "
         f"p50={sustained['latency_p50_ms']}ms p99={sustained['latency_p99_ms']}ms "
         f"({sustained['executor']} x{sustained['jobs']})")
+    quiet = results["quiet_round_trip"]
+    comparison.note(
+        f"quiet round trip: median={quiet['median_ms']}ms max={quiet['max_ms']}ms "
+        f"over {quiet['round_trips']} one-at-a-time submissions")
 
     assert not violations, "; ".join(violations)
 
@@ -181,11 +228,15 @@ def main(argv=None) -> int:
           f"executor={EXECUTOR}, jobs={JOBS}, "
           f"seed={BENCH_SEED}, scale={BENCH_SCALE}")
     results = run_bench(args.messages)
-    for phase, data in results.items():
+    for phase in ("sustained", "overload_2x"):
+        data = results[phase]
         print(f"  {phase}: {data['throughput_msg_per_s']} msg/s, "
               f"p50={data['latency_p50_ms']}ms p99={data['latency_p99_ms']}ms, "
               f"shed={data['shed']}/{data['messages']} "
               f"({data['shed_rate']:.0%})")
+    quiet = results["quiet_round_trip"]
+    print(f"  quiet_round_trip: median {quiet['median_ms']} ms, "
+          f"max {quiet['max_ms']} ms over {quiet['round_trips']} round trips")
 
     violations = _check(results)
     for violation in violations:

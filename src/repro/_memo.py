@@ -1,14 +1,16 @@
 """A small thread-safe LRU shared by the hot-path memos.
 
-Three memos sit on the analysis hot path: the JS parse cache
+Four memos sit on the analysis hot path: the JS parse cache
 (:mod:`repro.js.parser`, source hash -> shared ``Program``), the
 parsed-document memo (:mod:`repro.browser.dom`, page body -> shared
-``ParsedDocument``) and the screenshot fingerprint memo
-(:mod:`repro.browser.render`, render inputs -> ``(phash, dhash)``).
-Each maps a key that fully determines a pure computation to its
-result, and no caller mutates a shared result, so all three are
-invisible in outputs; they differ only in what they store and in their
-capacity, which each owner fixes as a module constant.
+``ParsedDocument``), the screenshot fingerprint memo
+(:mod:`repro.browser.render`, render inputs -> ``(phash, dhash)``) and
+the parsed-header memo (:mod:`repro.mail.ingest`, ``(name, value)`` ->
+shared stdlib header object).  Each maps a key that fully determines a
+pure computation to its result, and no caller mutates a shared result,
+so all four are invisible in outputs; they differ only in what they
+store and in their capacity, which each owner fixes as a module
+constant.
 
 Stdlib-only and at the package top level, like :mod:`repro._budget`,
 so leaf modules can import it without an import cycle.

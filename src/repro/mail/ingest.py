@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from repro._memo import LRU
 from repro.mail.attachments import FileBlob
 from repro.mail.message import ContentType, EmailMessage, MessagePart
 
@@ -47,6 +48,50 @@ class IngestError(ValueError):
     undecodable sample as that sample's problem (it lands in the ingest
     report's quarantine list) and keeps going — one hostile or truncated
     ``.eml`` must not abort a 10k-message corpus."""
+
+
+#: Distinct ``(name, value)`` header pairs kept parsed.  One ingest
+#: fetches about 38 parsed headers (``get_content_type``, ``get_param``
+#: and friends re-read ``Content-Type`` per call); 256 entries keep the
+#: repeats within a message and the headers shared across reports.
+HEADER_MEMO_SIZE = 256
+#: RFC 5322's line-length cap.  A longer value is parsed as before but
+#: never kept, so a hostile multi-megabyte header cannot pin memory.
+HEADER_MEMO_MAX_VALUE = 998
+
+_HEADER_MEMO: LRU = LRU(HEADER_MEMO_SIZE)
+
+
+def header_memo_info() -> dict:
+    """Hit/miss/size counters of the parsed-header memo."""
+    return _HEADER_MEMO.info()
+
+
+def clear_header_memo() -> None:
+    """Drop all memoised headers and reset the counters."""
+    _HEADER_MEMO.clear()
+
+
+class _MemoPolicy(email.policy.EmailPolicy):
+    """``email.policy.default`` with the header parse memoised.
+
+    The stdlib result depends only on ``(name, value)``, and the header
+    objects it returns are ``str`` subclasses no caller writes to, so a
+    shared one is indistinguishable from a fresh parse.
+    """
+
+    def header_fetch_parse(self, name, value):
+        if hasattr(value, "name") or len(value) > HEADER_MEMO_MAX_VALUE:
+            return super().header_fetch_parse(name, value)
+        key = (name, value)
+        header = _HEADER_MEMO.get(key)
+        if header is None:
+            header = super().header_fetch_parse(name, value)
+            _HEADER_MEMO.put(key, header)
+        return header
+
+
+_POLICY = _MemoPolicy()
 
 _RECEIVED_IP_RE = re.compile(r"\[(\d{1,3}(?:\.\d{1,3}){3})\]")
 
@@ -172,7 +217,7 @@ def ingest_eml_bytes(data: bytes, epoch: datetime = DEFAULT_EPOCH) -> EmailMessa
     charsets, hopelessly malformed MIME structure).
     """
     try:
-        parsed = email.message_from_bytes(data, policy=email.policy.default)
+        parsed = email.message_from_bytes(data, policy=_POLICY)
     except Exception as error:  # the compat parser can still choke on NULs etc.
         raise IngestError(f"unparseable RFC-822 input: {error!r}") from error
     if not parsed.keys():

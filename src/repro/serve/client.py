@@ -17,7 +17,13 @@ import socket
 import time
 from dataclasses import dataclass, field
 
-from repro.serve.protocol import MAX_LINE_BYTES, ProtocolError, encode_line, read_line
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    ProtocolError,
+    encode_line,
+    read_line,
+    set_nodelay,
+)
 
 #: Admission responses (one always arrives, synchronously, per submit).
 _ACK_OPS = ("accepted", "overloaded", "rejected")
@@ -60,6 +66,7 @@ class ServeClient:
     def __init__(self, host: str, port: int, timeout: float = 60.0):
         self.timeout = timeout
         self._conn = socket.create_connection((host, port), timeout=timeout)
+        set_nodelay(self._conn)
         self._stream = self._conn.makefile("rb")
         self._next_id = 0
         #: client_id -> outcome, in submission order (dicts preserve it).

@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro._chaos import ChaosProfile, keyed_rng, pick_band, preset
-from repro.serve.protocol import MAX_LINE_BYTES, encode_line
+from repro.serve.protocol import MAX_LINE_BYTES, encode_line, set_nodelay
 
 __all__ = [
     "CLIENT_FAULT_PROFILES",
@@ -356,6 +356,7 @@ class ChaosClient:
         except OSError:
             self.report.responses["connect_refused"] += 1
             return False
+        set_nodelay(conn)
         self._conn = conn
         self._stream = conn.makefile("rb")
         return True

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import json
 import select
+import socket
 import time
 
 #: Hard cap on one protocol line (a submission carries a whole base64
@@ -237,6 +238,21 @@ class LineChannel:
             if not self._buffer:
                 started = time.monotonic()
             self._buffer += chunk
+
+
+def set_nodelay(conn) -> None:
+    """Turn off Nagle's algorithm on ``conn`` (best-effort).
+
+    Both peers write small lines back to back: the daemon answers a
+    submit with ``accepted`` and then ``verdict``.  With Nagle on, the
+    second write waits for the ACK of the first, and the peer's
+    delayed ACK holds that back for 40 ms.  A socket that is not TCP
+    (or is already closed) raises ``OSError``, which is ignored.
+    """
+    try:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        pass
 
 
 def send_bounded(conn, data: bytes, timeout: float, poll_slice: float = _POLL_SLICE) -> bool:

@@ -71,6 +71,7 @@ from repro.serve.protocol import (
     http_response,
     looks_like_http,
     send_bounded,
+    set_nodelay,
 )
 from repro.serve.scheduler import FairScheduler
 from repro.storage.durable import DEFAULT_DURABILITY, durable_write_text, retrying
@@ -441,6 +442,7 @@ class ServeDaemon:
                 conn, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed: drain in progress
+            set_nodelay(conn)
             if self._stop_accepting:
                 # The drain's wake-up poke (closing a listener does not
                 # reliably interrupt a blocked accept()).

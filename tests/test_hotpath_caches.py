@@ -1,11 +1,12 @@
-"""Hot-path caches: the JS parse LRU, the screenshot fingerprint memo
-and the spear-reference memo.
+"""Hot-path caches: the JS parse LRU, the screenshot fingerprint memo,
+the spear-reference memo and the parsed-header memo.
 
-All three are pure wins only if they are invisible: a cached parse
+All four are pure wins only if they are invisible: a cached parse
 must yield an AST equal to a fresh parse, a memoised fingerprint must
-equal the hashes of a freshly rendered screenshot, and a memoized
+equal the hashes of a freshly rendered screenshot, a memoized
 reference crawl must yield the same pHash/dHash reference set a fresh
-crawl would.  These tests pin the invisibility and the actually-caching
+crawl would, and an ingest through a warm header memo must give the
+records a cold one gives.  These tests pin the invisibility and the actually-caching
 behaviour (hit counters, LRU eviction, per-key isolation).
 """
 
@@ -262,3 +263,54 @@ class TestSpearReferenceMemo:
         memoized = SpearPhishClassifier.from_portals(network, brands)
         fresh = SpearPhishClassifier._crawl_references(network, brands)
         assert memoized.references == list(fresh)
+
+
+def _rfc822(message) -> bytes:
+    """A corpus message as RFC-822 bytes, from its text and HTML parts."""
+    import email.message
+    import email.policy
+
+    root = email.message.EmailMessage(policy=email.policy.default)
+    root["From"] = message.sender
+    root["To"] = message.recipient
+    root["Subject"] = message.subject
+    root["Received"] = f"from relay ([{message.sending_ip}]) by mx.corp.example"
+    texts = [part for part in message.parts
+             if part.content_type in ("text/plain", "text/html") and isinstance(part.content, str)]
+    if not texts:
+        root.set_content("", charset="utf-8")
+    for position, part in enumerate(texts):
+        add = root.set_content if position == 0 else root.add_alternative
+        add(part.decoded_text(), subtype=part.content_type.split("/")[1], charset="utf-8")
+    return root.as_bytes()
+
+
+class TestHeaderMemo:
+    def test_cold_and_warm_memo_give_identical_records(self):
+        from repro.browser.dom import clear_dom_memo
+        from repro.dataset import CorpusGenerator
+        from repro.mail.ingest import clear_header_memo, header_memo_info, ingest_eml_bytes
+
+        # Rendered once: a multipart render draws a random boundary.
+        raws = [_rfc822(message) for message in
+                CorpusGenerator(seed=2024, scale=0.03).generate().messages[:40]]
+        passes = []
+        clear_header_memo()
+        for _ in ("cold", "warm"):
+            # A fresh (identical) world per pass, and every other memo
+            # emptied: only the header memo differs between passes.
+            clear_parse_cache()
+            clear_screenshot_memo()
+            clear_dom_memo()
+            corpus = CorpusGenerator(seed=2024, scale=0.03).generate()
+            before = header_memo_info()
+            records = _analyse(corpus.world, [ingest_eml_bytes(raw) for raw in raws])
+            after = header_memo_info()
+            passes.append((records, after["hits"] - before["hits"],
+                           after["misses"] - before["misses"]))
+        (cold, cold_hits, cold_misses), (warm, warm_hits, warm_misses) = passes
+        assert cold == warm
+        assert cold_misses > 0
+        # The warm pass parses no header it has seen.
+        assert warm_misses == 0
+        assert warm_hits == cold_hits + cold_misses

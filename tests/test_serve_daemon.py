@@ -29,6 +29,8 @@ import multiprocessing
 import os
 import pathlib
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -289,6 +291,39 @@ class TestRestartByteIdentity:
                     client.submit_bytes(raw, reporter="acme")
                 client.wait_verdicts(timeout=240)
         assert multiprocessing.active_children() == []
+
+
+class TestQuietRoundTrip:
+    """One submission at a time on one connection.
+
+    The daemon answers a submit with two small writes, ``accepted`` and
+    then ``verdict``, and the client sends nothing in between.  With
+    Nagle's algorithm on the daemon's socket the verdict waits for the
+    ACK of ``accepted``, which the client's delayed-ACK timer holds for
+    40 ms: every quiet round trip then takes about 44 ms.
+    """
+
+    ROUND_TRIPS = 12
+
+    @pytest.mark.parametrize("engine, jobs", [("inline", 1), ("process", 2)])
+    def test_quiet_round_trip_is_not_stalled(self, tmp_path, engine, jobs):
+        with _daemon(tmp_path, executor=engine, jobs=jobs) as daemon:
+            with ServeClient("127.0.0.1", daemon.port, timeout=120) as client:
+                elapsed_ms = []
+                for i in range(self.ROUND_TRIPS):
+                    started = time.perf_counter()
+                    outcome = client.submit_bytes(_eml(i), reporter="acme")
+                    client.wait_verdicts(timeout=120)
+                    elapsed_ms.append(1000.0 * (time.perf_counter() - started))
+                    assert outcome.status == "verdict"
+                (session,) = daemon._sessions.values()
+                nodelay = session.conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        median = statistics.median(elapsed_ms)
+        assert median < 20.0, (
+            f"quiet submit->verdict median {median:.1f} ms: "
+            f"{[round(ms, 1) for ms in elapsed_ms]}"
+        )
+        assert nodelay, "daemon-side session socket has Nagle's algorithm on"
 
 
 def _drain_within(daemon, timeout: float) -> int:
