@@ -18,18 +18,21 @@ sessions) in a scratch checkpoint directory and drives it with the
   nothing from the client in between, so Nagle's algorithm on its
   socket plus the client's delayed ACK would cost 40 ms a verdict.
 
-Results land in ``benchmarks/results/bench_serve_throughput.json`` —
-CI's serve-throughput job uploads them as an artifact.
+The gated pytest run writes ``benchmarks/results/bench_serve_throughput
+.{txt,json}``; CI's serve-throughput job uploads them as an artifact.
 
 The sweep is gated on ``REPRO_SERVE_BENCH`` (CI's serve-throughput job
 sets it; the default bench sweep skips it).  Also runnable standalone::
 
     REPRO_SERVE_BENCH=1 PYTHONPATH=src python benchmarks/bench_serve_throughput.py
+
+which writes the same rows-and-metrics shape to its own
+``bench_serve_throughput_sweep.{txt,json}``, so it never overwrites
+the gated result.
 """
 
 import argparse
 import contextlib
-import json
 import os
 import pathlib
 import statistics
@@ -53,9 +56,6 @@ QUIET_ROUND_TRIPS = 30
 QUIET_MEDIAN_MS = 20.0
 JOBS = int(os.environ.get("REPRO_SERVE_BENCH_JOBS", "1"))
 EXECUTOR = os.environ.get("REPRO_SERVE_BENCH_EXECUTOR", "inline")
-
-RESULTS_PATH = (pathlib.Path(__file__).parent / "results"
-                / "bench_serve_throughput.json")
 
 
 def _eml(i: int) -> bytes:
@@ -185,14 +185,11 @@ def _check(results: dict) -> list[str]:
     return violations
 
 
-@pytest.mark.skipif(not SERVE_ENABLED,
-                    reason="set REPRO_SERVE_BENCH=1 to run the serve throughput sweep")
-def bench_serve_throughput(benchmark, comparison):
-    results = run_bench(MESSAGES)
-    violations = _check(results)
+def _record(comparison, results: dict) -> None:
+    """Rows, metrics and notes of one sweep (pytest and standalone alike)."""
     sustained, overload = results["sustained"], results["overload_2x"]
-
-    comparison.row("sustained: completed / offered", MESSAGES,
+    messages = sustained["messages"]
+    comparison.row("sustained: completed / offered", messages,
                    sustained["completed"])
     comparison.row("sustained: shed (must be 0)", 0, sustained["shed"])
     comparison.row("2x overload: shed rate (~0.5)", 0.5, overload["shed_rate"])
@@ -207,11 +204,22 @@ def bench_serve_throughput(benchmark, comparison):
         f"sustained: {sustained['throughput_msg_per_s']} msg/s, "
         f"p50={sustained['latency_p50_ms']}ms p99={sustained['latency_p99_ms']}ms "
         f"({sustained['executor']} x{sustained['jobs']})")
+    comparison.note(
+        f"2x overload: {overload['throughput_msg_per_s']} msg/s, "
+        f"p50={overload['latency_p50_ms']}ms p99={overload['latency_p99_ms']}ms, "
+        f"shed={overload['shed']}/{overload['messages']}")
     quiet = results["quiet_round_trip"]
     comparison.note(
         f"quiet round trip: median={quiet['median_ms']}ms max={quiet['max_ms']}ms "
         f"over {quiet['round_trips']} one-at-a-time submissions")
 
+
+@pytest.mark.skipif(not SERVE_ENABLED,
+                    reason="set REPRO_SERVE_BENCH=1 to run the serve throughput sweep")
+def bench_serve_throughput(benchmark, comparison):
+    results = run_bench(MESSAGES)
+    violations = _check(results)
+    _record(comparison, results)
     assert not violations, "; ".join(violations)
 
     benchmark.pedantic(lambda: run_bench(max(10, MESSAGES // 4)),
@@ -219,6 +227,8 @@ def bench_serve_throughput(benchmark, comparison):
 
 
 def main(argv=None) -> int:
+    from conftest import ComparisonWriter
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--messages", type=int, default=MESSAGES,
                         help=f"messages per phase (default {MESSAGES})")
@@ -228,25 +238,13 @@ def main(argv=None) -> int:
           f"executor={EXECUTOR}, jobs={JOBS}, "
           f"seed={BENCH_SEED}, scale={BENCH_SCALE}")
     results = run_bench(args.messages)
-    for phase in ("sustained", "overload_2x"):
-        data = results[phase]
-        print(f"  {phase}: {data['throughput_msg_per_s']} msg/s, "
-              f"p50={data['latency_p50_ms']}ms p99={data['latency_p99_ms']}ms, "
-              f"shed={data['shed']}/{data['messages']} "
-              f"({data['shed_rate']:.0%})")
-    quiet = results["quiet_round_trip"]
-    print(f"  quiet_round_trip: median {quiet['median_ms']} ms, "
-          f"max {quiet['max_ms']} ms over {quiet['round_trips']} round trips")
+    writer = ComparisonWriter("bench_serve_throughput_sweep")
+    _record(writer, results)
+    writer.flush()
 
     violations = _check(results)
     for violation in violations:
         print(f"  VIOLATION: {violation}")
-
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    payload = {"name": "bench_serve_throughput", "seed": BENCH_SEED,
-               "scale": BENCH_SCALE, "metrics": results}
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  results written to {RESULTS_PATH}")
     return 0 if not violations else 1
 
 

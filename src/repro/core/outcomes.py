@@ -78,10 +78,6 @@ def password_form_visible(session: PageSession) -> bool:
     return False
 
 
-#: Backwards-compatible alias for the pre-public name.
-_password_form_visible = password_form_visible
-
-
 def classify_page(session: PageSession) -> str:
     """Classify one loaded page."""
     text = (session.parsed.text or "").lower()

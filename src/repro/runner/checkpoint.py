@@ -374,12 +374,6 @@ class CheckpointStore:
             scan.entries.append(data)
         return scan
 
-    def _iter_lines(self):
-        """Parsed dicts of every intact, indexable line (legacy shim:
-        silently skips defective lines — use :meth:`scan` to *see*
-        them)."""
-        yield from self.scan().entries
-
     def completed_indices(self) -> set[int]:
         """Message indices with a durable record (resume skips these)."""
         return self.scan().indices
@@ -389,9 +383,10 @@ class CheckpointStore:
 
         If a record was appended twice (a job finished right as the run
         was killed, then re-ran on resume), the last append wins.
+        Defective lines are skipped silently; :meth:`scan` reports them.
         """
         by_index: dict[int, MessageRecord] = {}
-        for data in self._iter_lines():
+        for data in self.scan().entries:
             record = record_from_dict(data)
             by_index[record.message_index] = record
         return [by_index[index] for index in sorted(by_index)]

@@ -24,8 +24,9 @@ it, :func:`analyse_batch`.  Two transports carry it:
 
 Both transports open with a ``ready`` message per worker, the only
 handshake, and end with ``stop``.  :class:`Scheduler` is the one
-driver and policy over both: batch dispatch, isolated retries, dead
-letters, stall quarantine, and drain — for a batch run
+driver and policy over both: batch dispatch (pulled from its owner
+whenever a worker is free), isolated retries, dead letters, stall
+quarantine, and drain — for a batch run
 (:class:`~repro.runner.runner.CorpusRunner`) and for ``repro serve``
 (:class:`~repro.serve.engine.ProcessEngine`) alike.  Worker lifecycle
 (spawn, sentinel-based death detection, stall ticks) lives in
@@ -405,7 +406,7 @@ class InlineTransport:
         self._commands.put(command)
 
     def wake(self) -> None:
-        """Post a no-op wakeup (signal-handler safe: SimpleQueue.put is
+        """Post a wakeup (signal-handler safe: SimpleQueue.put is
         reentrant)."""
         self._commands.put(("wake",))
 
@@ -476,18 +477,22 @@ def stalled_record(message, index: int, attempts: int, stall_timeout: float, max
 class Scheduler:
     """Drives one transport for one owner: a batch run or a daemon.
 
-    :meth:`submit` (thread-safe) queues indices and :meth:`close` ends
-    submissions; :meth:`run` returns once the inbox is closed and
-    nothing is outstanding, on a drain, or on a fatal error.
-    ``command(indices)`` builds one dispatch's transport command.  The
-    transport owns workers and wakeups, the owner every outcome, and
-    this class only policy: dispatch, isolated retries, dead letters,
-    stall quarantine, respawn governance and drain.
+    Work is pulled, not pushed: whenever a worker is free, the scheduler
+    asks its owner for up to ``batch`` indices, so the owner's queue
+    order is the order workers see.  :meth:`run` returns once the owner
+    has nothing more to give and nothing is outstanding, on a drain, or
+    on a fatal error.  ``command(indices)`` builds one dispatch's
+    transport command.  The transport owns workers and wakeups (a
+    ``wake`` message re-offers idle workers a pull), the owner every
+    outcome, and this class only policy: dispatch, isolated retries,
+    dead letters, stall quarantine, respawn governance and drain.
 
     The owner protocol: ``retry_policy``; ``_drain`` (an Event: dispatch
     nothing new) and ``_fatal`` (the error ending the run, or None);
-    ``_absorb(shard)`` for every stats delta (a frame's shard, a retry's
-    ``RunningStats(retried=1)``, a quarantine record's);
+    ``_next_batch(size)``, which hands over up to ``size`` indices to
+    dispatch — ``[]`` for "nothing now", ``None`` for "nothing ever
+    again"; ``_absorb(shard)`` for every stats delta (a frame's shard, a
+    retry's ``RunningStats(retried=1)``, a quarantine record's);
     ``_land(index, wire, record)`` once per index;
     ``_record_dead(index, attempts, error, history)`` for an index that
     failed for good, where the owner decides what a permanent error
@@ -506,39 +511,17 @@ class Scheduler:
         #: Crash-loop protection: backoff between respawns, clean abort
         #: once the windowed crash budget is exhausted.
         self.governor = RespawnGovernor()
-        self.pending: collections.deque[int] = collections.deque()
         #: Failed indices awaiting re-delivery; dispatched one per batch
         #: so a poison message cannot drag batch-mates into its crash
         #: accounting a second time.
         self.retries: collections.deque[int] = collections.deque()
-        #: Submitted indices not yet landed or failed for good.
+        #: Pulled indices not yet landed or failed for good.
         self.remaining: set[int] = set()
         self.attempts: dict[int, int] = {}
         #: Per-index error reprs across attempts, for dead-letter history.
         self.attempt_errors: dict[int, list[str]] = {}
-        self.closed = False
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-
-    def submit(self, indices: list[int]) -> None:
-        self._inbox.put(list(indices))
-        self.pool.wake()
-
-    def close(self) -> None:
-        self._inbox.put(None)
-        self.pool.wake()
-
-    def _take_inbox(self) -> None:
-        while not self._inbox.empty():
-            indices = self._inbox.get()
-            if indices is None:
-                self.closed = True
-                continue
-            if not self.remaining:
-                # Work after an idle spell restarts the stall clock.
-                self._last_progress = time.monotonic()
-            self.pending.extend(indices)
-            self.remaining.update(indices)
-            self._dispatch_idle()
+        #: The owner answered a pull with None: it has nothing more.
+        self.exhausted = False
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -548,16 +531,13 @@ class Scheduler:
         graceful = False
         try:
             while owner._fatal is None:
-                self._take_inbox()
                 if owner._drain.is_set():
-                    # Graceful shutdown: drop the backlog so no new
-                    # batch dispatches; already-dispatched batches
-                    # finish (their records land normally).
-                    self.pending.clear()
-                    self.retries.clear()
+                    # Graceful shutdown: nothing new dispatches (see
+                    # _take); already-dispatched batches finish (their
+                    # records land normally).
                     if not any(self.inflight.values()):
                         break
-                elif self.closed and not self.remaining:
+                elif self.exhausted and not self.remaining:
                     break
                 self._handle(pool.get())
             graceful = owner._fatal is None
@@ -565,25 +545,40 @@ class Scheduler:
             self._finish(graceful)
 
     # ------------------------------------------------------------------
-    def _dispatch(self, worker_id: int) -> None:
-        indices = []
+    def _take(self) -> list[int]:
+        """The next dispatch: a retry alone, else a pull from the owner."""
+        owner = self.owner
+        if owner._drain.is_set():
+            return []
         if self.retries:
-            indices.append(self.retries.popleft())  # isolated re-delivery
-        else:
-            while self.pending and len(indices) < self.batch:
-                indices.append(self.pending.popleft())
+            return [self.retries.popleft()]  # isolated re-delivery
+        if self.exhausted:
+            return []
+        indices = owner._next_batch(self.batch)
+        if indices is None:
+            self.exhausted = True
+            return []
+        if indices and not self.remaining:
+            # Work after an idle spell restarts the stall clock.
+            self._last_progress = time.monotonic()
+        self.remaining.update(indices)
+        return indices
+
+    def _dispatch(self, worker_id: int) -> bool:
+        """Give ``worker_id`` its next batch; False leaves it idle."""
+        indices = self._take()
         if not indices:
             self.idle.add(worker_id)
-            return
+            return False
         self.idle.discard(worker_id)
         self.inflight.setdefault(worker_id, set()).update(indices)
         self.pool.send(worker_id, self.command(indices))
+        return True
 
     def _dispatch_idle(self) -> None:
         for worker_id in sorted(self.idle):
-            if not self.pending and not self.retries:
+            if not self._dispatch(worker_id):
                 return
-            self._dispatch(worker_id)
 
     # ------------------------------------------------------------------
     def _handle(self, message: tuple) -> None:
@@ -607,6 +602,8 @@ class Scheduler:
             if index in self.remaining:
                 self._count_failure(index, error)
                 self._dispatch_idle()
+        elif kind == "wake":
+            self._dispatch_idle()
         elif kind == "worker-died":
             self._reap_worker(worker_id)
         elif kind == "stall-tick":
@@ -618,7 +615,6 @@ class Scheduler:
             self.owner._set_fatal(
                 RuntimeError(f"worker {worker_id} failed to initialize: {message[2]}")
             )
-        # "wake": no-op wakeup
 
     def _handle_frame(self, worker_id: int, blob: bytes, shard, records=None) -> None:
         """Land one result frame: absorb the shard, land each record.
@@ -707,7 +703,7 @@ class Scheduler:
     def _should_respawn(self) -> bool:
         owner = self.owner
         return bool(
-            (self.remaining or not self.closed)
+            (self.remaining or not self.exhausted)
             and owner._fatal is None
             and not owner._drain.is_set()
         )

@@ -16,8 +16,8 @@ opened the pool — a batch ``run``/``resume`` or the serve daemon's
 - **Blocking gets + sentinel wakeups** — the parent blocks on the
   result queue; a watcher thread waits on worker *process sentinels*
   and posts ``worker-died`` / ``stall-tick`` wakeups into the same
-  queue, and drain paths post an explicit ``wake``.  No poll interval,
-  no idle wakeups.
+  queue, and drivers post an explicit ``wake`` (new work to pull, a
+  drain flag to notice).  No poll interval, no idle wakeups.
 
 A pool lives exactly as long as the scheduler run that drives it: one
 batch run or one daemon builds its workers' worlds once, and
@@ -292,7 +292,7 @@ class WorkerPool:
     - watcher wakeups: ``("worker-died", worker_id)`` when a process
       sentinel fires, ``("stall-tick", -1)`` when no message has been
       consumed for ``stall_timeout`` seconds
-    - driver wakeups: ``("wake", -1)`` from :meth:`wake` (drain paths)
+    - driver wakeups: ``("wake", -1)`` from :meth:`wake` (new work, drains)
     """
 
     def __init__(self, target, config, jobs: int, name_prefix: str = "repro-pool"):
@@ -373,8 +373,9 @@ class WorkerPool:
         return message
 
     def wake(self) -> None:
-        """Post a no-op wakeup (signal-handler/driver safe): unblocks a
-        parent sitting in :meth:`get` so it can notice a drain flag."""
+        """Post a wakeup (signal-handler/driver safe): unblocks a parent
+        sitting in :meth:`get` so it can pull new work or notice a drain
+        flag."""
         try:
             self.outq.put(("wake", -1))
         except Exception:

@@ -36,6 +36,7 @@ subsetting, build the inline ``box`` with the same selection as
 
 from __future__ import annotations
 
+import collections
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -185,12 +186,10 @@ class CorpusRunner:
         self._write_manifest(status="running")
 
         if pending:
+            self._queue = collections.deque(pending)
             self._transport, batch = self._open_transport(len(pending))
-            scheduler = Scheduler(self, self._transport, batch)
-            scheduler.submit(pending)
-            scheduler.close()
             try:
-                scheduler.run()
+                Scheduler(self, self._transport, batch).run()
             finally:
                 self._transport = None
             if self._fatal is not None:
@@ -245,6 +244,13 @@ class CorpusRunner:
     # The scheduler owner protocol (see Scheduler), called from its loop
     # on this thread
     # ------------------------------------------------------------------
+    def _next_batch(self, size: int) -> list[int] | None:
+        """Up to ``size`` unanalysed indices, in corpus order."""
+        queue = self._queue
+        if not queue:
+            return None
+        return [queue.popleft() for _ in range(min(size, len(queue)))]
+
     def _land(self, index: int, wire: bytes, record: MessageRecord | None = None) -> None:
         """Land one finished record: append-bytes-and-ack.
 

@@ -18,7 +18,8 @@ package turns the batch engine of :mod:`repro.runner` into that shape:
   reporting stream: one flooding reporter cannot starve the others.
 - :mod:`~repro.serve.engine` — the batch runner's scheduler, run
   persistently over its two transports (inline at ``--jobs 1``, worker
-  processes above), fed incrementally instead of from a fixed corpus.
+  processes above); a free worker pulls its next micro-batch straight
+  from the fair queues instead of from a fixed corpus.
 - :mod:`~repro.serve.server` — the daemon: sessions, backpressure,
   checkpointing, rolling compaction, drain-on-SIGTERM, manifest
   lifecycle (``serving`` -> ``stopped``).

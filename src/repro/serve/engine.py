@@ -1,10 +1,14 @@
 """Persistent analysis engines: the runner's scheduler, fed forever.
 
-A batch :class:`~repro.runner.runner.CorpusRunner` submits a whole
-corpus to an :class:`~repro.runner.executor.Scheduler` and closes it.
-An engine drives the same scheduler on its own thread for as long as
-the daemon lives: it opens the transport once at startup, submits
-micro-batches, and closes the scheduler on shutdown.
+A batch :class:`~repro.runner.runner.CorpusRunner` answers its
+:class:`~repro.runner.executor.Scheduler`'s pulls from the corpus.  An
+engine drives the same scheduler on its own thread for as long as the
+daemon lives: it opens the transport once at startup, and answers each
+pull — made whenever a worker is free — with a round-robin micro-batch
+from its per-reporter :class:`~repro.serve.scheduler.FairScheduler`.
+Session threads :meth:`~ProcessEngine.push` admitted jobs into that
+queue and wake the engine; nothing else sits between a submission and
+the worker that analyses it.
 
 - **process** (:class:`ProcessEngine`) — the batch ``_worker_main``
   loop on a :class:`~repro.runner.pool.WorkerPool`, fed ``eml-batch``
@@ -16,14 +20,14 @@ micro-batches, and closes the scheduler on shutdown.
   from the same config in the daemon's own process; it analyses the
   message the session already ingested instead of parsing it again.
 
-The engine is the scheduler's owner and keeps only the map from
-admission index to :class:`ServeJob`.  Retries, dead letters, stall
-quarantine and respawn governance are the scheduler's, as in a batch
-run, so an error that reaches the daemon is final.  Records arrive as
+The engine is the scheduler's owner and keeps the queued jobs and the
+map from in-flight admission index to :class:`ServeJob`.  Retries, dead
+letters, stall quarantine and respawn governance are the scheduler's,
+as in a batch run, so an error that reaches the daemon is final.  Records arrive as
 :class:`~repro.core.export.WireRecord` — the bytes the daemon appends
 and splices into the verdict — and every stats delta goes through
 ``on_stats``.  After a fatal error (workers that cannot build their
-world, an exhausted crash budget) every outstanding and later
+world, an exhausted crash budget) every queued, in-flight and later
 submission fails, then ``on_fatal`` runs, so the drain completes.
 """
 
@@ -39,6 +43,7 @@ from repro.runner.pool import WorkerPool
 from repro.runner.retry import RetryPolicy
 from repro.runner.runner import resolve_executor
 from repro.runner.stats import RunningStats
+from repro.serve.scheduler import FairScheduler
 
 
 @dataclass
@@ -58,7 +63,8 @@ class ServeJob:
     message: object = None
     #: The session to stream the verdict back to (None once it closed).
     session: object = None
-    #: Wall clock at admission, for latency stats only — never records.
+    #: Wall clock when the submit line was read, for latency stats
+    #: only — never records.
     submitted_at: float = 0.0
     #: Delivery attempts behind a final failure.
     attempts: int = 0
@@ -76,8 +82,8 @@ class ProcessEngine:
     over N worker processes.
 
     Submissions go out as ``eml-batch`` commands to whichever transport
-    :meth:`_open` returns.  :meth:`stop` closes the scheduler and waits
-    for its thread, which stops the transport on its way out.
+    :meth:`_open` returns.  :meth:`stop` lets the scheduler run dry and
+    waits for its thread, which stops the transport on its way out.
     """
 
     name = "process"
@@ -98,12 +104,18 @@ class ProcessEngine:
         #: Never set: a daemon drains by finishing what it accepted.
         self._drain = threading.Event()
         self._fatal: BaseException | None = None
+        #: Admitted jobs no worker has taken yet, per reporter.
+        self.queue = FairScheduler()
         self._lock = threading.Lock()
+        #: Jobs a worker has taken, by admission index.
         self._jobs: dict[int, ServeJob] = {}
-        #: Set once the scheduler returned; later submissions fail.
+        #: Set by stop(): pulls answer None once the queue is empty.
+        self._closing = False
+        #: Set once the scheduler returned; later pushes fail.
         self._stopped = False
+        self._transport = self._open(config, jobs)
         self._scheduler = Scheduler(
-            self, self._open(config, jobs), max(1, batch_size), command=self._command
+            self, self._transport, max(1, batch_size), command=self._command
         )
         self._thread = threading.Thread(
             target=self._serve, name="repro-serve-engine", daemon=True
@@ -117,18 +129,24 @@ class ProcessEngine:
         return ("eml-batch", [(index, self._jobs[index].eml_bytes) for index in indices])
 
     # ------------------------------------------------------------------
+    def push(self, job: ServeJob) -> None:
+        """Queue one admitted job (session thread) and wake the engine."""
+        self.queue.push(job.reporter, job)
+        if self._stopped:
+            self._fail_outstanding()
+        else:
+            self._transport.wake()
+
     def submit(self, jobs: list[ServeJob]) -> None:
+        """Register ``jobs`` in flight: a worker is taking them."""
         with self._lock:
             for job in jobs:
                 self._jobs[job.index] = job
-            stopped = self._stopped
-        if stopped:
-            self._fail_outstanding()
-        else:
-            self._scheduler.submit([job.index for job in jobs])
 
     def stop(self) -> None:
-        self._scheduler.close()
+        """Finish every queued job, then stop (the daemon's drain)."""
+        self._closing = True
+        self._transport.wake()
         self._thread.join()
 
     def _serve(self) -> None:
@@ -136,21 +154,29 @@ class ProcessEngine:
             self._scheduler.run()
         except BaseException as error:  # noqa: BLE001 - fails the daemon, not the thread
             self._set_fatal(error)
-        with self._lock:
-            self._stopped = True
+        self._stopped = True
         self._fail_outstanding()
         if self._fatal is not None:
             self.on_fatal(f"serve engine failed: {self._fatal}")
 
     def _fail_outstanding(self) -> None:
+        queued = self.queue.next_batch(len(self.queue))
         with self._lock:
-            jobs = [self._jobs.pop(index) for index in sorted(self._jobs)]
-        for job in jobs:
+            jobs = [self._jobs.pop(index) for index in list(self._jobs)]
+        for job in sorted(jobs + queued, key=lambda job: job.index):
             self.on_result(job, None, self._fatal)
 
     # ------------------------------------------------------------------
     # The scheduler owner protocol (called on the engine thread)
     # ------------------------------------------------------------------
+    def _next_batch(self, size: int) -> list[int] | None:
+        closing = self._closing
+        jobs = self.queue.next_batch(size)
+        if not jobs:
+            return None if closing else []
+        self.submit(jobs)
+        return [job.index for job in jobs]
+
     def _absorb(self, shard: RunningStats) -> None:
         self.on_stats(shard)
 

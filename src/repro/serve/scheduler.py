@@ -3,12 +3,16 @@
 The paper's reporting stream is multi-tenant — five companies feeding
 one CrawlerBox — and enterprise phishing arrives in bursts: one tenant
 flooding thousands of reports must not starve the quiet four.  The
-scheduler keeps one FIFO per reporter and fills each micro-batch by
+queue keeps one FIFO per reporter and fills each micro-batch by
 cycling the *active* reporters (those with queued work), taking one
 submission per reporter per cycle.  A batch of size B drawn while R
 reporters are active therefore contains at least ``min(B // R, q)``
 submissions from every reporter with ``q`` queued — a flooding
 reporter's backlog only consumes the slots nobody else wants.
+
+The serve engine pops a micro-batch only when a worker is free to take
+it (see :class:`~repro.serve.engine.ProcessEngine`), so this order is
+the order workers analyse in.
 
 Scheduling order deliberately does **not** affect record bytes: every
 record depends only on (seed material, admission index), so fairness
@@ -26,11 +30,9 @@ class FairScheduler:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         self._queues: dict[str, deque] = {}
         #: Rotation of reporters that currently have queued work.
         self._active: deque[str] = deque()
-        self._closed = False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -46,39 +48,21 @@ class FairScheduler:
                 if queue
             }
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     # ------------------------------------------------------------------
     def push(self, reporter: str, item: object) -> None:
         """Enqueue one admitted submission for ``reporter``."""
         with self._lock:
-            if self._closed:
-                raise RuntimeError("scheduler is closed")
             queue = self._queues.get(reporter)
             if queue is None:
                 queue = self._queues[reporter] = deque()
             if not queue:
                 self._active.append(reporter)
             queue.append(item)
-            self._not_empty.notify()
 
-    def next_batch(self, max_size: int, timeout: float | None = None) -> list:
+    def next_batch(self, max_size: int) -> list:
         """Up to ``max_size`` submissions, one per active reporter per
-        round-robin cycle.
-
-        Blocks until work arrives, the timeout passes (-> ``[]``), or
-        the scheduler closes with nothing queued (-> ``[]`` forever
-        after).  After close, queued work keeps draining — a drain must
-        flush every accepted submission.
-        """
-        with self._not_empty:
-            while not self._active:
-                if self._closed:
-                    return []
-                if not self._not_empty.wait(timeout):
-                    return []
+        round-robin cycle (``[]`` when nothing is queued)."""
+        with self._lock:
             batch: list = []
             while self._active and len(batch) < max_size:
                 reporter = self._active.popleft()
@@ -87,10 +71,3 @@ class FairScheduler:
                 if queue:
                     self._active.append(reporter)
             return batch
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop accepting pushes; queued work remains drainable."""
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()

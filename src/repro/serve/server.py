@@ -15,9 +15,9 @@ One process, five moving parts:
   (:mod:`repro.serve.admission`) sheds with explicit ``overloaded``
   responses, and accepted submissions get the next message index.
 - **Fair scheduling + micro-batching** — accepted submissions queue
-  per reporter (:mod:`repro.serve.scheduler`); a dispatcher thread
-  drains round-robin micro-batches into the persistent engine
-  (:mod:`repro.serve.engine`).
+  per reporter (:mod:`repro.serve.scheduler`) inside the persistent
+  engine (:mod:`repro.serve.engine`), whose workers pull round-robin
+  micro-batches from those queues whenever they are free.
 - **Durability** — every verdict appends to the PR-5 CRC checkpoint
   before it streams back to the submitter; rolling compaction rewrites
   the JSONL once it grows past a threshold, so a month-long daemon
@@ -73,7 +73,6 @@ from repro.serve.protocol import (
     send_bounded,
     set_nodelay,
 )
-from repro.serve.scheduler import FairScheduler
 from repro.storage.durable import DEFAULT_DURABILITY, durable_write_text, retrying
 
 #: Name of the discovery file written into the checkpoint directory so
@@ -248,7 +247,6 @@ class ServeDaemon:
         self.directory = pathlib.Path(checkpoint_dir)
         self.checkpoint = CheckpointStore(self.directory, durability=config.durability)
         self.admission = AdmissionController(config.admission)
-        self.scheduler = FairScheduler()
         self.stats = RunningStats()
         #: Serializes arrivals; holding it defines the arrival order the
         #: determinism contract is stated in.
@@ -305,7 +303,7 @@ class ServeDaemon:
         )
         self._engine = None
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
+        self._acceptor: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -324,15 +322,10 @@ class ServeDaemon:
         self.port = listener.getsockname()[1]
         self._write_endpoint()
         self._write_manifest("serving")
-        acceptor = threading.Thread(
+        self._acceptor = threading.Thread(
             target=self._accept_loop, name="repro-serve-accept", daemon=True
         )
-        dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
-        )
-        self._threads = [acceptor, dispatcher]
-        acceptor.start()
-        dispatcher.start()
+        self._acceptor.start()
 
     def run(self) -> int:
         """start(), block until a shutdown request, drain, exit code."""
@@ -524,6 +517,7 @@ class ServeDaemon:
                 self._sessions[session.session_id] = session
             strikes = max(1, self.config.strike_budget)
             while line is not None:
+                received = time.monotonic()
                 try:
                     payload = decode_line(line)
                 except ProtocolError as error:
@@ -533,7 +527,7 @@ class ServeDaemon:
                         return
                     line = self._read_session_line(channel, session)
                     continue
-                verdict = self._handle_op(session, payload)
+                verdict = self._handle_op(session, payload, received)
                 if verdict == "close":
                     return
                 if verdict == "strike":
@@ -628,11 +622,12 @@ class ServeDaemon:
             pass
 
     # ------------------------------------------------------------------
-    def _handle_op(self, session: _Session, payload: dict) -> str:
-        """Dispatch one message -> ``'ok'`` | ``'close'`` | ``'strike'``."""
+    def _handle_op(self, session: _Session, payload: dict, received: float) -> str:
+        """Dispatch one message (its line was read at ``received``) ->
+        ``'ok'`` | ``'close'`` | ``'strike'``."""
         op = payload["op"]
         if op == "submit":
-            self._handle_submit(session, payload)
+            self._handle_submit(session, payload, received)
             return "ok"
         if op == "ping":
             session.send({"op": "pong", "draining": self._draining})
@@ -646,7 +641,7 @@ class ServeDaemon:
             return "close"
         return "strike"
 
-    def _handle_submit(self, session: _Session, payload: dict) -> None:
+    def _handle_submit(self, session: _Session, payload: dict, received: float) -> None:
         from repro.mail.ingest import IngestError, ingest_eml_bytes
 
         client_id = str(payload.get("id") or "")
@@ -743,14 +738,14 @@ class ServeDaemon:
                     eml_bytes=raw,
                     message=message,
                     session=session,
-                    submitted_at=time.monotonic(),
+                    submitted_at=received,
                 )
                 with session.flushed:
                     session.outstanding.add(index)
                 session.send(
                     {"op": "accepted", "id": client_id, "message_index": index}
                 )
-                self.scheduler.push(reporter, job)
+                self._engine.push(job)
                 return
         reject("draining: the daemon is shutting down; resubmit after restart")
 
@@ -788,16 +783,8 @@ class ServeDaemon:
         return counter
 
     # ------------------------------------------------------------------
-    # Dispatch + completion
+    # Completion
     # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            batch = self.scheduler.next_batch(self.config.batch_size, timeout=0.25)
-            if batch:
-                self._engine.submit(batch)
-            elif self.scheduler.closed and not len(self.scheduler):
-                return
-
     def _on_stats(self, shard: RunningStats) -> None:
         """Engine callback: fold one stats delta (a frame shard, a retry)."""
         with self._completion:
@@ -951,8 +938,7 @@ class ServeDaemon:
     def _drain(self) -> None:
         """Finish everything accepted, persist exact state, stop."""
         with self._admission_lock:
-            self._draining = True
-            self.scheduler.close()
+            self._draining = True  # no push after this
         with self._completion:
             self._completion.notify_all()  # wake backpressure waiters
         self._stop_accepting = True
@@ -968,8 +954,8 @@ class ServeDaemon:
                 self._listener.close()
             except OSError:
                 pass
-        for thread in self._threads:
-            thread.join(timeout=60.0)
+        if self._acceptor is not None:
+            self._acceptor.join(timeout=60.0)
         # Every accepted submission resolves to a verdict or a final
         # failure: the engine's scheduler retries, quarantines stalls,
         # and fails everything outstanding on a fatal error.
@@ -1015,8 +1001,9 @@ class ServeDaemon:
         return {"count": len(window), "p50_ms": at(0.50), "p99_ms": at(0.99)}
 
     def stats_payload(self) -> dict:
+        queue = self._engine.queue
         with self._completion:
-            queued = len(self.scheduler)
+            queued = len(queue)
             in_flight = max(0, self._backlog() - queued)
             reporters = {
                 name: dict(counter) for name, counter in sorted(self.reporters.items())
@@ -1046,7 +1033,7 @@ class ServeDaemon:
                 "storage": self._storage_payload(),
                 "analysis": self.stats.as_dict(),
             }
-        depths = self.scheduler.depths()
+        depths = queue.depths()
         for name, depth in depths.items():
             reporters.setdefault(name, {})["queued"] = depth
         payload["reporters"] = reporters

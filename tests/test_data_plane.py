@@ -212,6 +212,29 @@ class TestTransportsAgree:
             assert doomed.dead_letters[0].attempts == 3
             assert len(lines) == 7
 
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_batch_run_dispatches_in_corpus_order(self, monkeypatch, plane_corpus, executor):
+        # The scheduler pulls each batch from the runner when a worker
+        # is free; a batch run's only queue is the corpus, in order.
+        from repro.runner.executor import InlineTransport
+        from repro.runner.pool import WorkerPool
+
+        transport = InlineTransport if executor == "inline" else WorkerPool
+        send, dispatched = transport.send, []
+
+        def recording_send(self, worker_id, command):
+            dispatched.append(command)
+            return send(self, worker_id, command)
+
+        monkeypatch.setattr(transport, "send", recording_send)
+        result = _runner(plane_corpus, executor=executor, jobs=2 if executor == "process" else 1,
+                         batch_size=2).run(plane_corpus.messages[:12])
+        assert len(result.records) == 12
+        batches = [command[1] for command in dispatched if command[0] == "batch"]
+        assert [index for batch in batches for index in batch] == list(range(12))
+        if executor == "process":
+            assert {len(batch) for batch in batches} == {2}
+
 
 # ----------------------------------------------------------------------
 # Byte-identity under fire, pinned at the checkpoint-line level

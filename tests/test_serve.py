@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -170,7 +172,7 @@ class TestFairScheduler:
             scheduler.push("flooder", ("flooder", item))
         for name in ("a", "b", "c", "d"):
             scheduler.push(name, (name, 0))
-        batch = scheduler.next_batch(5, timeout=0.1)
+        batch = scheduler.next_batch(5)
         # One slot per active reporter per cycle: every quiet reporter
         # appears in the very first batch despite the 100-deep flood.
         assert {reporter for reporter, _ in batch} == {"flooder", "a", "b", "c", "d"}
@@ -180,17 +182,17 @@ class TestFairScheduler:
         for item in range(3):
             scheduler.push("x", f"x{item}")
             scheduler.push("y", f"y{item}")
-        assert scheduler.next_batch(4, timeout=0.1) == ["x0", "y0", "x1", "y1"]
-        assert scheduler.next_batch(4, timeout=0.1) == ["x2", "y2"]
+        assert scheduler.next_batch(4) == ["x0", "y0", "x1", "y1"]
+        assert scheduler.next_batch(4) == ["x2", "y2"]
 
-    def test_close_drains_but_rejects_new_pushes(self):
+    def test_empty_queue_answers_at_once(self):
+        # The engine pops on its own thread while workers wait: an empty
+        # queue must answer "nothing now", never block.
         scheduler = FairScheduler()
-        scheduler.push("acme", "queued-before-close")
-        scheduler.close()
-        with pytest.raises(RuntimeError):
-            scheduler.push("acme", "late")
-        assert scheduler.next_batch(8, timeout=0.1) == ["queued-before-close"]
-        assert scheduler.next_batch(8, timeout=0.1) == []
+        assert scheduler.next_batch(8) == []
+        scheduler.push("acme", "only")
+        assert scheduler.next_batch(8) == ["only"]
+        assert scheduler.next_batch(8) == []
 
     def test_depths_and_len(self):
         scheduler = FairScheduler()
@@ -199,6 +201,76 @@ class TestFairScheduler:
         scheduler.push("b", 3)
         assert len(scheduler) == 3
         assert scheduler.depths() == {"a": 2, "b": 1}
+
+
+class _DyingTransport:
+    """One worker that reports a failed start once ``release`` is set."""
+
+    def __init__(self):
+        self.workers = {0: None}
+        self.stall_timeout = None
+        self.release = threading.Event()
+
+    def get(self, timeout=None):
+        assert self.release.wait(30.0), "never released"
+        return ("init-failed", 0, "injected")
+
+    def wake(self):
+        pass
+
+    def send(self, worker_id, command):
+        raise AssertionError("a worker that never started took a batch")
+
+    def stop(self, graceful=True, on_message=None):
+        pass
+
+
+class TestEngineIntake:
+    def test_fatal_fails_every_push_exactly_once(self):
+        # Session threads push while the engine thread hits a fatal
+        # error: every job queued before it, and every job pushed after
+        # it, must get exactly one failed result, or a drain never ends.
+        from repro.serve.engine import ProcessEngine, ServeJob
+
+        transport = _DyingTransport()
+        results, results_lock = [], threading.Lock()
+
+        def on_result(job, wire, error):
+            with results_lock:
+                results.append((job.index, wire, error))
+
+        class DyingEngine(ProcessEngine):
+            def _open(self, config, jobs):
+                return transport
+
+        pushers, per_pusher = 8, 100
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            engine = DyingEngine(RunnerConfig(), 1, on_result, batch_size=3)
+
+            def push_all(first):
+                for index in range(first, first + per_pusher):
+                    engine.push(ServeJob(index, f"r{first}", f"c{index}", b""))
+                    if index == first + per_pusher // 2:
+                        transport.release.set()
+
+            threads = [
+                threading.Thread(target=push_all, args=(n * per_pusher,))
+                for n in range(pushers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            engine.stop()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(index for index, _, _ in results) == list(range(pushers * per_pusher))
+        assert all(wire is None and "failed to initialize" in str(error)
+                   for _, wire, error in results)
+        assert len(engine.queue) == 0
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ The SIGTERM tests drive the real CLI in a subprocess, mirroring
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import multiprocessing
@@ -41,10 +42,12 @@ from dataclasses import replace
 import pytest
 
 from repro._budget import DEFAULT_WORK_LIMIT
-from repro.runner import executor
+from repro.core import CrawlerBox
+from repro.runner import CheckpointStore, executor
 from repro.runner.executor import RunnerConfig
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.admission import AdmissionConfig
+from repro.serve.protocol import encode_line
 
 SEED, SCALE = 31, 0.02
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -324,6 +327,84 @@ class TestQuietRoundTrip:
             f"{[round(ms, 1) for ms in elapsed_ms]}"
         )
         assert nodelay, "daemon-side session socket has Nagle's algorithm on"
+
+
+class TestFairDispatch:
+    """One connection pipelines a flood from one reporter, then one
+    report from each of four quiet reporters.
+
+    Workers pull round-robin micro-batches from the per-reporter queues
+    only when they are free, so the quiet reports overtake the flood's
+    backlog instead of queueing behind it.  Fairness needs a backlog:
+    each analysis here sleeps (releasing the GIL, as a crawl waiting on
+    the network does), so the flood is still queued when the quiet
+    reports arrive.  Without it the inline engine analyses about as
+    fast as the session admits, and no queue forms to be fair about.
+    """
+
+    FLOOD, QUIET = 60, 4
+    ANALYSIS_S = 0.02
+
+    @pytest.mark.parametrize("engine, jobs", [("inline", 1), ("process", 2)])
+    def test_quiet_reporters_are_not_starved(self, tmp_path, monkeypatch, engine, jobs):
+        analyze = CrawlerBox.analyze_to_wire
+
+        def slow_analyze(box, *args, **kwargs):
+            time.sleep(self.ANALYSIS_S)
+            return analyze(box, *args, **kwargs)
+
+        # Patched before the daemon starts, so forked workers inherit it.
+        monkeypatch.setattr(CrawlerBox, "analyze_to_wire", slow_analyze)
+        reporters = ["flooder"] * self.FLOOD + [f"quiet-{k}" for k in range(self.QUIET)]
+        flood = b"".join(
+            encode_line({
+                "op": "submit", "id": f"c{i}", "reporter": reporter,
+                "eml": base64.b64encode(_eml(i)).decode("ascii"),
+            })
+            for i, reporter in enumerate(reporters)
+        )
+        with _daemon(tmp_path, executor=engine, jobs=jobs, batch_size=3) as daemon:
+            with socket.create_connection(("127.0.0.1", daemon.port), timeout=120) as conn:
+                conn.sendall(flood)
+                responses = conn.makefile("rb")
+                verdicts = 0
+                while verdicts < len(reporters):
+                    op = json.loads(responses.readline())["op"]
+                    assert op in ("accepted", "verdict"), op
+                    verdicts += op == "verdict"
+        # One connection: admission index i is submission i.
+        appended = [entry["message_index"] for entry in CheckpointStore(tmp_path).scan().entries]
+        assert sorted(appended) == list(range(len(reporters)))
+        for quiet in range(self.FLOOD, len(reporters)):
+            position = appended.index(quiet)
+            flood_after = sum(index < self.FLOOD for index in appended[position + 1:])
+            assert flood_after >= self.FLOOD // 2, (
+                f"quiet report {quiet} appended at position {position} of "
+                f"{len(appended)}, ahead of only {flood_after} flood records"
+            )
+
+
+class TestLatencyFromReceipt:
+    def test_latency_counts_ingest(self, tmp_path, monkeypatch):
+        # /stats latency is submit-to-verdict: the clock starts when the
+        # submit line has been read, before decode and ingest.
+        import repro.mail.ingest as ingest
+
+        parse = ingest.ingest_eml_bytes
+
+        def slow_ingest(raw, *args, **kwargs):
+            time.sleep(0.03)
+            return parse(raw, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "ingest_eml_bytes", slow_ingest)
+        with _daemon(tmp_path) as daemon:
+            with ServeClient("127.0.0.1", daemon.port, timeout=120) as client:
+                for raw in MESSAGES[:5]:
+                    client.submit_bytes(raw, reporter="acme")
+                client.wait_verdicts(timeout=120)
+                latency = client.stats()["latency"]
+        assert latency["count"] == 5
+        assert latency["p50_ms"] >= 30.0, latency
 
 
 def _drain_within(daemon, timeout: float) -> int:
