@@ -6,8 +6,9 @@ Commands:
               this process, or with ``--jobs N`` across N worker
               processes (``--executor auto|inline|process``), with
               ``--checkpoint DIR`` durably, and with ``--profile``
-              timing every pipeline stage — print the headline
-              statistics (optionally export the artifacts).
+              printing where the analysis time went per pipeline
+              stage — print the headline statistics (optionally export
+              the artifacts).
 - ``resume``  continue an interrupted checkpointed run, skipping the
               message indices that already have durable records.
 - ``report``  recompute the statistics from a previously exported run.
@@ -144,7 +145,8 @@ _FLAGS = (
                "from corpus size and --jobs); results travel back in batched "
                "frames either way, so this mainly tunes tail-end load balance"),
     _flag("--profile", action="store_true",
-          help="collect per-stage timings and print the breakdown"),
+          help="print the per-stage timing table (stages are always timed; "
+               "the timings are never written to the checkpoint)"),
     _flag("--stages", "stages", type=_stage_list, default=None,
           metavar="NAME,NAME,...",
           help="run only these pipeline stages (e.g. 'auth,parse' for "
@@ -327,7 +329,7 @@ def _announce(config: RunnerConfig, durability: str) -> None:
 def _build_runner(corpus, config: RunnerConfig, jobs: int, args):
     """A CorpusRunner over ``corpus`` under ``config``; ``args`` gives
     the per-invocation flags (checkpoint, executor, batch size,
-    profile, durability).
+    durability).
 
     An inline run analyses on a box built here by the same
     :meth:`RunnerConfig.build_box` process workers use, so both
@@ -335,14 +337,13 @@ def _build_runner(corpus, config: RunnerConfig, jobs: int, args):
     weather is installed process-wide here: only this process writes
     durable state (checkpoint, manifest, export).
     """
-    from repro.runner import CheckpointStore, CorpusRunner, StageProfiler, resolve_executor
+    from repro.runner import CheckpointStore, CorpusRunner, resolve_executor
 
     config.install_storage_faults()
     checkpoint = (
         CheckpointStore(args.checkpoint, durability=args.durability)
         if args.checkpoint else None
     )
-    profiler = StageProfiler() if args.profile else None
 
     def progress(stats, completed, total):
         print(f"  ... {completed}/{total} analysed "
@@ -351,7 +352,7 @@ def _build_runner(corpus, config: RunnerConfig, jobs: int, args):
 
     # Only an inline run analyses here; process workers build their own.
     box = (
-        config.build_box(corpus.world, profiler)
+        config.build_box(corpus.world)
         if resolve_executor(args.executor, jobs) == "inline"
         else None
     )
@@ -363,13 +364,12 @@ def _build_runner(corpus, config: RunnerConfig, jobs: int, args):
         checkpoint=checkpoint,
         progress=progress,
         progress_every=200,
-        profiler=profiler,
         batch_size=args.batch_size,
     )
 
 
-def _finish_run(result, corpus, export_path) -> int:
-    if result.stats.stage_seconds:
+def _finish_run(result, corpus, export_path, profile: bool) -> int:
+    if profile:
         from repro.runner import format_stage_report
 
         print("\nPer-stage timing:")
@@ -439,7 +439,7 @@ def cmd_run(args) -> int:
 
     if result.interrupted:
         return _interrupted_exit(result, len(messages), args.checkpoint)
-    return _finish_run(result, corpus, args.export)
+    return _finish_run(result, corpus, args.export, args.profile)
 
 
 def cmd_resume(args) -> int:
@@ -501,7 +501,7 @@ def cmd_resume(args) -> int:
 
     if result.interrupted:
         return _interrupted_exit(result, len(messages), args.checkpoint)
-    return _finish_run(result, corpus, args.export)
+    return _finish_run(result, corpus, args.export, args.profile)
 
 
 def cmd_report(args) -> int:

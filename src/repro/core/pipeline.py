@@ -42,7 +42,7 @@ from repro.kits.brands import COMPANY_BRANDS
 from repro.mail.auth import MailAuthDns
 from repro.mail.message import EmailMessage
 from repro.mail.parser import EmailParser
-from repro.runner.profile import NULL_PROFILER
+from repro.runner.profile import StageProfiler
 from repro.web.network import Network, UTILITY_HOSTS
 from repro.web.urls import UrlError, parse_url
 
@@ -130,13 +130,13 @@ class CrawlerBox:
         spear_classifier: SpearPhishClassifier | None = None,
         config: PipelineConfig | None = None,
         rng: random.Random | None = None,
-        profiler=None,
         stages: Sequence[str] | None = None,
     ):
         self.network = network
-        #: Per-stage timing sink (``repro run --profile``); the null
-        #: profiler makes the instrumentation free when disabled.
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
+        #: Per-stage timings, always on; the runner moves each
+        #: message's rows into its stats shard (see
+        #: :func:`repro.runner.executor.analyse_batch`).
+        self.profiler = StageProfiler()
         self.mail_dns = mail_dns or MailAuthDns()
         self.config = config or PipelineConfig()
         self.rng = rng or random.Random(7)
@@ -193,14 +193,13 @@ class CrawlerBox:
         """Run the stage plan over one reported message.
 
         Thin driver: build the record and context, seed the per-message
-        crawler RNG, and hand off to :meth:`StagePlan.run`.  Profiler
-        stage rows derive from the plan's registry names; whatever wall
+        crawler RNG, and hand off to :meth:`StagePlan.run`.  Stage
+        timing rows derive from the plan's registry names; whatever wall
         clock the stages themselves do not account for (record/context
         construction, plan bookkeeping) lands in the ``unattributed``
         bucket so the ``--profile`` table sums to the total.
         """
-        profiling = self.profiler.enabled
-        started = time.perf_counter() if profiling else 0.0
+        started = time.perf_counter()
         record = MessageRecord(
             message_index=message_index,
             delivered_at=message.delivered_at,
@@ -219,8 +218,7 @@ class CrawlerBox:
                 record.stage_status = {
                     name: StageStatus.SKIPPED for name in self.plan.all_stage_names
                 }
-                if profiling:
-                    self.profiler.record("unattributed", time.perf_counter() - started)
+                self.profiler.record("unattributed", time.perf_counter() - started)
                 return record
         engine = getattr(self.network, "faults", None)
         if engine is not None and engine.active:
@@ -245,11 +243,8 @@ class CrawlerBox:
                 deadline_seconds=self.config.budget_deadline_seconds,
             )
         with activate(budget):
-            attributed = self.plan.run(ctx, profiler=self.profiler)
-        if profiling:
-            self.profiler.record(
-                "unattributed", (time.perf_counter() - started) - attributed
-            )
+            attributed = self.plan.run(ctx, self.profiler)
+        self.profiler.record("unattributed", (time.perf_counter() - started) - attributed)
         return record
 
     def analyze_to_wire(

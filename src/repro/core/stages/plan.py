@@ -139,22 +139,22 @@ class StagePlan:
             available.update(stage.provides)
 
     # ------------------------------------------------------------------
-    def run(self, ctx: AnalysisContext, profiler=None) -> float:
+    def run(self, ctx: AnalysisContext, profiler) -> float:
         """Execute the plan over one message with failure isolation.
 
-        Returns the summed per-stage wall-clock seconds (0.0 when no
-        profiler is attached) so the caller can attribute the remainder
-        of the analysis to the ``unattributed`` profiler bucket.
+        Times each executed stage into ``profiler`` (a
+        :class:`~repro.runner.profile.StageProfiler`) and returns the
+        summed per-stage wall-clock seconds, so the caller can attribute
+        the remainder of the analysis to the ``unattributed`` bucket.
         """
         status = {name: StageStatus.SKIPPED for name in self.all_stage_names}
         ctx.record.stage_status = status
-        profiling = profiler is not None and profiler.enabled
         attributed = 0.0
         available: set[str] = set()
         for stage in self.stages:
             if any(token not in available for token in stage.requires):
                 continue  # upstream failed or was skipped: degrade
-            started = time.perf_counter() if profiling else 0.0
+            started = time.perf_counter()
             try:
                 stage.run(ctx)
             except TransientFault:
@@ -171,8 +171,7 @@ class StagePlan:
                 status[stage.name] = StageStatus.OK
                 available.update(stage.provides)
             finally:
-                if profiling:
-                    elapsed = time.perf_counter() - started
-                    profiler.record(stage.name, elapsed)
-                    attributed += elapsed
+                elapsed = time.perf_counter() - started
+                profiler.record(stage.name, elapsed)
+                attributed += elapsed
         return attributed

@@ -22,8 +22,9 @@ the per-message pipeline in a production-style engine:
 - :mod:`~repro.runner.pool` — worker-process lifecycle and result
   frames for the process transport; a pool lives as long as the run or
   daemon that opened it.
-- :mod:`~repro.runner.profile` — per-stage wall-clock timing
-  (``repro run --profile``), mergeable across processes.
+- :mod:`~repro.runner.profile` — per-stage wall-clock timing, always
+  on; it travels in each result frame's stats shard, and ``repro run
+  --profile`` prints it (it is never written to a checkpoint).
 - :mod:`~repro.runner.runner` — the :class:`CorpusRunner` facade.
 
 Determinism guarantee: the pipeline derives each message's RNG stream
@@ -44,7 +45,6 @@ from repro.runner.checkpoint import (
 )
 from repro.runner.executor import RunnerConfig, Scheduler, WorkerCrash, WorkerStalled
 from repro.runner.profile import (
-    NULL_PROFILER,
     PROFILE_TABLE_STAGES,
     StageProfiler,
     format_fault_report,
@@ -65,7 +65,6 @@ __all__ = [
     "EXECUTORS",
     "LineIssue",
     "MessageBudget",
-    "NULL_PROFILER",
     "PROFILE_TABLE_STAGES",
     "RetryPolicy",
     "RunManifest",

@@ -85,8 +85,6 @@ class RunnerConfig:
     #: here so inline and process runs build identical plans — a
     #: ``--stages auth,parse`` triage run subsets in every worker.
     stages: tuple[str, ...] | None = None
-    #: Collect per-stage timings (see :mod:`repro.runner.profile`).
-    profile: bool = False
     #: Test-only fault injection, applied where the message is analysed:
     #: ``"transient:<index>:<n>"`` raises TransientFault on the first
     #: ``n`` attempts at that message (both transports);
@@ -134,7 +132,7 @@ class RunnerConfig:
         Seed, scale and the network-fault pair are always written; the
         rest only when set, so default-path manifests keep the key set
         they had before each setting existed.  The test-only and
-        per-invocation fields (``fault``, ``profile``, ``crawler_profile``,
+        per-invocation fields (``fault``, ``crawler_profile``,
         ``corpus_prefix``) are never written.
         """
         items = {
@@ -188,7 +186,7 @@ class RunnerConfig:
         hostile_seed, _, copies = self.hostile.partition(":")
         return messages + hostile_corpus(seed=int(hostile_seed), copies=int(copies or 1))
 
-    def build_box(self, world, profiler=None):
+    def build_box(self, world):
         """The CrawlerBox for ``world`` under these settings: installs
         the network fault engine, then applies the stage plan and the
         budget/guard overrides.  Workers and the CLI's inline run both
@@ -204,7 +202,6 @@ class RunnerConfig:
             )
         return CrawlerBox.for_world(
             world,
-            profiler=profiler,
             stages=self.stages,
             config=build_pipeline_config(self.budget, self.guard_limits),
         )
@@ -237,14 +234,13 @@ class RunnerConfig:
         from repro.crawlers.base import Crawler
         from repro.crawlers.profiles import crawler_profile
         from repro.dataset import CorpusGenerator
-        from repro.runner.profile import StageProfiler
 
         corpus = CorpusGenerator(seed=self.seed, scale=self.scale).generate()
         messages = corpus.messages
         if self.corpus_prefix is not None:
             messages = messages[: self.corpus_prefix]
         messages = self.with_hostile(messages)
-        box = self.build_box(corpus.world, StageProfiler() if self.profile else None)
+        box = self.build_box(corpus.world)
         if self.crawler_profile != "notabot":
             box.crawler = Crawler(
                 corpus.world.network,
@@ -306,8 +302,15 @@ def analyse_batch(box, indices, message_at, batcher: ResultBatcher, fault=None):
     A generator: it yields after every message, so the inline
     transport can hand each record back before starting the next.  The
     last step reports ``batch-done``.
+
+    Each message's stage timings (``box.profiler``) go into the frame's
+    stats shard next to its record, so they land only when the record
+    does; a failed attempt's timings are dropped.
     """
+    timings = box.profiler
     for index in indices:
+        timings.stage_calls.clear()
+        timings.stage_seconds.clear()
         try:
             if fault is not None:
                 fault.fire(index, batcher)
@@ -315,16 +318,9 @@ def analyse_batch(box, indices, message_at, batcher: ResultBatcher, fault=None):
         except BaseException as error:  # noqa: BLE001 - routed to the scheduler
             batcher.fail(index, error)
         else:
-            batcher.add(index, wire, record)
+            batcher.add(index, wire, record, timings)
         yield
     batcher.done()
-
-
-def _farewell(box, outq, worker_id: int) -> None:
-    """Answer ``stop``: ship the stage-timing snapshot, then sign off."""
-    if box.profiler is not None and box.profiler.enabled:
-        outq.put(("profile", worker_id, box.profiler.snapshot()))
-    outq.put(("stopped", worker_id))
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +339,7 @@ def _worker_main(worker_id: int, config: RunnerConfig, inq, outq) -> None:
     while True:
         command = inq.get()
         if command[0] == "stop":
-            _farewell(box, outq, worker_id)
+            outq.put(("stopped", worker_id))
             return
         if command[0] == "eml-batch":
             # Service-mode dispatch (``repro serve``): submissions are
@@ -434,13 +430,8 @@ class InlineTransport:
             )
         return self._out.popleft()
 
-    def stop(self, graceful: bool = True, on_message=None) -> None:
-        """End of the driver: hand the stage-timing snapshot to
-        ``on_message`` (graceful stops only)."""
-        if graceful and on_message is not None:
-            _farewell(self.box, self, 0)
-            while self._out:
-                on_message(self._out.popleft())
+    def stop(self, graceful: bool = True) -> None:
+        """End of the driver: nothing to release in-process."""
 
 
 # ----------------------------------------------------------------------
@@ -497,8 +488,7 @@ class Scheduler:
     ``_record_dead(index, attempts, error, history)`` for an index that
     failed for good, where the owner decides what a permanent error
     means (a batch run aborts, a daemon fails that submission);
-    ``_message_at(index)``, ``_set_fatal(error)`` and
-    ``_merge_stage_snapshot(snapshot)``.
+    ``_message_at(index)`` and ``_set_fatal(error)``.
     """
 
     def __init__(self, owner, pool, batch: int, command=None):
@@ -609,8 +599,6 @@ class Scheduler:
         elif kind == "stall-tick":
             if self.remaining and time.monotonic() - self._last_progress >= self.stall_timeout:
                 self._reap_stalled()
-        elif kind == "profile":
-            self.owner._merge_stage_snapshot(message[2])
         elif kind == "init-failed":
             self.owner._set_fatal(
                 RuntimeError(f"worker {worker_id} failed to initialize: {message[2]}")
@@ -622,8 +610,8 @@ class Scheduler:
         The shard covers exactly the frame's records, so it is absorbed
         wholesale iff every entry is fresh; on the rare duplicate
         delivery (crash-retry race) the fresh records are recounted
-        instead.  Inline frames carry the live ``records`` too, which
-        the owner keeps instead of parsing.
+        instead, without their stage timings.  Inline frames carry the
+        live ``records`` too, which the owner keeps instead of parsing.
         """
         owner = self.owner
         inflight = self.inflight.get(worker_id, set())
@@ -743,12 +731,7 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     def _finish(self, graceful: bool) -> None:
-        """Stop the transport: after a clean run workers sign off and
-        ship their stage timings; after a fatal one they are terminated
-        (worker state is then suspect)."""
-        self.pool.stop(
-            graceful,
-            on_message=lambda message: self.owner._merge_stage_snapshot(message[2])
-            if message[0] == "profile"
-            else None,
-        )
+        """Stop the transport: after a clean run workers sign off;
+        after a fatal one they are terminated (worker state is then
+        suspect)."""
+        self.pool.stop(graceful)

@@ -116,9 +116,10 @@ def unpack_frame(blob: bytes) -> list[tuple[int, bytes]]:
 class ResultBatcher:
     """A worker's output channel.
 
-    Collects ``(index, wire)`` pairs and folds each record into a local
-    :class:`RunningStats` shard; :meth:`flush` ships one
-    ``("frame", worker_id, blob, shard)`` message.  The shard travels as
+    Collects ``(index, wire)`` pairs and folds each record, and its
+    stage timings, into a local :class:`RunningStats` shard;
+    :meth:`flush` ships one ``("frame", worker_id, blob, shard)``
+    message.  The shard travels as
     the pickled object (never ``as_dict``, whose rounding would break
     manifest byte-identity) and covers exactly the frame's records, so
     the parent absorbs it iff every entry in the frame is fresh.
@@ -148,12 +149,17 @@ class ResultBatcher:
         self._bytes = 0
         self._shard = RunningStats()
 
-    def add(self, index: int, wire: bytes, record) -> None:
+    def add(self, index: int, wire: bytes, record, timings) -> None:
+        """Queue one record; ``timings`` is the box's
+        :class:`~repro.runner.profile.StageProfiler` for this message."""
         self._entries.append((index, wire))
         if self.live:
             self._records.append(record)
         self._bytes += len(wire)
-        self._shard.update(record)
+        shard = self._shard
+        shard.update(record)
+        shard.stage_calls.update(timings.stage_calls)
+        shard.stage_seconds.update(timings.stage_seconds)
         if len(self._entries) >= self.flush_records or self._bytes >= self.flush_bytes:
             self.flush()
 
@@ -288,7 +294,7 @@ class WorkerPool:
     arrives via :meth:`get`:
 
     - worker messages: ``ready``, ``frame``, ``fail``, ``batch-done``,
-      ``profile``, ``stopped``, ``init-failed``
+      ``stopped``, ``init-failed``
     - watcher wakeups: ``("worker-died", worker_id)`` when a process
       sentinel fires, ``("stall-tick", -1)`` when no message has been
       consumed for ``stall_timeout`` seconds
@@ -418,12 +424,11 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
-    def stop(self, graceful: bool = True, on_message=None) -> None:
+    def stop(self, graceful: bool = True) -> None:
         """Stop every worker and the watcher.
 
-        ``graceful`` sends ``stop`` and pumps farewells until workers
-        acknowledge (forwarding e.g. ``profile`` snapshots to
-        ``on_message``); otherwise workers are terminated outright.
+        ``graceful`` sends ``stop`` and waits for each worker's
+        ``stopped``; otherwise workers are terminated outright.
         """
         self._watch_stop.set()
         with self._lock:
@@ -444,8 +449,6 @@ class WorkerPool:
                     continue
                 if message[0] == "stopped":
                     stopped.add(message[1])
-                elif message[0] == "profile" and on_message is not None:
-                    on_message(message)
         for process in list(self.workers.values()):
             if process.is_alive():
                 process.terminate()

@@ -1,31 +1,26 @@
 """Per-stage wall-clock timing for the analysis hot path.
 
-``StageProfiler`` accumulates monotonic-clock durations per pipeline
-stage.  Stage names are no longer hand-written strings: the stage-plan
+Every :class:`~repro.core.pipeline.CrawlerBox` owns a
+:class:`StageProfiler` and always times its stages: the stage-plan
 driver (:meth:`repro.core.stages.plan.StagePlan.run`) records one row
 per executed registry stage, and ``CrawlerBox.analyze`` adds an
 ``unattributed`` row for the wall clock the stages themselves did not
-account for — so the ``--profile`` table provably covers every stage
-and its rows sum to the total analysis time.  The canonical row set is
+account for — so the table provably covers every stage and its rows
+sum to the total analysis time.  The canonical row set is
 :data:`PROFILE_TABLE_STAGES` (consistency-checked against the stage
 registry by ``tests/test_stage_registry.py``).
 
-The profiler is cheap enough to leave wired into the pipeline: when
-profiling is off the pipeline holds the shared :data:`NULL_PROFILER`
-whose ``stage()`` context manager is a no-op.
-
-Aggregation follows the :class:`~repro.runner.stats.RunningStats` model:
-snapshots from independent workers (plain dicts that cross pickle
-boundaries) merge by summation, and
-the runner folds the merged totals into ``RunningStats.stage_calls`` /
-``stage_seconds`` so ``repro run --profile`` can print where the time
-went from the same object that carries the headline counters.
+The timings travel like every other statistic: the per-batch body both
+transports run (:func:`repro.runner.executor.analyse_batch`) folds one
+message's rows into the :class:`~repro.runner.stats.RunningStats` shard
+that ships with that message's record, so they land exactly when the
+record's frame lands — on every transport, and whether or not a worker
+is later stopped cleanly.  ``repro run --profile`` only decides whether
+the CLI prints the table; timings are never written to a checkpoint.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import Counter
 
 #: Residual bucket: analyze() wall clock not attributed to any stage.
@@ -47,84 +42,16 @@ PROFILE_TABLE_STAGES: tuple[str, ...] = (
 )
 
 
-class _StageTimer:
-    """Context manager timing one stage entry."""
-
-    __slots__ = ("profiler", "name", "started")
-
-    def __init__(self, profiler: "StageProfiler", name: str):
-        self.profiler = profiler
-        self.name = name
-        self.started = 0.0
-
-    def __enter__(self) -> "_StageTimer":
-        self.started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.profiler.record(self.name, time.perf_counter() - self.started)
-
-
-class _NullTimer:
-    """Shared no-op context manager for the disabled profiler."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class NullProfiler:
-    """Profiling disabled: every stage() is the same no-op context."""
-
-    __slots__ = ()
-    enabled = False
-
-    def stage(self, name: str) -> _NullTimer:
-        return _NULL_TIMER
-
-    def record(self, name: str, seconds: float) -> None:
-        return None
-
-
-#: The pipeline's default profiler — costs one attribute lookup and an
-#: empty with-block per stage.
-NULL_PROFILER = NullProfiler()
-
-
 class StageProfiler:
-    """Thread-safe per-stage call/duration accumulator."""
-
-    enabled = True
+    """Per-stage call/duration accumulator for one box (one thread)."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.stage_calls: Counter = Counter()
         self.stage_seconds: Counter = Counter()
 
-    def stage(self, name: str) -> _StageTimer:
-        """Time a stage: ``with profiler.stage("crawl"): ...``"""
-        return _StageTimer(self, name)
-
     def record(self, name: str, seconds: float) -> None:
-        with self._lock:
-            self.stage_calls[name] += 1
-            self.stage_seconds[name] += seconds
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """A picklable {stage: {"calls": n, "seconds": s}} snapshot."""
-        with self._lock:
-            return {
-                name: {"calls": self.stage_calls[name], "seconds": self.stage_seconds[name]}
-                for name in sorted(self.stage_calls)
-            }
+        self.stage_calls[name] += 1
+        self.stage_seconds[name] += seconds
 
 
 def format_stage_report(stage_calls, stage_seconds) -> str:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import collections
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.artifacts import MessageRecord
@@ -104,7 +104,6 @@ class CorpusRunner:
         checkpoint: CheckpointStore | None = None,
         progress: ProgressCallback | None = None,
         progress_every: int = 25,
-        profiler=None,
         batch_size: int | None = None,
     ):
         if jobs < 1:
@@ -125,10 +124,6 @@ class CorpusRunner:
         self.checkpoint = checkpoint
         self.progress = progress
         self.progress_every = max(1, progress_every)
-        #: Shared StageProfiler for ``--profile``: inline runs time the
-        #: live box (built with this profiler); process runs turn on
-        #: per-worker profilers and merge their snapshots.
-        self.profiler = profiler
         #: Indices per dispatch to a process worker (None = auto).
         self.batch_size = batch_size
 
@@ -233,9 +228,8 @@ class CorpusRunner:
             # stop) after every message.
             fault = self.config.fault if self.config is not None else ""
             return InlineTransport(self.box, self._messages.__getitem__, fault), 1
-        config = replace(self.config, profile=self.profiler is not None)
         pool = WorkerPool(
-            _worker_main, config, min(self.jobs, pending), name_prefix="repro-proc-worker"
+            _worker_main, self.config, min(self.jobs, pending), name_prefix="repro-proc-worker"
         )
         batch = self.batch_size or max(1, min(16, pending // (self.jobs * 4) or 1))
         return pool, batch
@@ -310,11 +304,6 @@ class CorpusRunner:
     def _set_fatal(self, error: BaseException) -> None:
         if self._fatal is None:
             self._fatal = error
-
-    def _merge_stage_snapshot(self, snapshot: dict) -> None:
-        for name, entry in snapshot.items():
-            self._stats.stage_calls[name] += int(entry["calls"])
-            self._stats.stage_seconds[name] += float(entry["seconds"])
 
     # ------------------------------------------------------------------
     def _write_manifest(self, status: str) -> None:

@@ -45,8 +45,11 @@ class RunningStats:
     #: (:class:`repro._budget.BudgetExceeded`) — distinct from the
     #: network fault engine's ``fault_budget_exhausted``.
     budget_stage_failures: int = 0
-    #: Per-stage profiling totals (populated only under ``--profile``;
-    #: see :mod:`repro.runner.profile`).
+    #: Per-stage timing totals, always collected: each record's shard
+    #: carries its analysis's rows (see :mod:`repro.runner.profile`).
+    #: Wall-clock seconds, so in memory only — :meth:`as_dict` leaves
+    #: them out and manifests stay byte-identical run to run; records
+    #: resumed from a checkpoint add none.
     stage_calls: Counter = field(default_factory=Counter)
     stage_seconds: Counter = field(default_factory=Counter)
     #: Fault-injection resilience totals, folded from each record's
@@ -190,10 +193,6 @@ class RunningStats:
             "console_hijack": self.console_hijack,
             "dead_lettered": self.dead_lettered,
             "retried": self.retried,
-            "stages": {
-                name: {"calls": self.stage_calls[name], "seconds": self.stage_seconds[name]}
-                for name in sorted(self.stage_calls)
-            },
         }
         # Hostile-input counters appear only when nonzero: clean-corpus
         # manifests keep the historical key set byte-for-byte.
@@ -252,9 +251,6 @@ class RunningStats:
         stats.categories = Counter(
             {category: int(count) for category, count in (data.get("categories") or {}).items()}
         )
-        for name, entry in (data.get("stages") or {}).items():
-            stats.stage_calls[name] = int(entry["calls"])
-            stats.stage_seconds[name] = float(entry["seconds"])
         faults = data.get("faults") or {}
         stats.fault_requests = int(faults.get("requests", 0))
         stats.fault_retries = int(faults.get("retries", 0))

@@ -12,10 +12,9 @@ its verdict (or terminal failure).
 from __future__ import annotations
 
 import base64
-import pathlib
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -27,8 +26,6 @@ from repro.serve.protocol import (
 
 #: Admission responses (one always arrives, synchronously, per submit).
 _ACK_OPS = ("accepted", "overloaded", "rejected")
-#: Terminal per-submission responses (arrive asynchronously).
-_FINAL_OPS = ("verdict", "failed")
 
 
 @dataclass
@@ -93,11 +90,6 @@ class ServeClient:
         while not (outcome.done or outcome.status in _ACK_OPS):
             self._pump_one()
         return outcome
-
-    def submit_file(
-        self, path: str | pathlib.Path, reporter: str = "anonymous"
-    ) -> SubmissionOutcome:
-        return self.submit_bytes(pathlib.Path(path).read_bytes(), reporter=reporter)
 
     def submit_with_retry(
         self,

@@ -200,9 +200,6 @@ class ProcessEngine:
         if self._fatal is None:
             self._fatal = error
 
-    def _merge_stage_snapshot(self, snapshot: dict) -> None:
-        """Serve workers never profile."""
-
 
 class InlineEngine(ProcessEngine):
     """``--jobs 1``: the same scheduler over an in-process transport.

@@ -228,6 +228,33 @@ class TestFlows:
         assert "0 analysed" in output
         assert "Outcome breakdown" in output
 
+    @pytest.mark.parametrize(
+        "jobs", [["--jobs", "1"], ["--jobs", "2", "--executor", "process"]],
+        ids=["inline", "process"],
+    )
+    def test_profile_stays_out_of_the_checkpoint(self, tmp_path, capsys, jobs):
+        # Stage timings are wall clock: --profile prints them and never
+        # writes them, so the checkpoint is the one an unprofiled run
+        # leaves, byte for byte.
+        from repro.runner import PROFILE_TABLE_STAGES
+
+        stdout = {}
+        for name, extra in (("plain", []), ("profiled", ["--profile"])):
+            exit_code = main(["run", "--scale", "0.02", "--seed", "3", *jobs,
+                              "--checkpoint", str(tmp_path / name), *extra])
+            assert exit_code == 0
+            stdout[name] = capsys.readouterr().out
+        plain, profiled = tmp_path / "plain", tmp_path / "profiled"
+        assert (profiled / "manifest.json").read_bytes() == (
+            plain / "manifest.json").read_bytes()
+        assert sorted((profiled / "records.jsonl").read_bytes().splitlines()) == sorted(
+            (plain / "records.jsonl").read_bytes().splitlines())
+        assert "Per-stage timing" not in stdout["plain"]
+        table = stdout["profiled"].split("Per-stage timing:\n", 1)[1]
+        table = table.split("(all stages)", 1)[0]
+        rows = {line.split()[0] for line in table.splitlines()[1:]}
+        assert rows == set(PROFILE_TABLE_STAGES)
+
     def test_resume_inherits_fault_profile_from_manifest(self, tmp_path, capsys):
         checkpoint = tmp_path / "ckpt"
         exit_code = main(["run", "--scale", "0.02", "--seed", "9", "--faults", "light",

@@ -50,7 +50,7 @@ class HookedBox:
     def __init__(self, corpus, hook):
         self.real = CrawlerBox.for_world(corpus.world)
         self.hook = hook
-        self.profiler = None
+        self.profiler = self.real.profiler
 
     def analyze_to_wire(self, message, message_index):
         self.hook(message_index)

@@ -7,8 +7,9 @@ The headline guarantees under test:
   record -> dict -> record trip across the process boundary;
 - a worker process killed mid-run loses nothing: its in-flight indices
   are retried on a fresh worker, a persistently-crashing ("poison")
-  index lands on the dead-letter list *alone*, and a checkpointed run
-  resumes to completion with byte-identical records;
+  index lands on the dead-letter list *alone*, every landed record
+  keeps its stage timings, and a checkpointed run resumes to
+  completion with byte-identical records;
 - transient faults raised inside a worker retry and recover;
 - ``executor="auto"`` is inline at jobs=1 and process above, and a
   transport that cannot run the request is refused up front;
@@ -24,13 +25,13 @@ import pytest
 
 from repro.core import CrawlerBox
 from repro.core.export import export_records, record_to_dict
+from repro.core.stages import STAGE_NAMES
 from repro.dataset import CorpusGenerator
 from repro.runner import (
     CheckpointStore,
     CorpusRunner,
     RetryPolicy,
     RunnerConfig,
-    StageProfiler,
     parse_record_line,
 )
 
@@ -72,12 +73,12 @@ class TestProcessDeterminism:
 
     def test_profile_snapshots_merge_from_workers(self, runner_corpus):
         sample = runner_corpus.messages[:12]
-        runner = _runner(runner_corpus, profiler=StageProfiler())
-        result = runner.run(sample)
+        result = _runner(runner_corpus).run(sample)
         # Worker-side stage timings survived the queue trip and the merge.
         assert result.stats.stage_calls["auth"] == len(sample)
         assert result.stats.stage_seconds["crawl"] >= 0.0
-        assert set(result.stats.as_dict()["stages"]) >= {"auth", "parse", "crawl"}
+        # ...and stay out of the manifest's stats: they are wall clock.
+        assert "stages" not in result.stats.as_dict()
 
     def test_no_worker_outlives_the_run(self, runner_corpus):
         result = _runner(runner_corpus, jobs=2).run(runner_corpus.messages[:6])
@@ -154,6 +155,24 @@ class TestWorkerCrash:
             assert record_to_dict(record) == record_to_dict(
                 serial_records[record.message_index]
             )
+
+    def test_stage_timings_survive_a_worker_crash(self, runner_corpus):
+        # Timings ride in the result frames, so a worker that dies (or
+        # is terminated) has already delivered the timings of every
+        # record it shipped: each landed record counts one call per
+        # stage, and the crashed attempts count none.
+        poison = 20
+        runner = _runner(
+            runner_corpus,
+            config=RunnerConfig(seed=SEED, scale=SCALE, fault=f"crash:{poison}"),
+            retry_policy=RetryPolicy(max_attempts=3),
+            batch_size=4,
+        )
+        result = runner.run(runner_corpus.messages[:40])
+        assert [letter.index for letter in result.dead_letters] == [poison]
+        assert result.stats.analyzed == 39
+        for name in STAGE_NAMES:
+            assert result.stats.stage_calls[name] == result.stats.analyzed, name
 
     def test_resume_after_kill_completes_byte_identical(
         self, tmp_path, runner_corpus, serial_records

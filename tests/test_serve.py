@@ -221,7 +221,7 @@ class _DyingTransport:
     def send(self, worker_id, command):
         raise AssertionError("a worker that never started took a batch")
 
-    def stop(self, graceful=True, on_message=None):
+    def stop(self, graceful=True):
         pass
 
 

@@ -28,7 +28,7 @@ from repro.core.export import record_from_line, record_to_line
 from repro.core.pipeline import BENIGN_INFRASTRUCTURE_HOSTS
 from repro.core.stages import BUILTIN_STAGES, STAGE_NAMES, StageStatus, get_stage
 from repro.mail.message import EmailMessage, MessagePart
-from repro.runner import CorpusRunner, StageProfiler, TransientFault
+from repro.runner import CorpusRunner, TransientFault
 from repro.runner.profile import PROFILE_TABLE_STAGES
 
 
@@ -335,15 +335,14 @@ class TestSessionSignalsMerge:
 # ----------------------------------------------------------------------
 class TestProfilerCoverage:
     def test_profile_rows_derive_from_registry_plus_unattributed(self, small_corpus):
-        profiler = StageProfiler()
-        box = _fresh_box(small_corpus, profiler=profiler)
+        box = _fresh_box(small_corpus)
         for index in range(3):
             box.analyze(small_corpus.messages[index], message_index=index)
-        snapshot = profiler.snapshot()
-        assert set(snapshot) == set(PROFILE_TABLE_STAGES)
+        profiler = box.profiler
+        assert set(profiler.stage_calls) == set(PROFILE_TABLE_STAGES)
         for name in STAGE_NAMES:
-            assert snapshot[name]["calls"] == 3
-        assert snapshot["unattributed"]["calls"] == 3
+            assert profiler.stage_calls[name] == 3
+        assert profiler.stage_calls["unattributed"] == 3
         # The residual bucket is the (non-negative) remainder of the
         # total analysis wall clock after per-stage attribution.
-        assert snapshot["unattributed"]["seconds"] >= 0.0
+        assert profiler.stage_seconds["unattributed"] >= 0.0
