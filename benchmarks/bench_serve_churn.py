@@ -41,6 +41,7 @@ import time
 
 import pytest
 
+from repro.runner.executor import RunnerConfig
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.netchaos import (
     CLIENT_FAULT_PROFILES,
@@ -135,7 +136,7 @@ def _drive(directory, executor: str, count: int,
     around the honest reporter for the whole run."""
     jobs = 1 if executor == "inline" else JOBS
     config = ServeConfig(
-        seed=BENCH_SEED, scale=BENCH_SCALE, jobs=jobs, executor=executor,
+        run=RunnerConfig(seed=BENCH_SEED, scale=BENCH_SCALE), jobs=jobs, executor=executor,
         **HARDENED,
     )
     daemon = ServeDaemon(config, directory)

@@ -43,6 +43,7 @@ import time
 import pytest
 
 from repro._budget import DEFAULT_WORK_LIMIT
+from repro.runner.executor import RunnerConfig
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.admission import AdmissionConfig
 
@@ -83,7 +84,7 @@ def _overload_admission() -> AdmissionConfig:
 def _session(directory, admission: AdmissionConfig | None = None):
     """A fresh daemon and one client session; the daemon must drain cleanly."""
     config = ServeConfig(
-        seed=BENCH_SEED, scale=BENCH_SCALE, jobs=JOBS, executor=EXECUTOR,
+        run=RunnerConfig(seed=BENCH_SEED, scale=BENCH_SCALE), jobs=JOBS, executor=EXECUTOR,
         admission=admission or AdmissionConfig(),
     )
     daemon = ServeDaemon(config, directory)

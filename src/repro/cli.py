@@ -288,10 +288,12 @@ def _run_settings(args, manifest=None) -> RunnerConfig:
     """The run's settings: every setting flag given on the command line
     wins; the rest come from the flag defaults (``run``, ``serve``) or
     from the interrupted run's ``manifest`` (``resume``).  A fault seed
-    the run never used falls back to its ``--seed``."""
+    the run never used falls back to its ``--seed``; ``serve`` takes no
+    ``--fault-seed`` and keeps the record's 0."""
     if manifest is None:
         base = RunnerConfig(seed=args.seed, scale=args.scale,
-                            fault_seed=args.seed, storage_fault_seed=args.seed)
+                            fault_seed=args.seed if "fault_seed" in vars(args) else 0,
+                            storage_fault_seed=args.seed)
     else:
         saved = manifest.config
         base = replace(
@@ -638,20 +640,19 @@ def cmd_serve(args) -> int:
     from repro.serve import ServeConfig, ServeDaemon
     from repro.serve.admission import AdmissionConfig
 
+    settings = _run_settings(args)
     # Admission budgets are denominated in the per-message work budget:
     # the operator thinks in messages per arrival, the buckets in the
     # work units those messages may consume.
-    cost = args.budget if args.budget else DEFAULT_WORK_LIMIT
+    cost = settings.budget or DEFAULT_WORK_LIMIT
 
     def units(messages: float | None) -> int | None:
         return None if messages is None else int(messages * cost)
 
-    settings = _run_settings(args)
     config = ServeConfig(
+        run=settings,
         host=args.host,
         port=args.port,
-        seed=args.seed,
-        scale=args.scale,
         jobs=args.jobs,
         executor=args.executor,
         batch_size=args.batch_size,
@@ -663,14 +664,9 @@ def cmd_serve(args) -> int:
             reporter_burst=units(args.reporter_burst),
         ),
         backlog_high_water=args.backlog,
-        backlog_low_water=max(1, args.backlog // 4),
         compact_lines=args.compact_lines,
         retain=args.retain,
-        budget=settings.budget,
-        guard_limits=settings.guard_limits,
         durability=args.durability,
-        storage_faults=settings.storage_faults,
-        storage_fault_seed=settings.storage_fault_seed,
         max_sessions=args.max_sessions,
         line_deadline=args.line_deadline,
         idle_timeout=args.idle_timeout,
@@ -680,7 +676,7 @@ def cmd_serve(args) -> int:
         flush_timeout=args.flush_timeout,
     )
     daemon = ServeDaemon(config, args.checkpoint)
-    _announce(daemon.runner_config, config.durability)
+    _announce(settings, config.durability)
 
     def handle(signum, frame):
         daemon.request_shutdown()
@@ -696,7 +692,7 @@ def cmd_serve(args) -> int:
         print(f"Cannot serve: {exc}")
         return 1
     print(f"repro serve: listening on {config.host}:{daemon.port} "
-          f"(seed={config.seed}, scale={config.scale}, jobs={config.jobs}); "
+          f"(seed={settings.seed}, scale={settings.scale}, jobs={config.jobs}); "
           f"endpoint written to {daemon.directory}/endpoint.json; "
           f"SIGTERM drains.", flush=True)
     if args.admit_rate is not None:

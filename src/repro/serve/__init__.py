@@ -22,7 +22,8 @@ package turns the batch engine of :mod:`repro.runner` into that shape:
   from the fair queues instead of from a fixed corpus.
 - :mod:`~repro.serve.server` — the daemon: sessions, backpressure,
   checkpointing, rolling compaction, drain-on-SIGTERM, manifest
-  lifecycle (``serving`` -> ``stopped``).
+  lifecycle (``serving`` -> ``stopped``).  Its ``ServeConfig`` is the
+  batch path's ``RunnerConfig`` plus service settings.
 - :mod:`~repro.serve.client` — the submission client behind
   ``repro submit`` (and the tests), including hint-honoring automatic
   retry on ``overloaded``.
@@ -36,6 +37,8 @@ record depends only on (seed material, admission index), admission
 state snapshots into the manifest at drain, and a restarted daemon
 replaying the remaining transcript produces records byte-identical to
 an uninterrupted daemon — and to a batch run over the same messages.
+A restart under run settings that would change a record is refused;
+only the disk weather may differ.
 """
 
 from repro.serve.admission import AdmissionConfig, AdmissionController, AdmissionDecision

@@ -330,7 +330,6 @@ class ChaosClient:
         line_deadline: float = 0.5,
         idle_timeout: float = 0.5,
         io_timeout: float = 10.0,
-        max_line_bytes: int = MAX_LINE_BYTES,
         max_hold: float = 5.0,
     ):
         self.host = host
@@ -340,7 +339,6 @@ class ChaosClient:
         self.line_deadline = line_deadline
         self.idle_timeout = idle_timeout
         self.io_timeout = io_timeout
-        self.max_line_bytes = max_line_bytes
         self.max_hold = max_hold
         self.report = ChaosReport(client_id)
         self._conn: socket.socket | None = None
@@ -401,7 +399,7 @@ class ChaosClient:
         if self._stream is None:
             return None
         try:
-            line = self._stream.readline(self.max_line_bytes)
+            line = self._stream.readline(MAX_LINE_BYTES)
         except OSError:
             self._disconnect()
             self.report.responses["closed"] += 1
@@ -449,7 +447,7 @@ class ChaosClient:
                 self._read_response()
         elif kind == "oversized":
             if self._ensure_connected():
-                line = b"x" * (self.max_line_bytes + behavior.overshoot) + b"\n"
+                line = b"x" * (MAX_LINE_BYTES + behavior.overshoot) + b"\n"
                 if self._send(line):
                     self._read_response()
                 # The daemon cannot resync after an oversized line; it

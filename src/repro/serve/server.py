@@ -26,17 +26,19 @@ One process, five moving parts:
 - **Drain** — SIGTERM stops intake (new submissions are ``rejected``
   with reason ``draining``), flushes every accepted submission through
   analysis and checkpoint, writes ``status: stopped`` with the exact
-  admission snapshot, and exits 0.  A restarted daemon restores that
-  snapshot, so replaying the remaining transcript produces records
-  byte-identical to an uninterrupted daemon — and to a batch run over
-  the same messages, because records depend only on (seed material,
-  admission index).
+  admission snapshot, and exits 0.  A restarted daemon refuses run
+  settings that would change a record and restores that snapshot, so
+  replaying the remaining transcript produces records byte-identical
+  to an uninterrupted daemon — and to a batch run over the same
+  messages, because records depend only on (seed material, admission
+  index).
 
 Backpressure vs shedding: when the hardware falls behind, a session
 stops *reading* once the accepted backlog passes ``backlog_high_water``
-(TCP pushes back on the submitter) and resumes below the low-water
-mark.  Blocking delays arrivals without reordering or dropping them,
-so the deterministic shed set is unaffected by machine speed.
+(TCP pushes back on the submitter) and resumes once it falls to a
+quarter of that.  Blocking delays arrivals without reordering or
+dropping them, so the deterministic shed set is unaffected by machine
+speed.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import pathlib
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.runner.checkpoint import CheckpointStore, RunManifest
 from repro.runner.executor import RunnerConfig
@@ -58,7 +60,6 @@ from repro.serve.admission import REFUSED_BUSY, AdmissionConfig, AdmissionContro
 from repro.serve.engine import ServeJob, build_engine
 from repro.serve.protocol import (
     HTTP_ALLOWED_METHODS,
-    MAX_LINE_BYTES,
     IdleTimeout,
     LineChannel,
     LineTooLong,
@@ -79,48 +80,47 @@ from repro.storage.durable import DEFAULT_DURABILITY, durable_write_text, retryi
 #: clients (and tests) can find the bound port of a daemon they spawned.
 ENDPOINT_NAME = "endpoint.json"
 
+#: Rewrite the manifest every N completions (and always at drain).
+MANIFEST_EVERY = 50
+#: Verdict latencies kept for the /stats percentiles.
+LATENCY_WINDOW = 2048
+#: Consecutive failed verdict appends (each already bounded-retried)
+#: before the health state machine drops from ``degraded`` to
+#: ``readonly`` and new submissions shed.
+READONLY_AFTER = 3
+#: Manifest keys a restart may change: disk weather decides when a
+#: write fails, never what a record holds.
+_DISK_WEATHER = ("storage_faults", "storage_fault_seed")
+
 
 @dataclass
 class ServeConfig:
-    """Everything ``repro serve`` tunes."""
+    """Everything ``repro serve`` tunes: the run settings its records
+    depend on, plus service settings that never change a record."""
 
+    #: The run settings (``repro run``'s record): the engine's world
+    #: recipe, the disk weather, and what the manifest records.  A
+    #: restart must match the checkpoint on all of them but the disk
+    #: weather.
+    run: RunnerConfig = field(default_factory=lambda: RunnerConfig(scale=0.15))
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port lands in endpoint.json
-    seed: int = 2024
-    scale: float = 0.15
     jobs: int = 1
     #: 'auto' (inline at jobs=1, process above) | 'inline' | 'process'.
     executor: str = "auto"
     batch_size: int = 8
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Accepted-but-unfinished submissions above which sessions stop
-    #: reading (flow control); reading resumes at the low-water mark.
+    #: reading (flow control); reading resumes at a quarter of it.
     backlog_high_water: int = 256
-    backlog_low_water: int = 64
     #: Compact records.jsonl once it exceeds this many lines (0 = never).
     compact_lines: int = 100_000
     #: Keep only the newest N message indices when compacting (None =
     #: dedupe only).  Verdicts were already streamed to submitters, so
     #: the live checkpoint may be a rolling window.
     retain: int | None = None
-    #: Per-message work budget (CLI ``--budget`` semantics).
-    budget: int | None = None
-    #: Guard-limit overrides as ``(key, value)`` pairs (``--guard-limit``).
-    guard_limits: tuple[tuple[str, int], ...] | None = None
-    max_line_bytes: int = MAX_LINE_BYTES
-    #: Rewrite the manifest every N completions (and always at drain).
-    manifest_every: int = 50
-    #: Verdict latencies kept for the /stats percentiles.
-    latency_window: int = 2048
     #: fsync policy for the checkpoint (``--durability``).
     durability: str = DEFAULT_DURABILITY
-    #: Storage fault weather (``--storage-faults`` / ``--storage-fault-seed``).
-    storage_faults: str = "off"
-    storage_fault_seed: int = 0
-    #: Consecutive failed verdict appends (each already bounded-retried)
-    #: before the health state machine drops from ``degraded`` to
-    #: ``readonly`` and new submissions shed.
-    readonly_after: int = 3
     # ------------------------------------------------------------------
     # Ingress hardening (the connection lifecycle; see DESIGN.md §11).
     # ------------------------------------------------------------------
@@ -229,21 +229,13 @@ class _Session:
 
 
 class ServeDaemon:
-    """The long-lived analysis service.  ``run()`` blocks until drained."""
+    """The long-lived analysis service: ``start()``, then ``wait()``
+    blocks until a shutdown request has drained it."""
 
     def __init__(self, config: ServeConfig, checkpoint_dir: str | pathlib.Path):
         self.config = config
-        #: The daemon's run settings, built once: the engine's world
-        #: recipe, the disk weather, and what the manifest records.
-        self.runner_config = RunnerConfig(
-            seed=config.seed,
-            scale=config.scale,
-            budget=config.budget,
-            guard_limits=config.guard_limits,
-            storage_faults=config.storage_faults,
-            storage_fault_seed=config.storage_fault_seed,
-            corpus_prefix=0,  # the engine needs the world, not the corpus
-        )
+        #: The engine needs the world, not the corpus.
+        self.runner_config = replace(config.run, corpus_prefix=0)
         self.directory = pathlib.Path(checkpoint_dir)
         self.checkpoint = CheckpointStore(self.directory, durability=config.durability)
         self.admission = AdmissionController(config.admission)
@@ -298,9 +290,7 @@ class ServeDaemon:
         self.storage_recoveries = 0
         self.last_storage_error: str | None = None
         self.reporters: dict[str, collections.Counter] = {}
-        self._latencies: collections.deque = collections.deque(
-            maxlen=max(1, config.latency_window)
-        )
+        self._latencies: collections.deque = collections.deque(maxlen=LATENCY_WINDOW)
         self._engine = None
         self._listener: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
@@ -326,11 +316,6 @@ class ServeDaemon:
             target=self._accept_loop, name="repro-serve-accept", daemon=True
         )
         self._acceptor.start()
-
-    def run(self) -> int:
-        """start(), block until a shutdown request, drain, exit code."""
-        self.start()
-        return self.wait()
 
     def wait(self) -> int:
         """Block until a shutdown request, then drain; the exit code."""
@@ -360,12 +345,21 @@ class ServeDaemon:
                     f"use `repro resume` for batch runs or point --checkpoint at "
                     f"a fresh directory"
                 )
-            saved = manifest.config
-            if (saved.seed, saved.scale) != (self.config.seed, self.config.scale):
+            saved = manifest.config.manifest_items()
+            wanted = self.runner_config.manifest_items()
+            differing = sorted(
+                key for key in saved.keys() | wanted.keys()
+                if key not in _DISK_WEATHER and saved.get(key) != wanted.get(key)
+            )
+            if differing:
                 raise RuntimeError(
-                    f"checkpoint belongs to seed={saved.seed} scale={saved.scale}; "
-                    f"restart with matching --seed/--scale or the replayed transcript "
-                    f"cannot be byte-identical"
+                    "checkpoint was analysed under other settings: "
+                    + "; ".join(
+                        f"{key} was {saved.get(key)!r}, now {wanted.get(key)!r}"
+                        for key in differing
+                    )
+                    + "; restart with matching settings or the replayed "
+                    "transcript cannot be byte-identical"
                 )
             service = manifest.service or {}
             self.stats = RunningStats.from_dict(manifest.stats)
@@ -505,7 +499,7 @@ class ServeDaemon:
             send_deadline=self.config.send_deadline,
             on_dead_peer=lambda: self._count_ingress("dead_peers"),
         )
-        channel = LineChannel(conn, limit=self.config.max_line_bytes)
+        channel = LineChannel(conn)
         try:
             line = self._read_session_line(channel, session)
             if line is None:
@@ -766,7 +760,7 @@ class ServeDaemon:
         high = self.config.backlog_high_water
         if high <= 0:
             return
-        low = min(self.config.backlog_low_water, high)
+        low = max(1, high // 4)
         with self._completion:
             if self._backlog() <= high:
                 return
@@ -835,7 +829,7 @@ class ServeDaemon:
         self.append_errors += 1
         self._append_streak += 1
         self.last_storage_error = str(error)
-        if self._append_streak >= max(1, self.config.readonly_after):
+        if self._append_streak >= READONLY_AFTER:
             self.storage_health = "readonly"
         elif self.storage_health == "ok":
             self.storage_health = "degraded"
@@ -922,8 +916,7 @@ class ServeDaemon:
         self._manifest_maybe(force=compacted)
 
     def _manifest_maybe(self, force: bool = False) -> None:
-        every = max(1, self.config.manifest_every)
-        if force or (self.completed + self.failed) % every == 0:
+        if force or (self.completed + self.failed) % MANIFEST_EVERY == 0:
             try:
                 self._write_manifest("serving")
             except OSError as error:
@@ -1011,10 +1004,10 @@ class ServeDaemon:
             payload = {
                 "status": "draining" if self._draining else "serving",
                 "uptime_seconds": round(time.monotonic() - self.started_at, 3),
-                "executor": getattr(self._engine, "name", self.config.executor),
+                "executor": self._engine.name,
                 "jobs": self.config.jobs,
-                "seed": self.config.seed,
-                "scale": self.config.scale,
+                "seed": self.runner_config.seed,
+                "scale": self.runner_config.scale,
                 "submitted": self.submitted,
                 "accepted": self.accepted,
                 "shed": self.shed,
@@ -1105,7 +1098,7 @@ class ServeDaemon:
             "completed": self.completed,
             "failed": self.failed,
             "compactions": self.compactions,
-            "executor": getattr(self._engine, "name", self.config.executor),
+            "executor": self._engine.name,
             "reporters": {
                 name: dict(counter) for name, counter in sorted(self.reporters.items())
             },

@@ -97,11 +97,13 @@ def test_drained_serve_daemon_loads_neither_scipy_nor_networkx(tmp_path):
     """A daemon builds its box (the reference-portal crawl), answers
     submissions and drains without either package."""
     loaded = _loaded_after(
+        "from repro.runner.executor import RunnerConfig\n"
         "from repro.serve import ServeClient, ServeConfig, ServeDaemon\n"
         "raw = (b'From: <it@spammer.ru>\\nTo: victim@corp.example\\nSubject: expires\\n'\n"
         "       b'MIME-Version: 1.0\\nContent-Type: text/html\\n\\n'\n"
         "       b'<a href=\"https://phish.example/portal\">Open</a>\\n')\n"
-        "config = ServeConfig(seed=31, scale=0.02, jobs=1, executor='inline', batch_size=2)\n"
+        "config = ServeConfig(run=RunnerConfig(seed=31, scale=0.02), jobs=1,\n"
+        "                     executor='inline', batch_size=2)\n"
         f"daemon = ServeDaemon(config, {str(tmp_path)!r})\n"
         "daemon.start()\n"
         "with ServeClient('127.0.0.1', daemon.port, timeout=120) as client:\n"

@@ -50,6 +50,7 @@ from repro.serve.admission import AdmissionConfig
 from repro.serve.protocol import encode_line
 
 SEED, SCALE = 31, 0.02
+RUN = RunnerConfig(seed=SEED, scale=SCALE)
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -73,7 +74,7 @@ MESSAGES = [_eml(i) for i in range(8)]
 @contextlib.contextmanager
 def _daemon(directory, **overrides):
     config = ServeConfig(
-        seed=SEED, scale=SCALE, jobs=overrides.pop("jobs", 1),
+        run=overrides.pop("run", RUN), jobs=overrides.pop("jobs", 1),
         executor=overrides.pop("executor", "inline"),
         batch_size=overrides.pop("batch_size", 3),
         **overrides,
@@ -296,6 +297,62 @@ class TestRestartByteIdentity:
         assert multiprocessing.active_children() == []
 
 
+class TestRestartSettings:
+    """A restart must match the checkpoint on every setting its manifest
+    records except the disk weather, which never changes a record."""
+
+    def _serve(self, directory, messages, run=RUN) -> None:
+        with _daemon(directory, run=run) as daemon:
+            with ServeClient("127.0.0.1", daemon.port, timeout=120) as client:
+                for raw in messages:
+                    assert client.submit_bytes(raw, reporter="acme").accepted
+                client.wait_verdicts(timeout=120)
+
+    def test_restart_with_other_record_settings_is_refused(self, tmp_path):
+        self._serve(tmp_path, MESSAGES[:2])
+        before = [
+            (tmp_path / name).read_bytes() for name in ("manifest.json", "records.jsonl")
+        ]
+        for changed, expected in (
+            ({"budget": 1}, "budget was None, now 1"),
+            ({"guard_limits": (("max_parts", 1),)},
+             "guard_limits was None, now [['max_parts', 1]]"),
+        ):
+            daemon = ServeDaemon(
+                ServeConfig(run=replace(RUN, **changed), executor="inline"), tmp_path
+            )
+            with pytest.raises(RuntimeError, match="other settings") as info:
+                daemon.start()
+            daemon.checkpoint.close()
+            assert expected in str(info.value)
+            # Refused before the engine or the listener came up; the
+            # checkpoint is untouched.
+            assert daemon._engine is None and daemon.port is None
+            after = [
+                (tmp_path / name).read_bytes() for name in ("manifest.json", "records.jsonl")
+            ]
+            assert after == before
+
+    def test_restart_with_same_settings_or_other_disk_weather_continues(self, tmp_path):
+        from repro.storage.durable import install_storage_faults
+
+        full_dir, split_dir = tmp_path / "full", tmp_path / "split"
+        self._serve(full_dir, MESSAGES[:6])
+        weather = replace(RUN, storage_faults="light", storage_fault_seed=7)
+        try:
+            for part, run in (
+                (MESSAGES[:2], RUN), (MESSAGES[2:4], RUN), (MESSAGES[4:6], weather)
+            ):
+                self._serve(split_dir, part, run=run)
+        finally:
+            install_storage_faults(None)
+        assert _records_lines(split_dir) == _records_lines(full_dir)
+        manifest = json.loads((split_dir / "manifest.json").read_text())
+        assert manifest["status"] == "stopped"
+        assert manifest["service"]["next_index"] == 6
+        assert (manifest["storage_faults"], manifest["storage_fault_seed"]) == ("light", 7)
+
+
 class TestQuietRoundTrip:
     """One submission at a time on one connection.
 
@@ -428,10 +485,12 @@ class TestServeEngineFaults:
 
     def _start(self, directory, fault: str = "") -> ServeDaemon:
         daemon = ServeDaemon(
-            ServeConfig(seed=SEED, scale=SCALE, jobs=2, executor="process", batch_size=3),
+            ServeConfig(
+                run=RunnerConfig(seed=SEED, scale=SCALE, fault=fault),
+                jobs=2, executor="process", batch_size=3,
+            ),
             directory,
         )
-        daemon.runner_config = replace(daemon.runner_config, fault=fault)
         daemon.start()
         return daemon
 
@@ -522,13 +581,13 @@ class TestServeEngineFaults:
 # ----------------------------------------------------------------------
 # Real signals against the real CLI, mirroring test_shutdown.py
 # ----------------------------------------------------------------------
-def _launch_serve(checkpoint) -> subprocess.Popen:
+def _launch_serve(checkpoint, *flags: str, seed: int = SEED) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--checkpoint", str(checkpoint),
-         "--seed", str(SEED), "--scale", str(SCALE),
-         "--jobs", "1", "--executor", "inline"],
+         "--seed", str(seed), "--scale", str(SCALE),
+         "--jobs", "1", "--executor", "inline", *flags],
         cwd=REPO, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         start_new_session=True,
@@ -609,3 +668,48 @@ class TestSigtermDrain:
                 process.wait(timeout=60)
 
         assert _records_lines(served_dir) == _records_lines(baseline_dir)
+
+
+#: Every key :meth:`RunnerConfig.manifest_items` can write.
+_SETTING_KEYS = ("seed", "scale", "faults", "fault_seed", "storage_faults",
+                 "storage_fault_seed", "budget", "guard_limits", "stages", "hostile")
+
+
+class TestCliSettings:
+    """How ``repro serve`` flags land in its checkpoint manifest."""
+
+    def _idle_manifest(self, directory, *flags: str) -> dict:
+        process = _launch_serve(directory, *flags, seed=5)
+        try:
+            _wait_for_endpoint(directory, process)
+            os.killpg(process.pid, signal.SIGTERM)
+            assert process.wait(timeout=240) == 0
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait(timeout=60)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["status"] == "stopped"
+        return manifest
+
+    def test_serve_flags_map_onto_the_manifest(self, tmp_path):
+        plain = self._idle_manifest(tmp_path / "plain")
+        # serve takes no --faults/--fault-seed: the fault seed stays 0,
+        # not the --seed a batch run would fall back to.
+        assert {key: plain[key] for key in _SETTING_KEYS if key in plain} == {
+            "seed": 5, "scale": SCALE, "faults": "off", "fault_seed": 0,
+        }
+        # The global bucket starts full: 64 messages of the work budget.
+        assert plain["service"]["admission"]["global"] == [64 * DEFAULT_WORK_LIMIT, 0]
+
+        tuned = self._idle_manifest(
+            tmp_path / "tuned", "--budget", "500000", "--guard-limit", "max_parts=64",
+            "--storage-faults", "light",
+        )
+        assert {key: tuned[key] for key in _SETTING_KEYS if key in tuned} == {
+            "seed": 5, "scale": SCALE, "faults": "off", "fault_seed": 0,
+            "budget": 500000, "guard_limits": [["max_parts", 64]],
+            "storage_faults": "light", "storage_fault_seed": 5,
+        }
+        # Admission is denominated in --budget when it is given.
+        assert tuned["service"]["admission"]["global"] == [64 * 500000, 0]

@@ -28,7 +28,8 @@ import urllib.request
 import pytest
 
 from repro.runner import CheckpointStore
-from repro.serve import ServeClient, ServeConfig, ServeDaemon
+from repro.runner.executor import RunnerConfig
+from repro.serve import ServeClient, ServeConfig, ServeDaemon, server
 from repro.storage.durable import install_storage_faults
 from repro.storage.faults import InjectedDiskFull
 
@@ -79,10 +80,11 @@ def broken_disk():
 
 
 @contextlib.contextmanager
-def _daemon(directory):
+def _daemon(directory, monkeypatch):
+    # Two consecutive failed appends trip readonly (the default is three).
+    monkeypatch.setattr(server, "READONLY_AFTER", 2)
     config = ServeConfig(
-        seed=SEED, scale=SCALE, jobs=1, executor="inline", batch_size=1,
-        readonly_after=2,
+        run=RunnerConfig(seed=SEED, scale=SCALE), jobs=1, executor="inline", batch_size=1,
     )
     daemon = ServeDaemon(config, directory)
     daemon.start()
@@ -113,8 +115,8 @@ def _assert_reconciled(stats: dict) -> None:
 
 
 class TestStorageHealthMachine:
-    def test_degrade_readonly_shed_recover_zero_loss(self, tmp_path, broken_disk):
-        with _daemon(tmp_path) as daemon:
+    def test_degrade_readonly_shed_recover_zero_loss(self, tmp_path, broken_disk, monkeypatch):
+        with _daemon(tmp_path, monkeypatch) as daemon:
             with ServeClient("127.0.0.1", daemon.port, timeout=120) as client:
                 # Healthy baseline: two verdicts, both durable.
                 for i in range(2):
@@ -134,7 +136,7 @@ class TestStorageHealthMachine:
                 assert status == 200 and health["status"] == "degraded"
                 assert health["storage"]["pending_appends"] == 1
 
-                # Second consecutive failure trips readonly_after=2.
+                # Second consecutive failure trips READONLY_AFTER=2.
                 outcome = client.submit_bytes(_eml(3), reporter="acme")
                 assert outcome.accepted
                 client.wait_verdicts(timeout=120)
@@ -183,10 +185,10 @@ class TestStorageHealthMachine:
         assert manifest.status == "stopped"
         assert manifest.service["next_index"] == 5
 
-    def test_drain_flushes_pending_buffer(self, tmp_path, broken_disk):
+    def test_drain_flushes_pending_buffer(self, tmp_path, broken_disk, monkeypatch):
         # Records buffered while degraded are flushed by the drain once
         # the disk heals — even with no further traffic to probe it.
-        with _daemon(tmp_path) as daemon:
+        with _daemon(tmp_path, monkeypatch) as daemon:
             with ServeClient("127.0.0.1", daemon.port, timeout=120) as client:
                 broken_disk.failing = True
                 assert client.submit_bytes(_eml(0), reporter="acme").accepted

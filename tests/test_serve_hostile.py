@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+from repro.runner.executor import RunnerConfig
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.netchaos import ClientFaultEngine, client_fault_profile, fuzz_corpus, run_chaos_fleet
 from repro.serve.protocol import encode_line
@@ -64,7 +65,7 @@ HARDENED = dict(
 @contextlib.contextmanager
 def _daemon(directory, **overrides):
     config = ServeConfig(
-        seed=SEED, scale=SCALE, jobs=overrides.pop("jobs", 1),
+        run=RunnerConfig(seed=SEED, scale=SCALE), jobs=overrides.pop("jobs", 1),
         executor=overrides.pop("executor", "inline"),
         batch_size=overrides.pop("batch_size", 3),
         **overrides,
