@@ -41,6 +41,7 @@ import time
 from dataclasses import replace
 from typing import NamedTuple
 
+from repro._budget import DEFAULT_WORK_LIMIT
 from repro.runner.executor import RunnerConfig
 from repro.runner.runner import EXECUTORS
 from repro.storage.durable import DURABILITY_POLICIES
@@ -167,7 +168,7 @@ _FLAGS = (
           help="per-message work budget in abstract units (JS steps, crawl "
                "hops, OCR tiles); a message that exhausts it has that stage "
                "degraded to 'failed' instead of wedging a worker; 0 = unlimited "
-               "(default: the pipeline's built-in 2,000,000); a daemon also "
+               f"(default: the pipeline's built-in {DEFAULT_WORK_LIMIT:,}); a daemon also "
                "denominates its admission buckets in it"),
     _flag("--guard-limit", "guard_limits", serve=True, type=_guard_limit_arg,
           action="append", default=None, metavar="KEY=VALUE",
@@ -636,7 +637,6 @@ def cmd_serve(args) -> int:
     """Run the always-on analysis daemon (see :mod:`repro.serve`)."""
     import signal
 
-    from repro._budget import DEFAULT_WORK_LIMIT
     from repro.serve import ServeConfig, ServeDaemon
     from repro.serve.admission import AdmissionConfig
 

@@ -10,8 +10,16 @@ Layout of a checkpoint directory::
 
 Records reuse the exact serialization of :mod:`repro.core.export`, so a
 checkpoint can be promoted to the monolithic artifact format (or the
-Section V statistics recomputed) without re-crawling anything.  Appends
-flush per line: a killed run loses at most the line being written.
+Section V statistics recomputed) without re-crawling anything.
+
+One rule serves both owners, a batch run and the ``repro serve``
+daemon.  :meth:`CheckpointStore.land` appends each line in order,
+flushed so a kill loses at most the line being written; a line the disk
+refuses past its bounded retry is parked, never dropped, and the
+failure counted.  ``snapshot`` writes a best-effort progress manifest.
+``finish`` lands what is parked, syncs the records and only then writes
+the terminal manifest.  The owner decides what a failure means: a batch
+run aborts on a parked line, the daemon degrades and then sheds.
 
 Line format (v2): every appended line carries a CRC32 suffix ::
 
@@ -38,6 +46,7 @@ parse:
 
 from __future__ import annotations
 
+import collections
 import json
 import pathlib
 import threading
@@ -269,8 +278,19 @@ class CheckpointStore:
         #: and for overhead benchmarking.
         self.crc = crc
         self.durability = validate_durability(durability)
-        self._lock = threading.Lock()
+        #: Reentrant: :meth:`land` holds it around :meth:`append_wire`.
+        self._lock = threading.RLock()
         self._durable = DurableFile(self.records_path, durability=durability)
+        # Record health: lines the disk refused (see land), oldest
+        # first, and the failures behind them.  The store only counts;
+        # its owner decides what a failure means.
+        self._parked: collections.deque[bytes] = collections.deque()
+        self.failures = 0  # cumulative failed appends, compactions, manifests
+        self.failure_streak = 0  # consecutive failures
+        #: Longest streak since the store was last healthy (0 = healthy).
+        self.worst_streak = 0
+        self.recoveries = 0
+        self.last_error: OSError | None = None
 
     # ------------------------------------------------------------------
     # Records
@@ -299,6 +319,64 @@ class CheckpointStore:
         with self._lock:
             retrying(lambda: self._durable.append(data + b"\n"))
         note_durable_record()
+
+    def land(self, wire: bytes) -> int:
+        """Land one record line behind any parked ones, in order.
+
+        A line the disk refuses past the bounded retry of
+        :meth:`append_wire` stays parked — never dropped — and the
+        failure is noted.  Returns how many lines reached the file.
+        """
+        with self._lock:
+            self._parked.append(wire)
+            return self._drain()
+
+    @property
+    def pending(self) -> int:
+        """Parked lines, not yet in the file."""
+        return len(self._parked)
+
+    def probe(self) -> int:
+        """Retry the parked lines now; the store is healthy again once
+        none is left.  Returns how many lines reached the file."""
+        with self._lock:
+            return self._drain()
+
+    def _drain(self) -> int:
+        landed = 0
+        while self._parked:
+            try:
+                self.append_wire(self._parked[0])
+            except OSError as error:
+                self.note_error(error)
+                return landed
+            self._parked.popleft()
+            landed += 1
+            self.failure_streak = 0
+        if self.worst_streak:
+            self.worst_streak = 0
+            self.recoveries += 1
+        return landed
+
+    def note_error(self, error: OSError) -> None:
+        """Count a failed durable write (an append, a compaction, a
+        progress manifest)."""
+        with self._lock:
+            self.failures += 1
+            self.failure_streak += 1
+            self.worst_streak = max(self.worst_streak, self.failure_streak)
+            self.last_error = error
+
+    def health(self) -> dict:
+        """The store's side of an owner's storage report."""
+        with self._lock:
+            return {
+                "durability": self.durability,
+                "pending_appends": len(self._parked),
+                "append_errors": self.failures,
+                "recoveries": self.recoveries,
+                "last_error": None if self.last_error is None else str(self.last_error),
+            }
 
     def sync(self) -> None:
         """Force records to stable storage now (manifest boundaries)."""
@@ -529,6 +607,30 @@ class CheckpointStore:
                     self.manifest_path, payload, durability=self.durability
                 )
             )
+
+    def snapshot(self, manifest: RunManifest) -> None:
+        """Best-effort progress manifest: the records are the source of
+        truth, so a failed write is noted, never raised."""
+        try:
+            self.write_manifest(manifest)
+        except OSError as error:
+            self.note_error(error)
+
+    def finish(self, manifest: RunManifest) -> None:
+        """End a run: land the parked lines, sync the records, then
+        write the terminal ``manifest`` — records reach stable storage
+        before a manifest claims them — and close.  Raises ``OSError``
+        if a line stays parked (no manifest is written then) or the
+        sync or manifest write fails."""
+        try:
+            self.probe()
+            if self._parked:
+                error, stranded = self.last_error, len(self._parked)
+                raise OSError(error.errno, f"{stranded} record line(s) unpersisted ({error})")
+            self.sync()
+            self.write_manifest(manifest)
+        finally:
+            self.close()
 
     def read_manifest(self) -> RunManifest | None:
         if not self.manifest_path.exists():

@@ -178,7 +178,8 @@ class CorpusRunner:
 
         pending = [index for index in range(total) if index not in resumed]
         self._total = total
-        self._write_manifest(status="running")
+        if self.checkpoint is not None:
+            self.checkpoint.snapshot(self._manifest("running"))
 
         if pending:
             self._queue = collections.deque(pending)
@@ -188,8 +189,8 @@ class CorpusRunner:
             finally:
                 self._transport = None
             if self._fatal is not None:
-                self._write_manifest(status="failed")
                 if self.checkpoint is not None:
+                    self.checkpoint.snapshot(self._manifest("failed"))
                     self.checkpoint.close()
                 raise self._fatal
         if self._wire:
@@ -205,12 +206,7 @@ class CorpusRunner:
             len(self._records) + len(self._dead) < total
         )
         if self.checkpoint is not None:
-            # Records reach stable storage before the manifest claims
-            # the run complete — the ordering crash consistency needs.
-            self.checkpoint.sync()
-        self._write_manifest(status="interrupted" if interrupted else "complete")
-        if self.checkpoint is not None:
-            self.checkpoint.close()
+            self.checkpoint.finish(self._manifest("interrupted" if interrupted else "complete"))
         records = [self._records[index] for index in sorted(self._records)]
         return RunResult(
             records=records,
@@ -263,15 +259,13 @@ class CorpusRunner:
             # interrupted manifest lists these for the operator.
             self._drained.append(index)
         if self.checkpoint is not None:
-            try:
-                self.checkpoint.append_wire(wire)
-            except OSError as error:
-                # A durable append failed past its bounded retry: the
-                # disk is persistently refusing writes, so continuing
-                # would only analyze messages whose records cannot
-                # land.  Abort cleanly — every record already appended
-                # is durable, and a later ``resume`` continues from them.
-                self._set_fatal(error)
+            self.checkpoint.land(wire)
+            if self.checkpoint.pending:
+                # The disk refused a line past its bounded retry, so
+                # continuing would only analyze messages whose records
+                # cannot land.  Abort: every landed record is durable,
+                # and a later ``resume`` continues from them.
+                self._set_fatal(self.checkpoint.last_error)
                 return
         completed = len(self._records) + len(self._wire)
         if self.progress is not None and (
@@ -283,7 +277,7 @@ class CorpusRunner:
             and completed % self.progress_every == 0
             and completed < self._total
         ):
-            self._write_manifest(status="running")
+            self.checkpoint.snapshot(self._manifest("running"))
 
     def _record_dead(
         self, index: int, attempts: int, error: BaseException, history: tuple[str, ...]
@@ -306,10 +300,8 @@ class CorpusRunner:
             self._fatal = error
 
     # ------------------------------------------------------------------
-    def _write_manifest(self, status: str) -> None:
-        if self.checkpoint is None:
-            return
-        manifest = RunManifest(
+    def _manifest(self, status: str) -> RunManifest:
+        return RunManifest(
             config=self.config or RunnerConfig(),
             jobs=self.jobs,
             total_messages=self._total,
@@ -319,12 +311,3 @@ class CorpusRunner:
             stats=self._stats.as_dict(),
             drained=sorted(self._drained) if status == "interrupted" else [],
         )
-        try:
-            self.checkpoint.write_manifest(manifest)
-        except OSError:
-            # Mid-run progress snapshots and the post-fatal status are
-            # best-effort: the records file is the source of truth, and
-            # a disk refusing the manifest must not mask the run's own
-            # outcome.  Terminal complete/interrupted writes propagate.
-            if status not in ("running", "failed"):
-                raise

@@ -25,13 +25,13 @@ One process, five moving parts:
   ``service`` block (counters, next index, admission snapshot).
 - **Drain** — SIGTERM stops intake (new submissions are ``rejected``
   with reason ``draining``), flushes every accepted submission through
-  analysis and checkpoint, writes ``status: stopped`` with the exact
-  admission snapshot, and exits 0.  A restarted daemon refuses run
-  settings that would change a record and restores that snapshot, so
-  replaying the remaining transcript produces records byte-identical
-  to an uninterrupted daemon — and to a batch run over the same
-  messages, because records depend only on (seed material, admission
-  index).
+  analysis and checkpoint, syncs the records, then writes ``status:
+  stopped`` with the exact admission snapshot, and exits 0.  A
+  restarted daemon refuses run settings that would change a record
+  and restores that snapshot, so replaying the remaining transcript
+  produces records byte-identical to an uninterrupted daemon — and to
+  a batch run over the same messages, because records depend only on
+  (seed material, admission index).
 
 Backpressure vs shedding: when the hardware falls behind, a session
 stops *reading* once the accepted backlog passes ``backlog_high_water``
@@ -274,21 +274,7 @@ class ServeDaemon:
         self.failed = 0
         self.compactions = 0
         self.checkpoint_lines = 0
-        # Storage health state machine: ok -> degraded (an append failed
-        # past its bounded retry; the verdict bytes are buffered, not
-        # lost) -> readonly (failures persist; new submissions shed with
-        # explicit responses) -> ok again once an append lands and the
-        # buffer drains.  Guarded by _storage_lock (never taken while
-        # holding it: _completion may be taken *around* it, not under).
-        self._storage_lock = threading.Lock()
-        self.storage_health = "ok"  # 'ok' | 'degraded' | 'readonly'
-        #: Verdict wire lines accepted but not yet durable (oldest first).
-        self._pending_wires: collections.deque[bytes] = collections.deque()
-        self._append_streak = 0  # consecutive failed appends
-        self.append_errors = 0  # cumulative, for /stats
-        self.storage_shed = 0
-        self.storage_recoveries = 0
-        self.last_storage_error: str | None = None
+        self.storage_shed = 0  # submissions shed while storage is readonly
         self.reporters: dict[str, collections.Counter] = {}
         self._latencies: collections.deque = collections.deque(maxlen=LATENCY_WINDOW)
         self._engine = None
@@ -299,19 +285,25 @@ class ServeDaemon:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Restore state, build the engine, bind, and go live."""
-        self.runner_config.install_storage_faults(clear=False)
-        self._restore()
-        self._build_engine()
-        listener = socket.create_server(
-            (self.config.host, self.config.port),
-            backlog=max(1, self.config.listen_backlog),
-            reuse_port=False,
-        )
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._write_endpoint()
-        self._write_manifest("serving")
+        """Restore state, build the engine, bind, and go live.  A start
+        that fails (settings refused, port taken) closes the store; the
+        disk weather is installed only once the settings are accepted."""
+        try:
+            self._restore()
+            self.runner_config.install_storage_faults(clear=False)
+            self._build_engine()
+            listener = socket.create_server(
+                (self.config.host, self.config.port),
+                backlog=max(1, self.config.listen_backlog),
+                reuse_port=False,
+            )
+            self._listener = listener
+            self.port = listener.getsockname()[1]
+            self._write_endpoint()
+            self.checkpoint.write_manifest(self._manifest("serving"))
+        except BaseException:
+            self.checkpoint.close()
+            raise
         self._acceptor = threading.Thread(
             target=self._accept_loop, name="repro-serve-accept", daemon=True
         )
@@ -676,7 +668,9 @@ class ServeDaemon:
         # clock, so the deterministic shed set of the admission
         # transcript is unaffected (like ``draining`` rejects).
         if self.storage_health == "readonly":
-            self._probe_storage_recovery()
+            landed = self.checkpoint.probe()
+            with self._completion:
+                self.checkpoint_lines += landed
         if self.storage_health == "readonly":
             with self._completion:
                 self.submitted += 1
@@ -689,7 +683,7 @@ class ServeDaemon:
                     "op": "overloaded",
                     "id": client_id,
                     "reason": "readonly: checkpoint storage is failing "
-                    f"({self.last_storage_error}); retry once space returns",
+                    f"({self.checkpoint.last_error}); retry once space returns",
                     "retry_after_submissions": None,
                 }
             )
@@ -784,76 +778,16 @@ class ServeDaemon:
         with self._completion:
             self.stats.absorb(shard)
 
-    # ------------------------------------------------------------------
-    # Storage health (ok -> degraded -> readonly -> recovered)
-    # ------------------------------------------------------------------
-    def _append_durable(self, wire: bytes) -> int:
-        """Land one verdict line, riding out disk failures.
-
-        Returns how many buffered + fresh lines actually reached the
-        checkpoint in this call.  An accepted record is *never*
-        dropped: a failed append (already bounded-retried inside the
-        store) parks the wire bytes in ``_pending_wires`` — in order —
-        and flips the health state machine; every later append attempt
-        drains the buffer first, so recovery preserves append order.
-        """
-        with self._storage_lock:
-            appended = self._flush_pending_locked()
-            if self._pending_wires:
-                self._pending_wires.append(wire)  # still failing: buffer
-                return appended
-            try:
-                self.checkpoint.append_wire(wire)
-            except OSError as error:
-                self._note_append_failure_locked(error)
-                self._pending_wires.append(wire)
-                return appended
-            self._note_append_success_locked()
-            return appended + 1
-
-    def _flush_pending_locked(self) -> int:
-        """Drain the not-yet-durable buffer (caller holds _storage_lock)."""
-        flushed = 0
-        while self._pending_wires:
-            try:
-                self.checkpoint.append_wire(self._pending_wires[0])
-            except OSError as error:
-                self._note_append_failure_locked(error)
-                break
-            self._pending_wires.popleft()
-            flushed += 1
-            self._note_append_success_locked()
-        return flushed
-
-    def _note_append_failure_locked(self, error: OSError) -> None:
-        self.append_errors += 1
-        self._append_streak += 1
-        self.last_storage_error = str(error)
-        if self._append_streak >= READONLY_AFTER:
-            self.storage_health = "readonly"
-        elif self.storage_health == "ok":
-            self.storage_health = "degraded"
-
-    def _note_append_success_locked(self) -> None:
-        self._append_streak = 0
-        if not self._pending_wires and self.storage_health != "ok":
-            self.storage_health = "ok"
-            self.storage_recoveries += 1
-
-    def _probe_storage_recovery(self) -> None:
-        """Readonly + quiet pipeline = nothing retries the disk; incoming
-        traffic probes instead, so the daemon heals when space returns."""
-        with self._storage_lock:
-            if self._pending_wires:
-                self._flush_pending_locked()
-            elif self.storage_health != "ok":
-                self.storage_health = "ok"
-                self.storage_recoveries += 1
-
-    def _note_storage_error(self, error: OSError) -> None:
-        """Record a non-append durable failure (compaction, manifest)."""
-        with self._storage_lock:
-            self._note_append_failure_locked(error)
+    @property
+    def storage_health(self) -> str:
+        """``ok`` -> ``degraded`` (a line failed past its bounded retry
+        and is parked, or a compaction or manifest write failed) ->
+        ``readonly`` once ``READONLY_AFTER`` failures ran in a row; it
+        stays there until the store is healthy again."""
+        worst = self.checkpoint.worst_streak
+        if not worst:
+            return "ok"
+        return "readonly" if worst >= READONLY_AFTER else "degraded"
 
     def _on_result(self, job: ServeJob, wire, error) -> None:
         """Engine callback: exactly one outcome per accepted submission.
@@ -880,13 +814,13 @@ class ServeDaemon:
             self._manifest_maybe()
             return
 
-        # The worker already rendered the final checkpoint line: append
+        # The worker already rendered the final checkpoint line: land
         # the bytes and splice them into the verdict — the hot path
-        # never re-serializes the record.  A failing disk buffers the
-        # line (degraded/readonly) instead of killing the daemon; the
-        # verdict still streams below — analysis happened, and the
-        # record is queued for the checkpoint, not lost.
-        appended = self._append_durable(wire.wire)
+        # never re-serializes the record.  A failing disk parks the
+        # line in the store (degraded/readonly) instead of killing the
+        # daemon; the verdict still streams below — analysis happened,
+        # and the record is queued for the checkpoint, not lost.
+        appended = self.checkpoint.land(wire.wire)
         compacted = False
         with self._completion:
             self.checkpoint_lines += appended
@@ -898,7 +832,7 @@ class ServeDaemon:
                 try:
                     result = self.checkpoint.compact(retain=self.config.retain)
                 except OSError as error:
-                    self._note_storage_error(error)
+                    self.checkpoint.note_error(error)
                 else:
                     self.checkpoint_lines = result.lines_after
                     self.compactions += 1
@@ -917,13 +851,7 @@ class ServeDaemon:
 
     def _manifest_maybe(self, force: bool = False) -> None:
         if force or (self.completed + self.failed) % MANIFEST_EVERY == 0:
-            try:
-                self._write_manifest("serving")
-            except OSError as error:
-                # Best-effort progress snapshot: records are the source
-                # of truth and _restore() trusts them over a stale
-                # manifest, so degrade instead of dying.
-                self._note_storage_error(error)
+            self.checkpoint.snapshot(self._manifest("serving"))
 
     # ------------------------------------------------------------------
     # Drain
@@ -957,22 +885,12 @@ class ServeDaemon:
                 self._completion.wait(0.25)
         if self._engine is not None:
             self._engine.stop()
-        with self._storage_lock:
-            self._flush_pending_locked()
-            stranded = len(self._pending_wires)
-        if stranded:
+        try:
+            self.checkpoint.finish(self._manifest("stopped"))
+        except OSError as error:
             # Zero-loss means zero *silent* loss: if the disk never
             # recovered, say so loudly and exit non-zero.
-            self._fatal = (
-                f"{stranded} accepted verdict record(s) could not be "
-                f"persisted (storage {self.storage_health}: "
-                f"{self.last_storage_error})"
-            )
-        try:
-            self._write_manifest("stopped")
-        except OSError as error:
-            self._fatal = self._fatal or f"final manifest write failed: {error}"
-        self.checkpoint.close()
+            self._fatal = f"drain could not persist its state: {error}"
         with self._sessions_lock:
             sessions = list(self._sessions.values())
         for session in sessions:
@@ -1066,16 +984,11 @@ class ServeDaemon:
         }
 
     def _storage_payload(self) -> dict:
-        with self._storage_lock:
-            return {
-                "health": self.storage_health,
-                "durability": self.config.durability,
-                "pending_appends": len(self._pending_wires),
-                "append_errors": self.append_errors,
-                "storage_shed": self.storage_shed,
-                "recoveries": self.storage_recoveries,
-                "last_error": self.last_storage_error,
-            }
+        return {
+            "health": self.storage_health,
+            **self.checkpoint.health(),
+            "storage_shed": self.storage_shed,
+        }
 
     def health_payload(self) -> dict:
         return {
@@ -1105,9 +1018,9 @@ class ServeDaemon:
             "admission": self.admission.snapshot(),
         }
 
-    def _write_manifest(self, status: str) -> None:
+    def _manifest(self, status: str) -> RunManifest:
         with self._completion:
-            manifest = RunManifest(
+            return RunManifest(
                 config=self.runner_config,
                 jobs=self.config.jobs,
                 total_messages=self.accepted,
@@ -1116,4 +1029,3 @@ class ServeDaemon:
                 stats=self.stats.as_dict(),
                 service=self._service_state(),
             )
-        self.checkpoint.write_manifest(manifest)

@@ -197,6 +197,15 @@ def test_cli_surface_is_pinned(command):
     assert surface == CLI_SURFACE[command]
 
 
+def test_budget_help_names_the_default_work_limit(capsys):
+    from repro._budget import DEFAULT_WORK_LIMIT
+
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"{DEFAULT_WORK_LIMIT:,}" in help_text
+
+
 class TestFlows:
     def test_run_and_report(self, tmp_path, capsys):
         artifacts = tmp_path / "run.json"

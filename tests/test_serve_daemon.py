@@ -333,6 +333,20 @@ class TestRestartSettings:
             ]
             assert after == before
 
+    def test_refused_restart_leaves_the_disk_weather_alone(self, tmp_path):
+        from repro.storage.durable import install_storage_faults, storage_engine
+
+        self._serve(tmp_path, MESSAGES[:1])
+        refused = replace(RUN, budget=1, storage_faults="light")
+        daemon = ServeDaemon(ServeConfig(run=refused, executor="inline"), tmp_path)
+        try:
+            with pytest.raises(RuntimeError, match="other settings"):
+                daemon.start()
+            daemon.checkpoint.close()
+            assert storage_engine() is None
+        finally:
+            install_storage_faults(None)
+
     def test_restart_with_same_settings_or_other_disk_weather_continues(self, tmp_path):
         from repro.storage.durable import install_storage_faults
 
