@@ -48,11 +48,11 @@ CONFIG = RunnerConfig(seed=BENCH_SEED, scale=BENCH_SCALE,
 
 
 def _make_runner(corpus, executor: str, jobs: int):
-    # Process workers rebuild their world (fault engine included) from
-    # the RunnerConfig; the inline transport analyses on *this* corpus's
-    # network, which build_box fits with the same engine.
+    # Both transports build their box (fault engine included) from the
+    # RunnerConfig: the inline one on *this* corpus's network, process
+    # workers on their forked copies of it.
     return CorpusRunner(
-        box=CONFIG.build_box(corpus.world) if executor == "inline" else None,
+        world=corpus.world,
         jobs=jobs,
         executor=executor,
         config=CONFIG,

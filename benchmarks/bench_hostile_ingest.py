@@ -33,7 +33,6 @@ import time
 
 import pytest
 
-from repro.core import CrawlerBox, PipelineConfig
 from repro.core.export import export_records
 from repro.dataset.hostile import EXPECTED_VIOLATIONS, SHAPES, hostile_corpus
 from repro.runner import CorpusRunner, RunnerConfig, format_quarantine_report
@@ -59,15 +58,14 @@ def _messages(corpus):
 
 
 def _make_runner(corpus, executor: str, jobs: int):
-    pipeline = PipelineConfig(budget_work_units=WORK_BUDGET)
+    # Both transports build their box from the config: the inline one on
+    # this corpus's world, process workers on their forked copies of it.
     return CorpusRunner(
-        box=CrawlerBox.for_world(corpus.world, config=pipeline)
-        if executor == "inline" else None,
+        world=corpus.world,
         jobs=jobs,
         executor=executor,
         config=RunnerConfig(
             seed=BENCH_SEED, scale=BENCH_SCALE,
-            corpus_prefix=CLEAN_SAMPLE,
             hostile=f"{HOSTILE_SEED}:{HOSTILE_COPIES}",
             budget=WORK_BUDGET,
         ),

@@ -41,7 +41,6 @@ import os
 import sys
 import time
 
-from repro.core import CrawlerBox
 from repro.core.export import export_records
 from repro.runner import CorpusRunner, RunnerConfig
 from repro.runner.pool import effective_cpu_count
@@ -64,7 +63,7 @@ _GATE_JOBS = 4
 def _make_runner(corpus, executor: str, jobs: int, seed: int, scale: float,
                  progress=None):
     return CorpusRunner(
-        box=CrawlerBox.for_world(corpus.world) if executor == "inline" else None,
+        world=corpus.world,
         jobs=jobs,
         executor=executor,
         config=RunnerConfig(seed=seed, scale=scale),

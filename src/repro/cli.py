@@ -334,13 +334,14 @@ def _build_runner(corpus, config: RunnerConfig, jobs: int, args):
     the per-invocation flags (checkpoint, executor, batch size,
     durability).
 
-    An inline run analyses on a box built here by the same
-    :meth:`RunnerConfig.build_box` process workers use, so both
-    transports see identical stages, weather and limits.  The disk
-    weather is installed process-wide here: only this process writes
-    durable state (checkpoint, manifest, export).
+    The runner gets the world generated here: an inline run builds its
+    box on it, process workers inherit it, and each box is built by the
+    same :meth:`RunnerConfig.build`, so both transports see identical
+    stages, weather and limits.  The disk weather is installed
+    process-wide here: only this process writes durable state
+    (checkpoint, manifest, export).
     """
-    from repro.runner import CheckpointStore, CorpusRunner, resolve_executor
+    from repro.runner import CheckpointStore, CorpusRunner
 
     config.install_storage_faults()
     checkpoint = (
@@ -353,14 +354,8 @@ def _build_runner(corpus, config: RunnerConfig, jobs: int, args):
               f"(active {stats.active}, spear {stats.spear}, "
               f"retried {stats.retried}, dead-lettered {stats.dead_lettered})")
 
-    # Only an inline run analyses here; process workers build their own.
-    box = (
-        config.build_box(corpus.world)
-        if resolve_executor(args.executor, jobs) == "inline"
-        else None
-    )
     return CorpusRunner(
-        box=box,
+        world=corpus.world,
         jobs=jobs,
         executor=args.executor,
         config=config,

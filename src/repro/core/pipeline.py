@@ -164,10 +164,13 @@ class CrawlerBox:
         #: engine (``Network.install_faults``).
         self.resilience_policy = ResiliencePolicy()
         self.parser = EmailParser(lenient_qr=self.config.lenient_qr)
-        if spear_classifier is None:
+        if spear_classifier is None and "spear" in self.plan:
+            # Crawls and fingerprints the five reference portals: only a
+            # plan that classifies spear-phishing pays for it.
             spear_classifier = SpearPhishClassifier.from_portals(
                 network, COMPANY_BRANDS, threshold=self.config.spear_threshold
             )
+        #: None when the plan has no ``spear`` stage.
         self.spear_classifier = spear_classifier
         self.records: list[MessageRecord] = []
 

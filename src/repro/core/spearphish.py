@@ -61,9 +61,10 @@ class SpearPhishClassifier:
 
         The reference crawl is deterministic (fixed RNG, fixed brand
         list), so its pHash/dHash results are memoized on the network
-        object: every worker's CrawlerBox shares one portal crawl per
-        world instead of re-rendering and re-hashing the five portals
-        per worker.
+        object: every CrawlerBox built on one world in one process
+        shares one portal crawl instead of re-rendering and re-hashing
+        the five portals per box.  A process worker builds its box on
+        its own forked copy of the world, so it crawls once itself.
         """
         key = tuple((brand.name, brand.login_domain) for brand in brands)
         cache = network.__dict__.setdefault("_spear_reference_cache", {})

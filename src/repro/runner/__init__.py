@@ -16,9 +16,10 @@ the per-message pipeline in a production-style engine:
 - :mod:`~repro.runner.executor` — one scheduler (batch dispatch,
   isolated retries, dead letters, stall quarantine, drain) over two
   transports: ``inline`` (``jobs=1`` in this process, on a live
-  CrawlerBox) and ``process`` (workers rebuild their world from a
-  picklable :class:`RunnerConfig`, so the CPU-bound analysis scales
-  past the GIL).
+  CrawlerBox) and ``process`` (forked workers inherit this process's
+  world and messages and build their own box from the
+  :class:`RunnerConfig`, so the CPU-bound analysis scales past the
+  GIL).
 - :mod:`~repro.runner.pool` — worker-process lifecycle and result
   frames for the process transport; a pool lives as long as the run or
   daemon that opened it.

@@ -8,17 +8,18 @@ is therefore one execution contract — send a batch of indices, receive
 shard), ``fail`` and ``batch-done`` messages — and one body that honours
 it, :func:`analyse_batch`.  Two transports carry it:
 
-- **process** — :class:`~repro.runner.pool.WorkerPool`: N worker
-  processes, each rebuilding its world from a picklable
-  :class:`RunnerConfig` (nothing live crosses the boundary; corpus
-  runs send message *indices*, ``repro serve`` sends raw RFC-822
-  bytes).  Workers render records to their final checkpoint wire form
-  and ship batched frames, so the parent's hot loop is
-  append-bytes-and-ack.  The only way past the GIL.
+- **process** — :class:`~repro.runner.pool.WorkerPool`: N forked
+  worker processes that inherit the parent's world and message list
+  (fork shares them, nothing is pickled or regenerated) and each build
+  only their own box, :meth:`RunnerConfig.build`.  Corpus runs send
+  message *indices*, ``repro serve`` sends raw RFC-822 bytes.  Workers
+  render records to their final checkpoint wire form and ship batched
+  frames, so the parent's hot loop is append-bytes-and-ack.  The only
+  way past the GIL.
 - **inline** — :class:`InlineTransport`: ``--jobs 1`` in the caller's
   own process, on the caller's live :class:`~repro.core.pipeline.
-  CrawlerBox` and messages.  No fork, no pickling, no world rebuild;
-  each frame also carries the live record, so nothing is re-parsed.
+  CrawlerBox` and messages.  No fork and no pickling; each frame also
+  carries the live record, so nothing is re-parsed.
   It runs one message per :meth:`InlineTransport.get`, so records land
   one at a time and a drain stops after the current message.
 
@@ -69,18 +70,17 @@ class WorkerStalled(TransientFault):
 @dataclass(frozen=True)
 class RunnerConfig:
     """A run's settings: the one picklable record the CLI resolves its
-    flags into, the manifest persists, and each worker rebuilds its
-    world from.
+    flags into and the manifest persists.
 
-    Carries seed *material*, never live objects: each worker regenerates
-    its own corpus and world from the seed, exactly as the parent did.
+    Carries seed *material*, never live objects.  The world is generated
+    once per run, in the parent (:meth:`generate_world`); process workers
+    inherit it and apply these settings to their own box (:meth:`build`).
     :meth:`manifest_items` / :meth:`from_manifest` own which settings a
     checkpoint manifest records, so a bare ``resume`` repeats them.
     """
 
     seed: int = 2024
     scale: float = 1.0
-    crawler_profile: str = "notabot"
     #: Stage-plan selection (``None`` = every built-in stage); carried
     #: here so inline and process runs build identical plans — a
     #: ``--stages auth,parse`` triage run subsets in every worker.
@@ -94,8 +94,8 @@ class RunnerConfig:
     #: reap-to-quarantine path — process transport only.
     fault: str = ""
     #: Fault-injection profile for the simulated internet
-    #: (``off | light | heavy | hostile``); each worker installs the
-    #: same seeded engine on its rebuilt network, so process runs see
+    #: (``off | light | heavy | hostile``); every box installs the same
+    #: seeded engine on its network (:meth:`build`), so process runs see
     #: the same deterministic weather as inline runs.
     faults: str = "off"
     fault_seed: int = 0
@@ -107,14 +107,12 @@ class RunnerConfig:
     #: inline and process runs enforce identical structural limits
     #: (None/empty = the stock :class:`~repro.mail.guard.GuardLimits`).
     guard_limits: tuple[tuple[str, int], ...] | None = None
-    #: Truncate the regenerated corpus to its first N messages (None =
-    #: all).  Parent and workers address messages by index, so a run
-    #: over a corpus *sample* must truncate identically on both sides.
+    #: Retired: workers analyse the caller's own message list, so a run
+    #: over a corpus sample needs no truncation recipe.  Accepted and
+    #: ignored; never written to a manifest.
     corpus_prefix: int | None = None
     #: Append a seeded hostile corpus (``repro.dataset.hostile``) after
-    #: the (possibly truncated) generated corpus: ``"<seed>:<copies>"``.
-    #: Index-stable on every worker, so hostile-ingest runs stay
-    #: byte-identical across backends.
+    #: the generated corpus: ``"<seed>:<copies>"`` (:meth:`with_hostile`).
     hostile: str = ""
     #: Storage fault weather (``--storage-faults``/``--storage-fault-seed``).
     #: Parent-only: the parent writes every durable byte, so it alone
@@ -131,9 +129,8 @@ class RunnerConfig:
 
         Seed, scale and the network-fault pair are always written; the
         rest only when set, so default-path manifests keep the key set
-        they had before each setting existed.  The test-only and
-        per-invocation fields (``fault``, ``crawler_profile``,
-        ``corpus_prefix``) are never written.
+        they had before each setting existed.  The test-only ``fault``
+        and the retired ``corpus_prefix`` are never written.
         """
         items = {
             "seed": self.seed,
@@ -186,11 +183,19 @@ class RunnerConfig:
         hostile_seed, _, copies = self.hostile.partition(":")
         return messages + hostile_corpus(seed=int(hostile_seed), copies=int(copies or 1))
 
-    def build_box(self, world):
+    def generate_world(self):
+        """The world these settings' seed and scale generate.  Called
+        once per run, in the parent: process workers inherit it."""
+        from repro.dataset import CorpusGenerator
+
+        return CorpusGenerator(seed=self.seed, scale=self.scale).generate().world
+
+    def build(self, world):
         """The CrawlerBox for ``world`` under these settings: installs
         the network fault engine, then applies the stage plan and the
-        budget/guard overrides.  Workers and the CLI's inline run both
-        build through here, so every transport sees identical weather."""
+        budget/guard overrides.  Process workers (each on its own
+        forked copy of the world) and inline runs both build through
+        here, so every transport sees identical weather."""
         from repro.core import CrawlerBox
         from repro.core.pipeline import build_pipeline_config
 
@@ -227,29 +232,6 @@ class RunnerConfig:
             )
         elif clear:
             install_storage_faults(None)
-
-    def build(self):
-        """(messages, box) — runs in each worker process, and in the
-        daemon's own process for an inline ``repro serve``."""
-        from repro.crawlers.base import Crawler
-        from repro.crawlers.profiles import crawler_profile
-        from repro.dataset import CorpusGenerator
-
-        corpus = CorpusGenerator(seed=self.seed, scale=self.scale).generate()
-        messages = corpus.messages
-        if self.corpus_prefix is not None:
-            messages = messages[: self.corpus_prefix]
-        messages = self.with_hostile(messages)
-        box = self.build_box(corpus.world)
-        if self.crawler_profile != "notabot":
-            box.crawler = Crawler(
-                corpus.world.network,
-                crawler_profile(self.crawler_profile),
-                rng=box.crawler.rng,
-                retain_results=False,
-            )
-        return messages, box
-
 
 
 # ----------------------------------------------------------------------
@@ -326,10 +308,12 @@ def analyse_batch(box, indices, message_at, batcher: ResultBatcher, fault=None):
 # ----------------------------------------------------------------------
 # Process transport: the worker side
 # ----------------------------------------------------------------------
-def _worker_main(worker_id: int, config: RunnerConfig, inq, outq) -> None:
-    """Worker process entry point: build once, analyze batches forever."""
+def _worker_main(worker_id: int, config: RunnerConfig, world, messages, inq, outq) -> None:
+    """Worker process entry point: build a box on the inherited
+    ``world``, then analyse batches of ``messages`` (or submitted
+    ``.eml`` bytes) until told to stop."""
     try:
-        messages, box = config.build()
+        box = config.build(world)
     except BaseException as error:  # noqa: BLE001 - reported to the parent
         outq.put(("init-failed", worker_id, repr(error)))
         return
@@ -343,11 +327,11 @@ def _worker_main(worker_id: int, config: RunnerConfig, inq, outq) -> None:
             return
         if command[0] == "eml-batch":
             # Service-mode dispatch (``repro serve``): submissions are
-            # raw RFC-822 bytes that do not exist in the regenerated
-            # corpus, so the bytes themselves travel — the one case
-            # where message content crosses the process boundary.  The
-            # record stays a pure function of (seed material, index),
-            # exactly like corpus messages.
+            # raw RFC-822 bytes that arrived after the fork, so the
+            # bytes themselves travel — the one case where message
+            # content crosses the process boundary.  The record stays a
+            # pure function of (seed material, index), exactly like
+            # corpus messages.
             from repro.mail.ingest import ingest_eml_bytes
 
             raws = dict(command[1])

@@ -19,9 +19,14 @@ opened the pool — a batch ``run``/``resume`` or the serve daemon's
   queue, and drivers post an explicit ``wake`` (new work to pull, a
   drain flag to notice).  No poll interval, no idle wakeups.
 
-A pool lives exactly as long as the scheduler run that drives it: one
-batch run or one daemon builds its workers' worlds once, and
-:meth:`WorkerPool.stop` ends every worker before that run returns.
+Workers are forked and inherit what their owner hands the pool — the
+run's settings, its world and its message list — without pickling or
+regenerating any of it: a run generates its world once, however many
+workers it has, and a respawned worker inherits the same untouched world
+(the parent of a process run never analyses).  A pool lives exactly as
+long as the scheduler run that drives it: :meth:`WorkerPool.stop` ends
+every worker before that run returns, and a worker whose parent died
+without stopping it (SIGKILL) exits on its own.
 
 The pool is mechanism only: the scheduler owns policy (dispatch,
 retries, dead letters, quarantine).  Everything it consumes arrives
@@ -33,6 +38,7 @@ in-process, so the scheduler runs unchanged on either.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import queue as stdlib_queue
 import signal
@@ -51,8 +57,27 @@ _STOP_GRACE = 5.0
 #: the parent instantly via the blocking get).
 _WATCH_INTERVAL = 0.5
 
-def _worker_entry(target, worker_id, config, inq, outq):
-    """Worker bootstrap: shed inherited signal dispositions, then run.
+
+def _exit_with_parent() -> None:
+    """Exit this worker as soon as its parent process dies.
+
+    A SIGKILLed parent runs no cleanup, and ``daemon=True`` reaps
+    children only on a normal exit, so a worker blocked on its command
+    queue would wait forever.  A daemon thread waits on the parent's
+    sentinel (a pipe the parent's death closes) and ends the process.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        mp_connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
+def _worker_entry(target, *args):
+    """Worker bootstrap: shed inherited signal dispositions, follow the
+    parent's death, then run ``target(*args)``.
 
     Forked workers inherit the parent CLI's SIGINT/SIGTERM handlers —
     for ``repro serve`` that handler is ``daemon.request_shutdown()``
@@ -72,7 +97,8 @@ def _worker_entry(target, worker_id, config, inq, outq):
             signal.signal(signum, disposition)
         except (ValueError, OSError):
             pass
-    target(worker_id, config, inq, outq)
+    _exit_with_parent()
+    target(*args)
 
 
 # ----------------------------------------------------------------------
@@ -275,8 +301,6 @@ def effective_cpu_count() -> int:
     one-core CI shard reports ``insufficient-cores`` instead of
     presenting oversubscription as a measurement.
     """
-    import os
-
     try:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):
@@ -287,11 +311,13 @@ def effective_cpu_count() -> int:
 # The pool
 # ----------------------------------------------------------------------
 class WorkerPool:
-    """Owns worker-process lifecycle for one picklable config.
+    """Owns worker-process lifecycle for one run or daemon.
 
-    Workers run ``target(worker_id, config, inq, outq)`` — the shared
-    ``_worker_main`` loop — and everything they (or the watcher) emit
-    arrives via :meth:`get`:
+    Workers are forked and run ``target(worker_id, *args, inq, outq)``
+    — the shared ``_worker_main`` loop.  ``args`` reach them by fork
+    inheritance, never pickled, so they may hold live objects (a world
+    holds closures that cannot be pickled).  Everything the workers (or
+    the watcher) emit arrives via :meth:`get`:
 
     - worker messages: ``ready``, ``frame``, ``fail``, ``batch-done``,
       ``stopped``, ``init-failed``
@@ -301,13 +327,11 @@ class WorkerPool:
     - driver wakeups: ``("wake", -1)`` from :meth:`wake` (new work, drains)
     """
 
-    def __init__(self, target, config, jobs: int, name_prefix: str = "repro-pool"):
+    def __init__(self, target, args: tuple, jobs: int, name_prefix: str = "repro-pool"):
         self.target = target
-        self.config = config
+        self.args = args
         self.name_prefix = name_prefix
-        self.context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
+        self.context = multiprocessing.get_context("fork")
         self.outq = self.context.Queue()
         self.workers: dict[int, object] = {}
         self.inqs: dict[int, object] = {}
@@ -337,7 +361,7 @@ class WorkerPool:
             inq = self.context.Queue()
             process = self.context.Process(
                 target=_worker_entry,
-                args=(self.target, worker_id, self.config, inq, self.outq),
+                args=(self.target, worker_id, *self.args, inq, self.outq),
                 name=f"{self.name_prefix}-{worker_id}",
                 daemon=True,
             )

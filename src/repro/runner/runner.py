@@ -3,7 +3,8 @@
 Orchestrates the scheduler, the retry policy, the checkpoint store, and
 the running statistics::
 
-    runner = CorpusRunner(config=RunnerConfig(seed=7, scale=0.05), jobs=8)
+    config = RunnerConfig(seed=7, scale=0.05)
+    runner = CorpusRunner(config=config, world=corpus.world, jobs=8)
     result = runner.run(corpus.messages)
     result.records   # sorted by message_index, identical to jobs=1
 
@@ -11,13 +12,15 @@ One :class:`~repro.runner.executor.Scheduler` drives either of two
 transports (see :func:`resolve_executor`):
 
 - ``inline`` — ``jobs=1`` in this process, on the caller's live
-  ``box`` (a :class:`~repro.core.pipeline.CrawlerBox`) and messages.
-  Instant start, no picklable config needed; records land one message
-  at a time and stay live objects.
-- ``process`` — N worker *processes* (:mod:`repro.runner.executor`),
-  each rebuilding its world from a picklable :class:`RunnerConfig` and
-  streaming serialized record frames back to this parent.  Scales with
-  cores.
+  ``box`` (a :class:`~repro.core.pipeline.CrawlerBox`, or one built
+  from ``world`` by :meth:`RunnerConfig.build`) and messages.  Instant
+  start; records land one message at a time and stay live objects.
+- ``process`` — N forked worker *processes* (:mod:`repro.runner.executor`)
+  that inherit this process's ``world`` and the messages handed to
+  :meth:`CorpusRunner.run`, each build their own box on their copy of
+  the world, and stream serialized record frames back to this parent.
+  A runner given no world generates one from its config, once, before
+  the fork.  Scales with cores.
 
 Determinism: every record depends only on ``(seed material,
 message_index)`` (see :meth:`repro.core.pipeline.CrawlerBox.message_seed`),
@@ -28,15 +31,17 @@ Failure routing: since the pipeline became a stage graph
 (:mod:`repro.core.stages`), per-stage exceptions degrade the record's
 ``stage_status`` inside ``analyze`` instead of propagating here — the
 retry/dead-letter machinery only ever sees transient infrastructure
-faults and messages that cannot enter the pipeline at all.  For stage
-subsetting, build the inline ``box`` with the same selection as
-:class:`RunnerConfig.stages` so both transports build identical plans
-(the CLI's ``--stages`` does this).
+faults and messages that cannot enter the pipeline at all.  Given a
+``world`` instead of a ``box``, both transports build their box with
+:meth:`RunnerConfig.build`, so stage selection, weather and limits
+match (the CLI does this); a caller-built inline ``box`` must use the
+same settings as the config.
 """
 
 from __future__ import annotations
 
 import collections
+import multiprocessing
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -69,6 +74,11 @@ def resolve_executor(executor: str, jobs: int) -> str:
     if executor == "inline" and jobs > 1:
         raise ValueError(
             f"the inline executor analyses in this process: it takes jobs=1, got {jobs}"
+        )
+    if executor == "process" and "fork" not in multiprocessing.get_all_start_methods():
+        raise ValueError(
+            "the process executor forks workers that inherit this process's world, "
+            "and this platform cannot fork; use the inline executor (jobs=1)"
         )
     return executor
 
@@ -105,19 +115,29 @@ class CorpusRunner:
         progress: ProgressCallback | None = None,
         progress_every: int = 25,
         batch_size: int | None = None,
+        world=None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.executor = resolve_executor(executor, jobs)
         if self.executor == "process" and config is None:
-            raise ValueError("the process executor needs a picklable RunnerConfig")
+            raise ValueError("the process executor needs a RunnerConfig")
         if self.executor == "inline" and box is None:
-            raise ValueError("the inline executor needs a box (a live CrawlerBox)")
+            if world is None or config is None:
+                raise ValueError(
+                    "the inline executor needs a box (a live CrawlerBox), "
+                    "or a world and a RunnerConfig to build one"
+                )
+            box = config.build(world)
         #: The live CrawlerBox the inline transport analyses on.
         self.box = box
+        #: The world process workers inherit (generated from ``config``
+        #: on first use when the caller has none).  This process never
+        #: analyses on it, so a respawned worker inherits it untouched.
+        self.world = world
         self.jobs = jobs
-        #: The run's settings: the world recipe process workers rebuild
-        #: from and what the manifest records (inline runs analyse on
+        #: The run's settings: what each process worker's box is built
+        #: with and what the manifest records (inline runs analyse on
         #: ``box`` and read only its test-only ``fault`` spec).
         self.config = config
         self.retry_policy = retry_policy or RetryPolicy()
@@ -224,8 +244,13 @@ class CorpusRunner:
             # stop) after every message.
             fault = self.config.fault if self.config is not None else ""
             return InlineTransport(self.box, self._messages.__getitem__, fault), 1
+        if self.world is None:
+            self.world = self.config.generate_world()
         pool = WorkerPool(
-            _worker_main, self.config, min(self.jobs, pending), name_prefix="repro-proc-worker"
+            _worker_main,
+            (self.config, self.world, self._messages),
+            min(self.jobs, pending),
+            name_prefix="repro-proc-worker",
         )
         batch = self.batch_size or max(1, min(16, pending // (self.jobs * 4) or 1))
         return pool, batch

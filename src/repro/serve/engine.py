@@ -10,15 +10,20 @@ Session threads :meth:`~ProcessEngine.push` admitted jobs into that
 queue and wake the engine; nothing else sits between a submission and
 the worker that analyses it.
 
+Either engine generates its world once, in the daemon, from the
+:class:`~repro.runner.executor.RunnerConfig`
+(:meth:`~repro.runner.executor.RunnerConfig.generate_world`):
+
 - **process** (:class:`ProcessEngine`) — the batch ``_worker_main``
   loop on a :class:`~repro.runner.pool.WorkerPool`, fed ``eml-batch``
   commands: raw RFC-822 bytes ship to the worker, which ingests and
-  analyzes them against the world it rebuilt (once, at startup) from
-  the picklable :class:`~repro.runner.executor.RunnerConfig`.
+  analyzes them on its box over the world it inherited at fork.  The
+  daemon never analyses on that world, so a respawned worker inherits
+  it untouched.
 - **inline** (:class:`InlineEngine`, ``--jobs 1``) — an
-  :class:`~repro.runner.executor.InlineTransport` over a world built
-  from the same config in the daemon's own process; it analyses the
-  message the session already ingested instead of parsing it again.
+  :class:`~repro.runner.executor.InlineTransport` over a box on that
+  world in the daemon's own process; it analyses the message the
+  session already ingested instead of parsing it again.
 
 The engine is the scheduler's owner and keeps the queued jobs and the
 map from in-flight admission index to :class:`ServeJob`.  Retries, dead
@@ -27,7 +32,7 @@ as in a batch run, so an error that reaches the daemon is final.  Records arrive
 :class:`~repro.core.export.WireRecord` — the bytes the daemon appends
 and splices into the verdict — and every stats delta goes through
 ``on_stats``.  After a fatal error (workers that cannot build their
-world, an exhausted crash budget) every queued, in-flight and later
+box, an exhausted crash budget) every queued, in-flight and later
 submission fails, then ``on_fatal`` runs, so the drain completes.
 """
 
@@ -123,7 +128,13 @@ class ProcessEngine:
         self._thread.start()
 
     def _open(self, config: RunnerConfig, jobs: int):
-        return WorkerPool(_worker_main, config, jobs, name_prefix="repro-serve-worker")
+        # Submissions travel as bytes: the workers need no message list.
+        return WorkerPool(
+            _worker_main,
+            (config, config.generate_world(), ()),
+            jobs,
+            name_prefix="repro-serve-worker",
+        )
 
     def _command(self, indices: list[int]) -> tuple:
         return ("eml-batch", [(index, self._jobs[index].eml_bytes) for index in indices])
@@ -204,15 +215,15 @@ class ProcessEngine:
 class InlineEngine(ProcessEngine):
     """``--jobs 1``: the same scheduler over an in-process transport.
 
-    The world is built from the same :class:`RunnerConfig` a process
-    worker would rebuild, and each submission is analysed as the
-    session already ingested it (:attr:`ServeJob.message`).
+    The box is built by the same :meth:`RunnerConfig.build` a process
+    worker uses, and each submission is analysed as the session already
+    ingested it (:attr:`ServeJob.message`).
     """
 
     name = "inline"
 
     def _open(self, config: RunnerConfig, jobs: int):
-        _, box = config.build()
+        box = config.build(config.generate_world())
         return InlineTransport(box, self._message_at, config.fault)
 
 

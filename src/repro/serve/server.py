@@ -51,7 +51,7 @@ import pathlib
 import socket
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.runner.checkpoint import CheckpointStore, RunManifest
 from repro.runner.executor import RunnerConfig
@@ -234,8 +234,6 @@ class ServeDaemon:
 
     def __init__(self, config: ServeConfig, checkpoint_dir: str | pathlib.Path):
         self.config = config
-        #: The engine needs the world, not the corpus.
-        self.runner_config = replace(config.run, corpus_prefix=0)
         self.directory = pathlib.Path(checkpoint_dir)
         self.checkpoint = CheckpointStore(self.directory, durability=config.durability)
         self.admission = AdmissionController(config.admission)
@@ -290,7 +288,7 @@ class ServeDaemon:
         disk weather is installed only once the settings are accepted."""
         try:
             self._restore()
-            self.runner_config.install_storage_faults(clear=False)
+            self.config.run.install_storage_faults(clear=False)
             self._build_engine()
             listener = socket.create_server(
                 (self.config.host, self.config.port),
@@ -338,7 +336,7 @@ class ServeDaemon:
                     f"a fresh directory"
                 )
             saved = manifest.config.manifest_items()
-            wanted = self.runner_config.manifest_items()
+            wanted = self.config.run.manifest_items()
             differing = sorted(
                 key for key in saved.keys() | wanted.keys()
                 if key not in _DISK_WEATHER and saved.get(key) != wanted.get(key)
@@ -388,7 +386,7 @@ class ServeDaemon:
             config.executor,
             config.jobs,
             self._on_result,
-            self.runner_config,
+            self.config.run,
             batch_size=config.batch_size,
             on_fatal=self._on_fatal,
             on_stats=self._on_stats,
@@ -924,8 +922,8 @@ class ServeDaemon:
                 "uptime_seconds": round(time.monotonic() - self.started_at, 3),
                 "executor": self._engine.name,
                 "jobs": self.config.jobs,
-                "seed": self.runner_config.seed,
-                "scale": self.runner_config.scale,
+                "seed": self.config.run.seed,
+                "scale": self.config.run.scale,
                 "submitted": self.submitted,
                 "accepted": self.accepted,
                 "shed": self.shed,
@@ -1021,7 +1019,7 @@ class ServeDaemon:
     def _manifest(self, status: str) -> RunManifest:
         with self._completion:
             return RunManifest(
-                config=self.runner_config,
+                config=self.config.run,
                 jobs=self.config.jobs,
                 total_messages=self.accepted,
                 completed=self.completed,

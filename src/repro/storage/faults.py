@@ -108,10 +108,11 @@ class StorageFaultProfile(ChaosProfile):
 
     Write-phase kinds (eio / short write) share one roll per write.
     ``enospc`` is *episodic*: one firing marks the start of a full-disk
-    episode lasting
-    ``enospc_run_length`` consecutive operations on that file, after
-    which space "returns" — exactly the failure shape a degraded serve
-    daemon must ride out and recover from.
+    episode lasting ``enospc_run_length`` consecutive writes to that
+    file, after which space "returns" for at least one write — exactly
+    the failure shape a degraded serve daemon must ride out and recover
+    from.  Episodes never chain, so a bounded retry longer than the run
+    length outlasts any of them.
     """
 
     short_write: float = 0.0
@@ -172,13 +173,14 @@ def storage_fault_profile(name: str) -> StorageFaultProfile:
 class StorageFaultEngine:
     """Seeded fault scheduler for the durable-write layer.
 
-    The only mutable state is the per-``(path key, op)`` operation
-    counter — the storage analogue of the retry ``attempt`` ordinal the
-    web engine receives from its caller.  Given the same seed and the
-    same sequence of durable operations, every replay injects the same
-    faults; a *retry* of a failed operation advances the counter and
-    re-rolls, which is what lets bounded-retry loops ride out an
-    ENOSPC episode instead of replaying the same failure forever.
+    The mutable state is the per-``(path key, op)`` operation counter —
+    the storage analogue of the retry ``attempt`` ordinal the web engine
+    receives from its caller — and where each file's last full-disk
+    episode ends, a function of the earlier ops.  Given the same seed
+    and the same sequence of durable operations, every replay injects
+    the same faults; a *retry* of a failed operation advances the
+    counter and re-rolls, which is what lets bounded-retry loops ride
+    out an ENOSPC episode instead of replaying the same failure forever.
     """
 
     def __init__(self, profile: StorageFaultProfile | None = None, seed: int = 0):
@@ -186,6 +188,9 @@ class StorageFaultEngine:
         self.seed = seed
         #: (path key, op) -> next op_index.
         self._op_counts: dict[tuple[str, str], int] = {}
+        #: path key -> write op_index the last full-disk episode ends at
+        #: (exclusive).
+        self._enospc_ends: dict[str, int] = {}
         #: Telemetry: fault kind -> times injected.
         self.injected: collections.Counter[str] = collections.Counter()
 
@@ -208,19 +213,23 @@ class StorageFaultEngine:
         return op_index
 
     def _enospc_active(self, key: str, op_index: int) -> bool:
-        """True when ``op_index`` falls inside a full-disk episode.
+        """True when write ``op_index`` falls inside a full-disk episode.
 
-        An episode *starts* at any index whose per-index roll fires and
-        covers the next ``enospc_run_length`` operations, so the check
-        scans the trailing window — pure hash evaluations, no state.
+        An episode *starts* at an index whose per-index roll fires and
+        covers ``enospc_run_length`` writes.  A roll inside an episode,
+        or on the write right after it, is ignored: space returns for
+        at least one write, so episodes never overlap or chain.  Called
+        once per write, in ``op_index`` order.
         """
         rate = self.profile.enospc
         if rate <= 0.0:
             return False
-        run = max(1, self.profile.enospc_run_length)
-        for start in range(max(0, op_index - run + 1), op_index + 1):
-            if keyed_rng(self.seed, key, "enospc", start).random() < rate:
-                return True
+        end = self._enospc_ends.get(key)
+        if end is not None and op_index <= end:
+            return op_index < end
+        if keyed_rng(self.seed, key, "enospc", op_index).random() < rate:
+            self._enospc_ends[key] = op_index + max(1, self.profile.enospc_run_length)
+            return True
         return False
 
     # ------------------------------------------------------------------

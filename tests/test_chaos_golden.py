@@ -96,7 +96,7 @@ def test_storage_engine_transcript_heavy():
 
 def test_storage_engine_transcript_hostile():
     assert _storage_transcript("hostile") == (
-        "2f08276c25e911af4886d76802124a099827bc8a5677396b722422d95707c1e6"
+        "900c5a43eff0e1c51af4e121b1212a295ef4210d49ddf3e7b300bb6fee1bcaa4"
     )
 
 

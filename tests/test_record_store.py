@@ -95,7 +95,7 @@ def _runner(directory, executor: str) -> tuple[CorpusRunner, list]:
     corpus = CorpusGenerator(seed=SEED, scale=SCALE).generate()
     inline = executor == "inline"
     runner = CorpusRunner(
-        box=CONFIG.build_box(corpus.world) if inline else None,
+        world=corpus.world,
         jobs=1 if inline else 2,
         executor=executor,
         config=CONFIG,

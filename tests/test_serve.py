@@ -316,9 +316,8 @@ class TestGuardLimitOverrides:
     def test_runner_config_carries_overrides_to_workers(self):
         from repro.runner import RunnerConfig
 
-        config = RunnerConfig(seed=31, scale=0.02, corpus_prefix=0,
-                              guard_limits=(("max_parts", 4),))
-        _messages, box = config.build()
+        config = RunnerConfig(seed=31, scale=0.02, guard_limits=(("max_parts", 4),))
+        box = config.build(config.generate_world())
         assert box.config.guard_limits == GuardLimits(max_parts=4)
 
     def test_cli_parses_repeatable_guard_limits(self):

@@ -1,8 +1,9 @@
 """Storage-fault injection and the crash-consistent durable-write layer.
 
 Covers the determinism contract of :class:`~repro.storage.faults.
-StorageFaultEngine` (every decision a pure hash of ``(seed, path key,
-op, op_index)``), the rewind semantics of :class:`~repro.storage.
+StorageFaultEngine` (every decision a function of ``(seed, path key,
+op, op_index)`` and the earlier ops on that file; ENOSPC episodes never
+chain), the rewind semantics of :class:`~repro.storage.
 durable.DurableFile` (a failed append never leaves interior corruption
 for a retry to concatenate onto), the bounded-retry discipline, torn
 renames, and the end-to-end contract: a full run under the ``heavy``
@@ -139,6 +140,34 @@ class TestEngineDeterminism:
         if runs[-1][-1] == 1999:
             runs.pop()  # the final episode may be cut off by the horizon
         assert runs and all(len(run) >= 4 for run in runs)
+
+    @pytest.mark.parametrize(
+        "profile, seed, key",
+        [
+            # The export temp of ``run --seed 1 --storage-faults heavy
+            # --export s1m3.F``: rolls at writes 0 and 4 once chained
+            # into eight straight ENOSPC failures, every retry attempt.
+            ("heavy", 1, "s1m3.F.tmp"),
+            ("light", 13, "records.jsonl"),
+            ("heavy", 13, "manifest.json"),
+            ("hostile", 13, "records.jsonl"),
+            ("hostile", 13, "index.bin"),
+        ],
+    )
+    def test_enospc_episodes_never_chain(self, profile, seed, key):
+        preset = storage_fault_profile(profile)
+        engine = StorageFaultEngine(preset, seed=seed)
+        streak = longest = episodes = 0
+        for _ in range(3000):
+            fault = engine.write_fault(key, 10)
+            if fault is not None and isinstance(fault[0], InjectedDiskFull):
+                episodes += streak == 0
+                streak += 1
+                longest = max(longest, streak)
+            else:
+                streak = 0
+        assert episodes and longest == preset.enospc_run_length
+        assert preset.enospc_run_length < RETRY_ATTEMPTS
 
     def test_injected_errors_carry_real_errnos(self):
         assert InjectedDiskFull("x").errno == errno.ENOSPC
@@ -364,3 +393,21 @@ class TestDefaultPathUnchanged:
         )
         assert "storage_faults" not in manifest
         assert "storage_fault_seed" not in manifest
+
+
+class TestExportOutlastsHeavyWeather:
+    def test_export_lands_through_a_heavy_enospc_episode(self, tmp_path, capsys):
+        """``--export s1m3.F`` under heavy disk weather, seed 1: its temp
+        file meets a full-disk episode on the first write.  The export
+        still lands, equal to a fault-free disk's, with no temp left."""
+        settings = ["run", "--scale", "0.05", "--seed", "1", "--faults", "hostile"]
+        export = tmp_path / "s1m3.F"
+        assert main([*settings, "--storage-faults", "heavy",
+                     "--checkpoint", str(tmp_path / "D"), "--export", str(export)]) == 0
+        install_storage_faults(None)
+        clean = tmp_path / "clean.json"
+        assert main([*settings, "--export", str(clean)]) == 0
+        capsys.readouterr()
+        assert export.read_bytes() == clean.read_bytes()
+        assert not (tmp_path / "s1m3.F.tmp").exists()
+        assert CheckpointStore(tmp_path / "D").read_manifest().status == "complete"
