@@ -533,7 +533,7 @@ def cmd_fsck(args) -> int:
     scan = store.scan()
     print(f"{store.records_path}: {scan.total_lines} line(s), "
           f"{len(scan.entries)} intact record(s), "
-          f"{len(set(scan.indices))} distinct message indices")
+          f"{len(scan.indices)} distinct message indices")
 
     for issue in scan.issues:
         label = "torn tail (tolerated)" if issue.torn_tail else "CORRUPT"
@@ -614,7 +614,7 @@ def cmd_fsck(args) -> int:
 
     if args.repair:
         repaired = store.salvage_to(args.repair)
-        salvaged = len(repaired.completed_indices())
+        salvaged = len(repaired.scan().indices)
         if manifest_broken or manifest is None:
             print(f"Salvaged {salvaged} record(s) to {repaired.directory} "
                   f"(no readable source manifest: run `repro run "

@@ -60,14 +60,10 @@ class PipelineConfig:
     """Tunable pipeline behaviour."""
 
     lenient_qr: bool = True
-    spear_threshold: int = 10
-    timer_rounds: int = 3
     max_urls_per_message: int = 6
     #: Hours between expert tagging and analysis ("CrawlerBox analyzes
     #: the reported emails as soon as they are tagged by experts").
     analysis_delay_hours: float = 1.0
-    #: Screenshot + hash pages (needed for spear classification).
-    take_screenshots: bool = True
     enrich: bool = True
     #: Skip crawling :data:`BENIGN_INFRASTRUCTURE_HOSTS` (skips are
     #: counted on ``MessageRecord.benign_url_skips``).  Disable to
@@ -167,9 +163,7 @@ class CrawlerBox:
         if spear_classifier is None and "spear" in self.plan:
             # Crawls and fingerprints the five reference portals: only a
             # plan that classifies spear-phishing pays for it.
-            spear_classifier = SpearPhishClassifier.from_portals(
-                network, COMPANY_BRANDS, threshold=self.config.spear_threshold
-            )
+            spear_classifier = SpearPhishClassifier.from_portals(network, COMPANY_BRANDS)
         #: None when the plan has no ``spear`` stage.
         self.spear_classifier = spear_classifier
         self.records: list[MessageRecord] = []

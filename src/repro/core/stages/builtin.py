@@ -205,11 +205,8 @@ class CrawlStage:
             else None
         )
         screenshot_phash = screenshot_dhash = None
-        if (
-            ctx.config.take_screenshots
-            and session is not None
-            and page_class
-            in (PageClass.LOGIN_FORM, PageClass.GATED_LOGIN, PageClass.INTERACTION, PageClass.BENIGN)
+        if session is not None and page_class in (
+            PageClass.LOGIN_FORM, PageClass.GATED_LOGIN, PageClass.INTERACTION, PageClass.BENIGN
         ):
             screenshot_phash, screenshot_dhash = session.fingerprint()
 

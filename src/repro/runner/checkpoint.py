@@ -42,6 +42,14 @@ parse:
   completed result.  ``scan`` reports these; ``repro fsck`` (see
   :mod:`repro.cli`) validates, salvages intact lines to a repaired
   checkpoint, and prints exactly what was lost.
+
+:meth:`CheckpointStore.scan` is the only reader of ``records.jsonl``
+and states the one validity rule: a line is intact only if its CRC
+matches (or it is v1), it parses to a JSON object, and its
+``message_index`` is an integer.  ``fsck``, ``resume``
+(:meth:`~CheckpointStore.load_records`), :meth:`~CheckpointStore.compact`
+and :meth:`~CheckpointStore.salvage_to` all take its answer, so they
+agree on every line; compaction and salvage write the same bytes.
 """
 
 from __future__ import annotations
@@ -143,9 +151,13 @@ class LineIssue:
 class CheckpointScan:
     """Full integrity pass over ``records.jsonl``."""
 
+    #: Every intact line's record dict, in file order (duplicates kept).
     entries: list[dict] = field(default_factory=list)
     issues: list[LineIssue] = field(default_factory=list)
     total_lines: int = 0
+    #: Message index -> the verbatim JSON payload of its newest intact
+    #: line (a v2 line without its CRC suffix, or the whole v1 line).
+    payloads: dict[int, str] = field(default_factory=dict)
 
     @property
     def corruption(self) -> list[LineIssue]:
@@ -154,7 +166,7 @@ class CheckpointScan:
 
     @property
     def indices(self) -> set[int]:
-        return {entry["message_index"] for entry in self.entries}
+        return set(self.payloads)
 
 
 @dataclass(frozen=True)
@@ -389,17 +401,23 @@ class CheckpointStore:
 
     # ------------------------------------------------------------------
     def scan(self) -> CheckpointScan:
-        """Validate every line of ``records.jsonl``.
+        """Validate every line of ``records.jsonl``: the one reader.
 
-        Returns the parsed entries plus a :class:`LineIssue` per
-        defective line; only a defect on the *final* line is classified
-        as a tolerated torn tail.  A well-formed line without a
-        ``message_index`` is reported as ``missing-index`` corruption —
-        it cannot be resumed from or loaded, no matter how valid its
-        JSON is.  The file is read as bytes and decoded line by line:
-        corruption that destroys the UTF-8 encoding itself (a flipped
-        high bit, for instance) is reported as ``bad-encoding`` rather
-        than aborting the whole pass.
+        A line is intact only if its CRC matches (or it is v1), it
+        parses to a JSON object, and its ``message_index`` is an
+        integer.  Every other line is a :class:`LineIssue`; only a
+        CRC, JSON or encoding defect on the *final* line is a tolerated
+        torn tail.  A well-formed line whose ``message_index`` is
+        missing or not an integer is ``missing-index`` corruption: it
+        cannot be resumed from or loaded.  The file is read as bytes
+        and decoded line by line, so corruption that destroys the UTF-8
+        encoding itself (a flipped high bit, for instance) is reported
+        as ``bad-encoding`` rather than aborting the whole pass.
+
+        Besides the intact entries, the scan keeps the verbatim payload
+        of each index's newest append (last append wins), which
+        :meth:`load_records`, :meth:`compact` and :meth:`salvage_to`
+        take as their answer.
         """
         scan = CheckpointScan()
         if not self.records_path.exists():
@@ -407,54 +425,33 @@ class CheckpointStore:
         chunks = self.records_path.read_bytes().split(b"\n")
         if chunks and not chunks[-1]:
             chunks.pop()  # trailing newline, not an empty final line
-        raw_lines: list[tuple[int, str | None, bytes]] = []
+        scan.total_lines = len(chunks)
+        lines: list[tuple[int, str | None, bytes]] = []
         for line_number, chunk in enumerate(chunks, start=1):
-            scan.total_lines = line_number
             try:
                 text = chunk.decode("utf-8").strip()
             except UnicodeDecodeError:
-                raw_lines.append((line_number, None, chunk))
-                continue
-            if text:
-                raw_lines.append((line_number, text, chunk))
-        last_line_number = raw_lines[-1][0] if raw_lines else 0
-        for line_number, line, chunk in raw_lines:
-            if line is None:
-                scan.issues.append(
-                    LineIssue(
-                        line_number=line_number,
-                        kind="bad-encoding",
-                        detail=repr(chunk[:60]),
-                        torn_tail=line_number == last_line_number,
-                    )
-                )
-                continue
-            data, defect = parse_record_line(line)
-            if defect is not None:
-                scan.issues.append(
-                    LineIssue(
-                        line_number=line_number,
-                        kind=defect,
-                        detail=line[:80],
-                        torn_tail=line_number == last_line_number,
-                    )
-                )
-                continue
-            if not isinstance(data, dict) or data.get("message_index") is None:
-                scan.issues.append(
-                    LineIssue(
-                        line_number=line_number,
-                        kind="missing-index",
-                        detail=line[:80],
-                    )
-                )
-                continue
-            scan.entries.append(data)
+                text = None
+            if text != "":
+                lines.append((line_number, text, chunk))
+        last_line_number = lines[-1][0] if lines else 0
+        for line_number, text, chunk in lines:
+            torn_tail = line_number == last_line_number
+            if text is None:
+                kind, detail = "bad-encoding", repr(chunk[:60])
+            else:
+                data, kind = parse_record_line(text)
+                detail = text[:80]
+                if kind is None:
+                    index = data.get("message_index") if isinstance(data, dict) else None
+                    if type(index) is int:
+                        scan.entries.append(data)
+                        # A v2 line minus its CRC suffix, or a whole v1 line.
+                        scan.payloads[index] = text.rpartition(_CRC_SEPARATOR)[0] or text
+                        continue
+                    kind, torn_tail = "missing-index", False
+            scan.issues.append(LineIssue(line_number, kind, detail, torn_tail))
         return scan
-
-    def completed_indices(self) -> set[int]:
-        """Message indices with a durable record (resume skips these)."""
-        return self.scan().indices
 
     def load_records(self) -> list[MessageRecord]:
         """All durable records, sorted into corpus (message index) order.
@@ -463,11 +460,25 @@ class CheckpointStore:
         was killed, then re-ran on resume), the last append wins.
         Defective lines are skipped silently; :meth:`scan` reports them.
         """
-        by_index: dict[int, MessageRecord] = {}
-        for data in self.scan().entries:
-            record = record_from_dict(data)
-            by_index[record.message_index] = record
-        return [by_index[index] for index in sorted(by_index)]
+        payloads = self.scan().payloads
+        return [record_from_dict(json.loads(payloads[index])) for index in sorted(payloads)]
+
+    def _write_records(self, payloads: dict[int, str], indices: list[int]) -> None:
+        """Replace ``records.jsonl`` with ``payloads[index]`` for each of
+        ``indices``, in that order, each CRC-framed as a v2 line.
+
+        Temp write -> fsync -> atomic rename -> *directory* fsync
+        (rename alone is not power-loss durable).  A crash — real or an
+        injected torn rename — leaves records.jsonl untouched and the
+        ``.compact.tmp`` behind for post-crash inspection.
+        """
+        content = "".join(encode_record_line(payloads[index]) + "\n" for index in indices)
+        durable_write_text(
+            self.records_path,
+            content,
+            durability=self.durability,
+            suffix=self.COMPACT_TMP_SUFFIX,
+        )
 
     # ------------------------------------------------------------------
     # fsck / repair
@@ -476,29 +487,27 @@ class CheckpointStore:
         """Write every intact record (last append wins) plus an adjusted
         manifest to a fresh checkpoint directory, and return its store.
 
-        The repaired manifest keeps the source's settings (its
-        :class:`RunnerConfig`) but recomputes ``completed`` from the salvaged
-        records and marks the run ``interrupted`` so a bare ``resume``
-        re-analyzes whatever corruption destroyed.  A torn/corrupt
-        source manifest does not block the salvage: the records are
-        copied and the repaired checkpoint is left without a manifest
-        (``repro run --checkpoint <dest> --seed/--scale`` re-creates
-        one and resumes from the salvaged records).
+        The records are the bytes :meth:`compact` would write: each
+        index's newest payload from :meth:`scan`, verbatim, in index
+        order and CRC-framed.  The repaired manifest keeps the source's
+        settings (its :class:`RunnerConfig`) but recomputes
+        ``completed`` from the salvaged records and marks the run
+        ``interrupted`` so a bare ``resume`` re-analyzes whatever
+        corruption destroyed.  A torn/corrupt source manifest does not
+        block the salvage: the records are copied and the repaired
+        checkpoint is left without a manifest (``repro run --checkpoint
+        <dest> --seed/--scale`` re-creates one and resumes from the
+        salvaged records).
         """
         repaired = CheckpointStore(destination, durability=self.durability)
-        by_index: dict[int, MessageRecord] = {}
-        for data in self.scan().entries:
-            record = record_from_dict(data)
-            by_index[record.message_index] = record
-        for index in sorted(by_index):
-            repaired.append(by_index[index])
-        repaired.close()
+        payloads = self.scan().payloads
+        repaired._write_records(payloads, sorted(payloads))
         try:
             manifest = self.read_manifest()
         except ValueError:
             manifest = None  # corrupt manifest: salvage records anyway
         if manifest is not None:
-            manifest.completed = len(by_index)
+            manifest.completed = len(payloads)
             manifest.status = "interrupted"
             manifest.drained = []
             repaired.write_manifest(manifest)
@@ -514,81 +523,47 @@ class CheckpointStore:
         Always-on daemons (``repro serve``) append one line per verdict
         plus one per crash-retry re-delivery; over a month the file
         accumulates superseded appends and tolerated torn tails without
-        bound.  Compaction rewrites it in place — atomically, via a
-        temp file and ``os.replace`` — so that:
+        bound.  Compaction is :meth:`scan`, then the ``retain`` cut,
+        then an atomic rewrite in place (temp file and ``os.replace``),
+        so that:
 
         - every surviving line is the newest append for its index
           (exactly the record :meth:`load_records` would have chosen);
         - surviving payload bytes are preserved verbatim (the JSON is
           *not* re-serialized; v1 lines are upgraded to the v2 CRC
           format around their original payload);
-        - defective lines (including the torn tail) are dropped, so the
-          output is ``fsck``-clean;
+        - every line :meth:`scan` reports as an issue (including the
+          torn tail) is dropped, so the output is ``fsck``-clean;
         - with ``retain=N``, only the N highest message indices survive
           (service mode: verdicts were already streamed to submitters,
           so the live file is a rolling window, not an archive).
 
-        Thread-safe against concurrent :meth:`append`: the store lock is
-        held for the whole rewrite, so an appender blocks rather than
-        writing into the file being replaced.
+        Without a cap, the output is byte-identical to what
+        :meth:`salvage_to` writes.  Thread-safe against concurrent
+        :meth:`append`: the store lock is held for the whole rewrite,
+        so an appender blocks rather than writing into the file being
+        replaced.
         """
         with self._lock:
             self._durable.close()
             if not self.records_path.exists():
                 return CompactionResult(0, 0, 0, 0, 0, 0, 0)
-            raw = self.records_path.read_bytes()
-            bytes_before = len(raw)
-            chunks = raw.split(b"\n")
-            if chunks and not chunks[-1]:
-                chunks.pop()
-            lines_before = len(chunks)
-            corrupt = 0
-            #: index -> verbatim JSON payload of its newest append.
-            payloads: dict[int, str] = {}
-            for chunk in chunks:
-                try:
-                    text = chunk.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    corrupt += 1
-                    continue
-                if not text:
-                    continue
-                data, issue = parse_record_line(text)
-                index = data.get("message_index") if isinstance(data, dict) else None
-                if issue is not None or not isinstance(index, int):
-                    corrupt += 1
-                    continue
-                # The verbatim payload: a v2 line minus its CRC suffix,
-                # or the whole of a v1 line.
-                payloads[index] = text.rpartition(_CRC_SEPARATOR)[0] or text
-            duplicates = lines_before - corrupt - len(payloads)
-            survivors = sorted(payloads)
+            bytes_before = self.records_path.stat().st_size
+            scan = self.scan()
+            survivors = sorted(scan.payloads)
             retired = 0
             if retain is not None and len(survivors) > retain:
                 retired = len(survivors) - retain
                 survivors = survivors[retired:]
-            # Temp write -> fsync -> atomic rename -> *directory* fsync
-            # (rename alone is not power-loss durable).  A crash — real
-            # or injected torn-rename — leaves records.jsonl untouched
-            # and the .compact.tmp behind for post-crash inspection.
-            content = "".join(
-                encode_record_line(payloads[index]) + "\n" for index in survivors
-            )
-            durable_write_text(
-                self.records_path,
-                content,
-                durability=self.durability,
-                suffix=self.COMPACT_TMP_SUFFIX,
-            )
-            bytes_after = self.records_path.stat().st_size
+            self._write_records(scan.payloads, survivors)
             return CompactionResult(
-                lines_before=lines_before,
+                lines_before=scan.total_lines,
                 lines_after=len(survivors),
-                duplicates_dropped=duplicates,
-                corrupt_dropped=corrupt,
+                duplicates_dropped=len(scan.entries) - len(scan.payloads),
+                corrupt_dropped=len(scan.issues),
                 retired=retired,
                 bytes_before=bytes_before,
-                bytes_after=bytes_after,
+                bytes_after=self.records_path.stat().st_size,
             )
 
     # ------------------------------------------------------------------

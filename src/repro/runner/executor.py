@@ -107,10 +107,6 @@ class RunnerConfig:
     #: inline and process runs enforce identical structural limits
     #: (None/empty = the stock :class:`~repro.mail.guard.GuardLimits`).
     guard_limits: tuple[tuple[str, int], ...] | None = None
-    #: Retired: workers analyse the caller's own message list, so a run
-    #: over a corpus sample needs no truncation recipe.  Accepted and
-    #: ignored; never written to a manifest.
-    corpus_prefix: int | None = None
     #: Append a seeded hostile corpus (``repro.dataset.hostile``) after
     #: the generated corpus: ``"<seed>:<copies>"`` (:meth:`with_hostile`).
     hostile: str = ""
@@ -130,7 +126,7 @@ class RunnerConfig:
         Seed, scale and the network-fault pair are always written; the
         rest only when set, so default-path manifests keep the key set
         they had before each setting existed.  The test-only ``fault``
-        and the retired ``corpus_prefix`` are never written.
+        is never written.
         """
         items = {
             "seed": self.seed,

@@ -49,7 +49,8 @@ from multiprocessing import connection as mp_connection
 
 from repro.runner.stats import RunningStats
 
-#: Seconds to wait for workers to acknowledge a stop before terminating.
+#: Seconds to wait for workers to acknowledge a stop and exit before
+#: terminating them.
 _STOP_GRACE = 5.0
 
 #: Seconds the sentinel watcher sleeps between scans; bounds how stale a
@@ -451,8 +452,10 @@ class WorkerPool:
     def stop(self, graceful: bool = True) -> None:
         """Stop every worker and the watcher.
 
-        ``graceful`` sends ``stop`` and waits for each worker's
-        ``stopped``; otherwise workers are terminated outright.
+        ``graceful`` sends ``stop``, waits for each worker's ``stopped``
+        and then for its exit, all within ``_STOP_GRACE``, and
+        terminates only the workers still alive after that; otherwise
+        workers are terminated outright.
         """
         self._watch_stop.set()
         with self._lock:
@@ -473,6 +476,10 @@ class WorkerPool:
                     continue
                 if message[0] == "stopped":
                     stopped.add(message[1])
+            # A worker's exit follows its ``stopped``: let it finish
+            # within what is left of the grace before terminating it.
+            for process in list(self.workers.values()):
+                process.join(timeout=max(0.0, deadline - time.monotonic()))
         for process in list(self.workers.values()):
             if process.is_alive():
                 process.terminate()

@@ -175,7 +175,7 @@ class TestCheckpointScan:
         scan = store.scan()
         (issue,) = scan.corruption
         assert issue.kind == "missing-index"
-        assert store.completed_indices() == set(range(SAMPLE))
+        assert store.scan().indices == set(range(SAMPLE))
 
     def test_resume_reanalyzes_corrupted_index(self, tmp_path, integrity_corpus,
                                                serial_records):
@@ -212,7 +212,7 @@ class TestSalvage:
         store, _ = _checkpointed_run(integrity_corpus, tmp_path / "ckpt")
         self._corrupt(store, 4)
         repaired = store.salvage_to(tmp_path / "repaired")
-        assert len(repaired.completed_indices()) == SAMPLE - 1
+        assert len(repaired.scan().indices) == SAMPLE - 1
         assert repaired.scan().corruption == []
         manifest = repaired.read_manifest()
         assert manifest.status == "interrupted"

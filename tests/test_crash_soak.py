@@ -89,7 +89,7 @@ class TestCrashSoak:
         # line another thread was appending): fsck tolerates it.
         store = CheckpointStore(checkpoint)
         assert store.scan().corruption == []
-        assert len(store.completed_indices()) >= KILL_AFTER - 1
+        assert len(store.scan().indices) >= KILL_AFTER - 1
         repaired = tmp_path / "repaired"
         assert main(["fsck", str(checkpoint), "--repair", str(repaired)]) == 0
         capsys.readouterr()
@@ -101,7 +101,7 @@ class TestCrashSoak:
         )
         survivor = CheckpointStore(repaired)
         assert survivor.scan().corruption == []
-        assert len(survivor.completed_indices()) >= 2 * KILL_AFTER - 2
+        assert len(survivor.scan().indices) >= 2 * KILL_AFTER - 2
 
         # Final uninterrupted resume: byte-identical to never crashing.
         out = tmp_path / "resumed.json"

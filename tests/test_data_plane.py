@@ -270,7 +270,7 @@ class TestCheckpointBytesUnderFire:
 
         budget = 500_000
         config = RunnerConfig(
-            seed=SEED, scale=SCALE, corpus_prefix=4, hostile="7:1", budget=budget
+            seed=SEED, scale=SCALE, hostile="7:1", budget=budget
         )
         pipeline = PipelineConfig(budget_work_units=budget)
         messages = plane_corpus.messages[:4] + hostile_corpus(seed=7, copies=1)

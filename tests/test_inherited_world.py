@@ -8,7 +8,8 @@ and only build their own box on it.  Under test:
   or a slice) analyses *that* list, byte-identically to an inline run;
 - no worker ever generates a corpus, respawned ones included;
 - a worker whose box build raises fails the run at initialisation;
-- a SIGKILLed process run leaves no worker behind.
+- a SIGKILLed process run leaves no worker behind;
+- a graceful pool stop lets every worker finish exiting.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import pytest
 from repro.core.export import export_records
 from repro.dataset import CorpusGenerator
 from repro.runner import CorpusRunner, RunnerConfig
+from repro.runner.executor import _worker_main
+from repro.runner.pool import WorkerPool
 
 SEED, SCALE = 3, 0.02
 CONFIG = RunnerConfig(seed=SEED, scale=SCALE)
@@ -143,3 +146,28 @@ def test_workers_exit_when_their_parent_is_killed(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+def _main_then_mark(worker_id, marks, config, world, messages, inq, outq):
+    """``_worker_main``, then a slow farewell: work a worker still does
+    after its ``stopped`` message, as a trace writer does at exit."""
+    try:
+        _worker_main(worker_id, config, world, messages, inq, outq)
+    finally:
+        time.sleep(0.3)
+        (marks / f"worker-{worker_id}").touch()
+
+
+def test_graceful_stop_waits_for_workers_to_exit(corpus, tmp_path):
+    config = RunnerConfig(seed=SEED, scale=SCALE, stages=("auth", "parse"))
+    pool = WorkerPool(_main_then_mark, (tmp_path, config, corpus.world, corpus.messages), jobs=2)
+    try:
+        ready: set[int] = set()
+        while len(ready) < 2:
+            kind, worker_id, *_ = pool.get(timeout=60.0)
+            assert kind in ("ready", "stall-tick", "wake"), kind
+            if kind == "ready":
+                ready.add(worker_id)
+    finally:
+        pool.stop(graceful=True)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["worker-0", "worker-1"]

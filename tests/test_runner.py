@@ -114,7 +114,7 @@ class TestCheckpointStore:
         assert [record_to_dict(r) for r in loaded] == [
             record_to_dict(r) for r in serial_records[:5]
         ]
-        assert store.completed_indices() == {0, 1, 2, 3, 4}
+        assert store.scan().indices == {0, 1, 2, 3, 4}
 
     def test_torn_final_line_ignored(self, tmp_path, serial_records):
         store = CheckpointStore(tmp_path / "ckpt")
@@ -123,7 +123,7 @@ class TestCheckpointStore:
         store.close()
         with store.records_path.open("a") as handle:
             handle.write('{"message_index": 99, "truncated')  # killed mid-write
-        assert store.completed_indices() == {0, 1, 2}
+        assert store.scan().indices == {0, 1, 2}
 
     def test_duplicate_append_last_wins(self, tmp_path, serial_records):
         store = CheckpointStore(tmp_path / "ckpt")

@@ -296,7 +296,7 @@ class TestHostileCorpusAcrossBackends:
         from repro.dataset.hostile import hostile_corpus
 
         config = RunnerConfig(
-            seed=SEED, scale=SCALE, corpus_prefix=4, hostile="7:1",
+            seed=SEED, scale=SCALE, hostile="7:1",
             budget=self.BUDGET,
         )
         # The inline transport analyzes on the parent-side box, so it

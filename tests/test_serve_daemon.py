@@ -563,10 +563,10 @@ class TestServeEngineFaults:
     def test_worker_init_failure_fails_every_submission(self, tmp_path, monkeypatch):
         parent, build = os.getpid(), RunnerConfig.build
 
-        def build_in_parent_only(config):
+        def build_in_parent_only(config, world):
             if os.getpid() != parent:
                 raise RuntimeError("injected world-build failure")
-            return build(config)
+            return build(config, world)
 
         # Forked workers inherit the patch; this process never builds.
         monkeypatch.setattr(RunnerConfig, "build", build_in_parent_only)
@@ -579,6 +579,7 @@ class TestServeEngineFaults:
         assert multiprocessing.active_children() == []
         assert [o.status for o, _ in served] == ["failed"] * 4
         assert all("failed to initialize" in final["error"] for _, final in served)
+        assert all("injected world-build failure" in final["error"] for _, final in served)
 
     def test_idle_daemon_outlives_the_stall_timeout(self, tmp_path, monkeypatch):
         monkeypatch.setattr(executor, "STALL_TIMEOUT", 1.0, raising=False)

@@ -315,7 +315,7 @@ class TestFsckDiagnostics:
         assert f"Salvaged {expected} record(s)" in out
         assert "no readable source manifest" in out
         repaired = CheckpointStore(tmp_path / "fixed")
-        assert len(repaired.completed_indices()) == expected
+        assert len(repaired.scan().indices) == expected
         assert repaired.read_manifest() is None
 
     def test_corrupt_endpoint_is_reported(self, tmp_path, capsys):
