@@ -68,7 +68,6 @@ def _make_runner(corpus, executor: str, jobs: int, seed: int, scale: float,
         executor=executor,
         config=RunnerConfig(seed=seed, scale=scale),
         progress=progress,
-        progress_every=1,
         batch_size=1,
     )
 

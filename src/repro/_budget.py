@@ -28,10 +28,8 @@ Design:
 
 Determinism: work units are a pure function of the message being
 analyzed, so a work-unit limit degrades the *same* stages on every
-backend and worker count.  The optional wall-clock ``deadline_seconds``
-is **off by default** because it would break byte-identity across
-machines; it exists as an operator opt-in backstop for workloads where
-determinism matters less than liveness.
+backend and worker count.  There is deliberately no wall-clock limit:
+it would break byte-identity across machines.
 
 This module is intentionally stdlib-only and lives at the package top
 level: the charge sites (``repro.js.interp``, ``repro.imaging.ocr``)
@@ -43,7 +41,6 @@ surface is re-exported through :mod:`repro.runner`.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 
 #: Default work-unit limit per message.  Calibrated-corpus messages
@@ -84,20 +81,12 @@ class BudgetExceeded(Exception):
 class MessageBudget:
     """A cooperative work-unit meter for one message's analysis."""
 
-    __slots__ = ("work_limit", "deadline_seconds", "spent", "spent_by_kind", "_started", "_clock")
+    __slots__ = ("work_limit", "spent", "spent_by_kind")
 
-    def __init__(
-        self,
-        work_limit: int | None = DEFAULT_WORK_LIMIT,
-        deadline_seconds: float | None = None,
-        clock=time.monotonic,
-    ):
+    def __init__(self, work_limit: int | None = DEFAULT_WORK_LIMIT):
         self.work_limit = work_limit
-        self.deadline_seconds = deadline_seconds
         self.spent = 0
         self.spent_by_kind: dict[str, int] = {}
-        self._clock = clock
-        self._started = clock() if deadline_seconds is not None else 0.0
 
     def charge(self, units: int, kind: str) -> None:
         """Consume ``units``; raises :class:`BudgetExceeded` when dry."""
@@ -105,11 +94,6 @@ class MessageBudget:
         self.spent_by_kind[kind] = self.spent_by_kind.get(kind, 0) + units
         if self.work_limit is not None and self.spent > self.work_limit:
             raise BudgetExceeded(kind, self.spent, self.work_limit)
-        if (
-            self.deadline_seconds is not None
-            and self._clock() - self._started > self.deadline_seconds
-        ):
-            raise BudgetExceeded("deadline", self.spent, self.deadline_seconds)
 
 
 _ACTIVE = threading.local()

@@ -350,6 +350,8 @@ def _build_runner(corpus, config: RunnerConfig, jobs: int, args):
     )
 
     def progress(stats, completed, total):
+        if completed % 200 and completed != total:
+            return
         print(f"  ... {completed}/{total} analysed "
               f"(active {stats.active}, spear {stats.spear}, "
               f"retried {stats.retried}, dead-lettered {stats.dead_lettered})")
@@ -361,7 +363,6 @@ def _build_runner(corpus, config: RunnerConfig, jobs: int, args):
         config=config,
         checkpoint=checkpoint,
         progress=progress,
-        progress_every=200,
         batch_size=args.batch_size,
     )
 
@@ -695,8 +696,9 @@ def cmd_serve(args) -> int:
               + (f", {args.reporter_rate:g} msg/arrival per reporter"
                  if args.reporter_rate is not None else ""), flush=True)
     code = daemon.wait()
-    print(f"repro serve: drained ({daemon.completed} completed, "
-          f"{daemon.shed} shed, {daemon.rejected} rejected); "
+    totals = daemon.totals
+    print(f"repro serve: drained ({totals['completed']} completed, "
+          f"{totals['shed']} shed, {totals['rejected']} rejected); "
           f"manifest status 'stopped'.", flush=True)
     return code
 
@@ -919,8 +921,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "distinct from admission shedding)")
     serve_parser.add_argument("--compact-lines", type=int, default=100_000,
                               metavar="N",
-                              help="compact records.jsonl in place once it exceeds "
-                                   "N lines (0 = never)")
+                              help="compact records.jsonl in place once it holds N "
+                                   "more lines than the last compaction left "
+                                   "(0 = never)")
     serve_parser.add_argument("--retain", type=_positive_int, default=None,
                               metavar="N",
                               help="when compacting, keep only the N newest message "

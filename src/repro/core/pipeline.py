@@ -82,9 +82,6 @@ class PipelineConfig:
     #: ``failed``, never the worker.  Deterministic: work units depend
     #: only on the message.
     budget_work_units: int | None = DEFAULT_WORK_LIMIT
-    #: Optional wall-clock backstop per message, in seconds.  Off by
-    #: default: a deadline trades byte-identical records for liveness.
-    budget_deadline_seconds: float | None = None
 
 
 def build_pipeline_config(
@@ -231,14 +228,8 @@ class CrawlerBox:
             analysis_time=message.delivered_at + self.config.analysis_delay_hours,
         )
         budget = None
-        if (
-            self.config.budget_work_units is not None
-            or self.config.budget_deadline_seconds is not None
-        ):
-            budget = MessageBudget(
-                work_limit=self.config.budget_work_units,
-                deadline_seconds=self.config.budget_deadline_seconds,
-            )
+        if self.config.budget_work_units is not None:
+            budget = MessageBudget(self.config.budget_work_units)
         with activate(budget):
             attributed = self.plan.run(ctx, self.profiler)
         self.profiler.record("unattributed", (time.perf_counter() - started) - attributed)

@@ -16,7 +16,10 @@ One rule serves both owners, a batch run and the ``repro serve``
 daemon.  :meth:`CheckpointStore.land` appends each line in order,
 flushed so a kill loses at most the line being written; a line the disk
 refuses past its bounded retry is parked, never dropped, and the
-failure counted.  ``snapshot`` writes a best-effort progress manifest.
+failure counted.  The store counts the lines ``records.jsonl`` holds:
+:meth:`~CheckpointStore.scan` sets the count from what it read, each
+line that lands adds one, and :meth:`~CheckpointStore.compact` sets it
+to what it wrote.  ``snapshot`` writes a best-effort progress manifest.
 ``finish`` lands what is parked, syncs the records and only then writes
 the terminal manifest.  The owner decides what a failure means: a batch
 run aborts on a parked line, the daemon degrades and then sheds.
@@ -293,6 +296,9 @@ class CheckpointStore:
         #: Reentrant: :meth:`land` holds it around :meth:`append_wire`.
         self._lock = threading.RLock()
         self._durable = DurableFile(self.records_path, durability=durability)
+        #: Lines in records.jsonl, as of the last scan, landed line or
+        #: compaction.
+        self.lines = 0
         # Record health: lines the disk refused (see land), oldest
         # first, and the failures behind them.  The store only counts;
         # its owner decides what a failure means.
@@ -330,45 +336,43 @@ class CheckpointStore:
         # clean tail); a persistent failure propagates to the caller.
         with self._lock:
             retrying(lambda: self._durable.append(data + b"\n"))
+            self.lines += 1
         note_durable_record()
 
-    def land(self, wire: bytes) -> int:
+    def land(self, wire: bytes) -> None:
         """Land one record line behind any parked ones, in order.
 
         A line the disk refuses past the bounded retry of
         :meth:`append_wire` stays parked — never dropped — and the
-        failure is noted.  Returns how many lines reached the file.
+        failure is noted.
         """
         with self._lock:
             self._parked.append(wire)
-            return self._drain()
+            self._drain()
 
     @property
     def pending(self) -> int:
         """Parked lines, not yet in the file."""
         return len(self._parked)
 
-    def probe(self) -> int:
+    def probe(self) -> None:
         """Retry the parked lines now; the store is healthy again once
-        none is left.  Returns how many lines reached the file."""
+        none is left."""
         with self._lock:
-            return self._drain()
+            self._drain()
 
-    def _drain(self) -> int:
-        landed = 0
+    def _drain(self) -> None:
         while self._parked:
             try:
                 self.append_wire(self._parked[0])
             except OSError as error:
                 self.note_error(error)
-                return landed
+                return
             self._parked.popleft()
-            landed += 1
             self.failure_streak = 0
         if self.worst_streak:
             self.worst_streak = 0
             self.recoveries += 1
-        return landed
 
     def note_error(self, error: OSError) -> None:
         """Count a failed durable write (an append, a compaction, a
@@ -421,11 +425,12 @@ class CheckpointStore:
         """
         scan = CheckpointScan()
         if not self.records_path.exists():
+            self.lines = 0
             return scan
         chunks = self.records_path.read_bytes().split(b"\n")
         if chunks and not chunks[-1]:
             chunks.pop()  # trailing newline, not an empty final line
-        scan.total_lines = len(chunks)
+        scan.total_lines = self.lines = len(chunks)
         lines: list[tuple[int, str | None, bytes]] = []
         for line_number, chunk in enumerate(chunks, start=1):
             try:
@@ -479,6 +484,7 @@ class CheckpointStore:
             durability=self.durability,
             suffix=self.COMPACT_TMP_SUFFIX,
         )
+        self.lines = len(indices)
 
     # ------------------------------------------------------------------
     # fsck / repair

@@ -222,6 +222,15 @@ def _portable_error(error: BaseException) -> BaseException:
         return RuntimeError(repr(error))
 
 
+#: Crashes inside ``RESPAWN_WINDOW`` seconds past which respawning stops.
+RESPAWN_BUDGET = 12
+RESPAWN_WINDOW = 60.0
+#: Backoff before the second consecutive crash's respawn, doubling per
+#: further crash up to ``RESPAWN_MAX_DELAY`` seconds.
+RESPAWN_BASE_DELAY = 0.05
+RESPAWN_MAX_DELAY = 2.0
+
+
 # ----------------------------------------------------------------------
 # Host introspection
 # ----------------------------------------------------------------------
@@ -238,7 +247,8 @@ class RespawnGovernor:
       replacement spawns — exponential in the current *consecutive*
       crash streak, so a genuinely flaky target costs little and a
       flapping one backs off hard;
-    - once more than ``budget`` crashes land inside ``window`` seconds,
+    - once more than ``RESPAWN_BUDGET`` crashes land inside
+      ``RESPAWN_WINDOW`` seconds,
       :meth:`permit` returns None and the scheduler converts the spin into
       a clean abort with :meth:`diagnosis` as the error text.
 
@@ -248,17 +258,7 @@ class RespawnGovernor:
     it eventually.
     """
 
-    def __init__(
-        self,
-        budget: int = 12,
-        window: float = 60.0,
-        base_delay: float = 0.05,
-        max_delay: float = 2.0,
-    ):
-        self.budget = budget
-        self.window = window
-        self.base_delay = base_delay
-        self.max_delay = max_delay
+    def __init__(self):
         self._crashes: list[float] = []  # monotonic timestamps, windowed
         self._streak = 0
         self._exit_codes: list[int | None] = []
@@ -270,7 +270,7 @@ class RespawnGovernor:
         now = time.monotonic()
         self._crashes.append(now)
         self._exit_codes.append(exitcode)
-        cutoff = now - self.window
+        cutoff = now - RESPAWN_WINDOW
         while self._crashes and self._crashes[0] < cutoff:
             self._crashes.pop(0)
         self._streak += 1
@@ -278,17 +278,17 @@ class RespawnGovernor:
     def permit(self) -> float | None:
         """Backoff delay before the next respawn, or None when the
         crash budget is exhausted (caller must abort, not respawn)."""
-        if len(self._crashes) > self.budget:
+        if len(self._crashes) > RESPAWN_BUDGET:
             return None
         if self._streak <= 1:
             return 0.0
-        return min(self.max_delay, self.base_delay * (2 ** (self._streak - 2)))
+        return min(RESPAWN_MAX_DELAY, RESPAWN_BASE_DELAY * (2 ** (self._streak - 2)))
 
     def diagnosis(self) -> str:
         tail = ", ".join(str(code) for code in self._exit_codes[-6:])
         return (
             f"worker crash budget exhausted: {len(self._crashes)} crashes "
-            f"within {self.window:g}s ({self._streak} consecutive; recent "
+            f"within {RESPAWN_WINDOW:g}s ({self._streak} consecutive; recent "
             f"exit codes: {tail}); the worker target is flapping — "
             f"aborting instead of respawning forever"
         )

@@ -58,7 +58,8 @@ from repro.runner.pool import WorkerPool
 from repro.runner.retry import DeadLetter, RetryPolicy
 from repro.runner.stats import RunningStats
 
-#: progress(stats, completed, total) -> None.
+#: progress(stats, completed, total) -> None, called for every record
+#: that lands.
 ProgressCallback = Callable[[RunningStats, int, int], None]
 
 EXECUTORS = ("auto", "inline", "process")
@@ -113,7 +114,6 @@ class CorpusRunner:
         retry_policy: RetryPolicy | None = None,
         checkpoint: CheckpointStore | None = None,
         progress: ProgressCallback | None = None,
-        progress_every: int = 25,
         batch_size: int | None = None,
         world=None,
     ):
@@ -143,7 +143,6 @@ class CorpusRunner:
         self.retry_policy = retry_policy or RetryPolicy()
         self.checkpoint = checkpoint
         self.progress = progress
-        self.progress_every = max(1, progress_every)
         #: Indices per dispatch to a process worker (None = auto).
         self.batch_size = batch_size
 
@@ -292,17 +291,8 @@ class CorpusRunner:
                 # and a later ``resume`` continues from them.
                 self._set_fatal(self.checkpoint.last_error)
                 return
-        completed = len(self._records) + len(self._wire)
-        if self.progress is not None and (
-            completed % self.progress_every == 0 or completed == self._total
-        ):
-            self.progress(self._stats, completed, self._total)
-        if (
-            self.checkpoint is not None
-            and completed % self.progress_every == 0
-            and completed < self._total
-        ):
-            self.checkpoint.snapshot(self._manifest("running"))
+        if self.progress is not None:
+            self.progress(self._stats, len(self._records) + len(self._wire), self._total)
 
     def _record_dead(
         self, index: int, attempts: int, error: BaseException, history: tuple[str, ...]

@@ -20,9 +20,10 @@ One process, five moving parts:
   micro-batches from those queues whenever they are free.
 - **Durability** — every verdict appends to the PR-5 CRC checkpoint
   before it streams back to the submitter; rolling compaction rewrites
-  the JSONL once it grows past a threshold, so a month-long daemon
+  the JSONL each time it grows by a threshold, so a month-long daemon
   stays bounded.  The manifest carries ``status: serving`` plus a
-  ``service`` block (counters, next index, admission snapshot).
+  ``service`` block (the submission ledger, next index, admission
+  snapshot).
 - **Drain** — SIGTERM stops intake (new submissions are ``rejected``
   with reason ``draining``), flushes every accepted submission through
   analysis and checkpoint, syncs the records, then writes ``status:
@@ -88,6 +89,11 @@ LATENCY_WINDOW = 2048
 #: before the health state machine drops from ``degraded`` to
 #: ``readonly`` and new submissions shed.
 READONLY_AFTER = 3
+#: Submission outcomes the ledger counts, daemon-wide and per reporter.
+#: ``submitted`` is the sum of the first three and never stored.
+OUTCOMES = ("accepted", "shed", "rejected", "completed", "failed")
+#: The daemon-wide totals a manifest persists and a restart restores.
+_TOTALS = (*OUTCOMES, "compactions")
 #: Manifest keys a restart may change: disk weather decides when a
 #: write fails, never what a record holds.
 _DISK_WEATHER = ("storage_faults", "storage_fault_seed")
@@ -113,7 +119,8 @@ class ServeConfig:
     #: Accepted-but-unfinished submissions above which sessions stop
     #: reading (flow control); reading resumes at a quarter of it.
     backlog_high_water: int = 256
-    #: Compact records.jsonl once it exceeds this many lines (0 = never).
+    #: Compact records.jsonl once it holds this many more lines than
+    #: the last compaction left (0 = never).
     compact_lines: int = 100_000
     #: Keep only the newest N message indices when compacting (None =
     #: dedupe only).  Verdicts were already streamed to submitters, so
@@ -148,6 +155,11 @@ class ServeConfig:
     #: Seconds a ``bye`` waits for outstanding verdicts before closing
     #: anyway (the drain path for one polite session).
     flush_timeout: float = 300.0
+
+
+def _submitted(counter: collections.Counter) -> int:
+    """Every submission has exactly one admission outcome."""
+    return counter["accepted"] + counter["shed"] + counter["rejected"]
 
 
 class _Session:
@@ -241,7 +253,7 @@ class ServeDaemon:
         #: Serializes arrivals; holding it defines the arrival order the
         #: determinism contract is stated in.
         self._admission_lock = threading.Lock()
-        #: Guards counters + checkpoint bookkeeping on the verdict path.
+        #: Guards the ledger, stats and compaction on the verdict path.
         self._completion = threading.Condition()
         self._sessions: dict[int, _Session] = {}
         self._sessions_lock = threading.Lock()
@@ -256,24 +268,18 @@ class ServeDaemon:
         self._ingress_lock = threading.Lock()
         self._ingress: collections.Counter = collections.Counter()
         self._shutdown = threading.Event()
-        self._drained = threading.Event()
         self._draining = False
-        self._stop_accepting = False
         self._fatal: str | None = None
         self.started_at = time.monotonic()
         self.port: int | None = None
-        # Cumulative service counters (restored across restarts).
+        # The ledger, restored across restarts: daemon-wide totals per
+        # outcome (plus ``compactions``) and each reporter's outcomes.
         self.next_index = 0
-        self.submitted = 0
-        self.accepted = 0
-        self.shed = 0
-        self.rejected = 0
-        self.completed = 0
-        self.failed = 0
-        self.compactions = 0
-        self.checkpoint_lines = 0
-        self.storage_shed = 0  # submissions shed while storage is readonly
+        self.totals: collections.Counter = collections.Counter()
         self.reporters: dict[str, collections.Counter] = {}
+        #: Lines the last compaction left in records.jsonl.
+        self._compacted_lines = 0
+        self.storage_shed = 0  # submissions shed while storage is readonly
         self._latencies: collections.deque = collections.deque(maxlen=LATENCY_WINDOW)
         self._engine = None
         self._listener: socket.socket | None = None
@@ -324,9 +330,7 @@ class ServeDaemon:
             manifest = self.checkpoint.read_manifest()
         except ValueError as error:
             raise RuntimeError(f"unreadable manifest under {self.directory}: {error}")
-        scan = self.checkpoint.scan()
-        self.checkpoint_lines = scan.total_lines
-        durable = scan.indices
+        durable = self.checkpoint.scan().indices
         if manifest is not None:
             if not manifest.is_service:
                 raise RuntimeError(
@@ -354,31 +358,24 @@ class ServeDaemon:
             service = manifest.service or {}
             self.stats = RunningStats.from_dict(manifest.stats)
             self.next_index = int(service.get("next_index", 0))
-            self.submitted = int(service.get("submitted", 0))
-            self.accepted = int(service.get("accepted", 0))
-            self.shed = int(service.get("shed", 0))
-            self.rejected = int(service.get("rejected", 0))
-            self.completed = int(service.get("completed", 0))
-            self.failed = int(service.get("failed", 0))
-            self.compactions = int(service.get("compactions", 0))
-            for name, counters in (service.get("reporters") or {}).items():
-                self.reporters[name] = collections.Counter(
-                    {key: int(value) for key, value in counters.items() if key != "queued"}
-                )
+            ledgers = [(self.totals, service)] + [
+                (self._reporter(name), counts)
+                for name, counts in (service.get("reporters") or {}).items()
+            ]
+            for counter, counts in ledgers:
+                for key in _TOTALS:
+                    if counts.get(key):
+                        counter[key] = int(counts[key])
             if service.get("admission"):
                 self.admission.restore(service["admission"])
         # A daemon killed without a drain (kill -9) leaves the manifest
         # stale relative to records.jsonl: trust the records for index
         # allocation so no index is ever reused.
         if durable:
+            totals = self.totals
             self.next_index = max(self.next_index, max(durable) + 1)
-            floor = len(durable)
-            if self.completed < floor:
-                self.completed = floor
-            if self.accepted < self.completed + self.failed:
-                self.accepted = self.completed + self.failed
-            if self.submitted < self.accepted + self.shed + self.rejected:
-                self.submitted = self.accepted + self.shed + self.rejected
+            totals["completed"] = max(totals["completed"], len(durable))
+            totals["accepted"] = max(totals["accepted"], totals["completed"] + totals["failed"])
 
     def _build_engine(self) -> None:
         config = self.config
@@ -420,7 +417,7 @@ class ServeDaemon:
             except OSError:
                 return  # listener closed: drain in progress
             set_nodelay(conn)
-            if self._stop_accepting:
+            if self._draining:
                 # The drain's wake-up poke (closing a listener does not
                 # reliably interrupt a blocked accept()).
                 try:
@@ -633,10 +630,7 @@ class ServeDaemon:
 
         def reject(reason: str) -> None:
             with self._completion:
-                self.submitted += 1
-                self.rejected += 1
-                self._reporter(reporter)["submitted"] += 1
-                self._reporter(reporter)["rejected"] += 1
+                self._count(reporter, "rejected")
             session.send({"op": "rejected", "id": client_id, "reason": reason})
 
         if self._draining:
@@ -666,16 +660,11 @@ class ServeDaemon:
         # clock, so the deterministic shed set of the admission
         # transcript is unaffected (like ``draining`` rejects).
         if self.storage_health == "readonly":
-            landed = self.checkpoint.probe()
-            with self._completion:
-                self.checkpoint_lines += landed
+            self.checkpoint.probe()
         if self.storage_health == "readonly":
             with self._completion:
-                self.submitted += 1
-                self.shed += 1
+                self._count(reporter, "shed")
                 self.storage_shed += 1
-                self._reporter(reporter)["submitted"] += 1
-                self._reporter(reporter)["shed"] += 1
             session.send(
                 {
                     "op": "overloaded",
@@ -697,16 +686,10 @@ class ServeDaemon:
             else:
                 decision = self.admission.admit(reporter)
                 with self._completion:
-                    self.submitted += 1
-                    self._reporter(reporter)["submitted"] += 1
                     if decision.admitted:
                         index = self.next_index
                         self.next_index += 1
-                        self.accepted += 1
-                        self._reporter(reporter)["accepted"] += 1
-                    else:
-                        self.shed += 1
-                        self._reporter(reporter)["shed"] += 1
+                    self._count(reporter, "accepted" if decision.admitted else "shed")
                 if not decision.admitted:
                     session.send(
                         {
@@ -760,13 +743,27 @@ class ServeDaemon:
                 self._completion.wait(0.25)
 
     def _backlog(self) -> int:
-        return self.accepted - self.completed - self.failed
+        totals = self.totals
+        return totals["accepted"] - totals["completed"] - totals["failed"]
 
     def _reporter(self, name: str) -> collections.Counter:
         counter = self.reporters.get(name)
         if counter is None:
             counter = self.reporters[name] = collections.Counter()
         return counter
+
+    def _count(self, reporter: str, outcome: str) -> None:
+        """Ledger one submission outcome, daemon-wide and for its
+        reporter; the caller holds ``_completion``."""
+        self.totals[outcome] += 1
+        self._reporter(reporter)[outcome] += 1
+
+    def _reporters(self) -> dict:
+        """Each reporter's outcomes, ``submitted`` derived."""
+        return {
+            name: {"submitted": _submitted(counter), **counter}
+            for name, counter in sorted(self.reporters.items())
+        }
 
     # ------------------------------------------------------------------
     # Completion
@@ -794,9 +791,8 @@ class ServeDaemon:
         """
         if error is not None:
             with self._completion:
-                self.failed += 1
+                self._count(job.reporter, "failed")
                 self.stats.dead_lettered += 1
-                self._reporter(job.reporter)["failed"] += 1
                 self._completion.notify_all()
             if job.session is not None:
                 job.session.send(
@@ -818,25 +814,27 @@ class ServeDaemon:
         # line in the store (degraded/readonly) instead of killing the
         # daemon; the verdict still streams below — analysis happened,
         # and the record is queued for the checkpoint, not lost.
-        appended = self.checkpoint.land(wire.wire)
+        self.checkpoint.land(wire.wire)
         compacted = False
         with self._completion:
-            self.checkpoint_lines += appended
+            # Compact once the file grew by compact_lines since the last
+            # compaction: what a compaction cannot shrink (distinct
+            # records without --retain) must not retrigger it.
             if (
                 self.config.compact_lines
-                and self.checkpoint_lines >= self.config.compact_lines
+                and self.checkpoint.lines - self._compacted_lines >= self.config.compact_lines
                 and self.storage_health == "ok"
             ):
                 try:
-                    result = self.checkpoint.compact(retain=self.config.retain)
+                    self._compacted_lines = self.checkpoint.compact(
+                        retain=self.config.retain
+                    ).lines_after
                 except OSError as error:
                     self.checkpoint.note_error(error)
                 else:
-                    self.checkpoint_lines = result.lines_after
-                    self.compactions += 1
+                    self.totals["compactions"] += 1
                     compacted = True
-            self.completed += 1
-            self._reporter(job.reporter)["completed"] += 1
+            self._count(job.reporter, "completed")
             if job.submitted_at:
                 self._latencies.append(time.monotonic() - job.submitted_at)
             self._completion.notify_all()
@@ -848,7 +846,8 @@ class ServeDaemon:
         self._manifest_maybe(force=compacted)
 
     def _manifest_maybe(self, force: bool = False) -> None:
-        if force or (self.completed + self.failed) % MANIFEST_EVERY == 0:
+        resolved = self.totals["completed"] + self.totals["failed"]
+        if force or resolved % MANIFEST_EVERY == 0:
             self.checkpoint.snapshot(self._manifest("serving"))
 
     # ------------------------------------------------------------------
@@ -857,10 +856,9 @@ class ServeDaemon:
     def _drain(self) -> None:
         """Finish everything accepted, persist exact state, stop."""
         with self._admission_lock:
-            self._draining = True  # no push after this
+            self._draining = True  # no push or accept after this
         with self._completion:
             self._completion.notify_all()  # wake backpressure waiters
-        self._stop_accepting = True
         if self._listener is not None:
             # Wake a blocked accept() with a throwaway connection (closing
             # the listener alone does not reliably interrupt it), then close.
@@ -876,11 +874,9 @@ class ServeDaemon:
         if self._acceptor is not None:
             self._acceptor.join(timeout=60.0)
         # Every accepted submission resolves to a verdict or a final
-        # failure: the engine's scheduler retries, quarantines stalls,
-        # and fails everything outstanding on a fatal error.
-        with self._completion:
-            while self._backlog() > 0:
-                self._completion.wait(0.25)
+        # failure before stop() returns: the engine dispatches what is
+        # queued, its scheduler retries and quarantines stalls, and it
+        # fails everything outstanding on a fatal error.
         if self._engine is not None:
             self._engine.stop()
         try:
@@ -893,7 +889,6 @@ class ServeDaemon:
             sessions = list(self._sessions.values())
         for session in sessions:
             session.close()
-        self._drained.set()
 
     # ------------------------------------------------------------------
     # Introspection / persistence
@@ -914,9 +909,7 @@ class ServeDaemon:
         with self._completion:
             queued = len(queue)
             in_flight = max(0, self._backlog() - queued)
-            reporters = {
-                name: dict(counter) for name, counter in sorted(self.reporters.items())
-            }
+            reporters = self._reporters()
             payload = {
                 "status": "draining" if self._draining else "serving",
                 "uptime_seconds": round(time.monotonic() - self.started_at, 3),
@@ -924,19 +917,15 @@ class ServeDaemon:
                 "jobs": self.config.jobs,
                 "seed": self.config.run.seed,
                 "scale": self.config.run.scale,
-                "submitted": self.submitted,
-                "accepted": self.accepted,
-                "shed": self.shed,
-                "rejected": self.rejected,
-                "completed": self.completed,
-                "failed": self.failed,
+                "submitted": _submitted(self.totals),
+                **{outcome: self.totals[outcome] for outcome in OUTCOMES},
                 "queued": queued,
                 "in_flight": in_flight,
                 "latency": self._latency_quantiles(),
                 "checkpoint": {
                     "directory": str(self.directory),
-                    "lines": self.checkpoint_lines,
-                    "compactions": self.compactions,
+                    "lines": self.checkpoint.lines,
+                    "compactions": self.totals["compactions"],
                     "retain": self.config.retain,
                 },
                 "storage": self._storage_payload(),
@@ -1002,17 +991,10 @@ class ServeDaemon:
     def _service_state(self) -> dict:
         return {
             "next_index": self.next_index,
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "compactions": self.compactions,
+            "submitted": _submitted(self.totals),
+            **{key: self.totals[key] for key in _TOTALS},
             "executor": self._engine.name,
-            "reporters": {
-                name: dict(counter) for name, counter in sorted(self.reporters.items())
-            },
+            "reporters": self._reporters(),
             "admission": self.admission.snapshot(),
         }
 
@@ -1021,8 +1003,8 @@ class ServeDaemon:
             return RunManifest(
                 config=self.config.run,
                 jobs=self.config.jobs,
-                total_messages=self.accepted,
-                completed=self.completed,
+                total_messages=self.totals["accepted"],
+                completed=self.totals["completed"],
                 status=status,
                 stats=self.stats.as_dict(),
                 service=self._service_state(),

@@ -231,15 +231,9 @@ class DurableFile:
     Not thread-safe: callers (CheckpointStore) hold their own lock.
     """
 
-    def __init__(
-        self,
-        path,
-        durability: str = DEFAULT_DURABILITY,
-        fsync_every: int = FSYNC_BATCH_LINES,
-    ):
+    def __init__(self, path, durability: str = DEFAULT_DURABILITY):
         self.path = pathlib.Path(path)
         self.durability = validate_durability(durability)
-        self.fsync_every = max(1, fsync_every)
         self._handle = None
         self._unsynced = 0
 
@@ -263,7 +257,7 @@ class DurableFile:
             self._checked_sync(handle)
         elif self.durability == "batch":
             self._unsynced += 1
-            if self._unsynced >= self.fsync_every:
+            if self._unsynced >= FSYNC_BATCH_LINES:
                 self._checked_sync(handle)
 
     def _rewind(self, handle, offset: int) -> None:

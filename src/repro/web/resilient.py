@@ -146,9 +146,6 @@ class ResiliencePolicy:
     breaker_threshold: int = 3
     #: Suppressed fetches before an open breaker lets one probe through.
     breaker_probe_after: int = 3
-    #: Documented per-request deadline (simulated seconds); the fault
-    #: engine's slow-start/mid-body stalls model this deadline firing.
-    deadline_seconds: float = 30.0
 
 
 class _HostState:

@@ -157,17 +157,6 @@ class TestMessageBudget:
         budget.charge(10 * DEFAULT_WORK_LIMIT, "js-steps")
         assert budget.spent == 10 * DEFAULT_WORK_LIMIT
 
-    def test_deadline_uses_injected_clock(self):
-        now = [0.0]
-        budget = MessageBudget(
-            work_limit=None, deadline_seconds=5.0, clock=lambda: now[0]
-        )
-        budget.charge(1, "js-steps")
-        now[0] = 6.0
-        with pytest.raises(BudgetExceeded) as excinfo:
-            budget.charge(1, "js-steps")
-        assert excinfo.value.kind == "deadline"
-
     def test_activate_installs_and_restores(self):
         assert current_budget() is None
         outer, inner = MessageBudget(), MessageBudget()

@@ -728,3 +728,101 @@ class TestCliSettings:
         }
         # Admission is denominated in --budget when it is given.
         assert tuned["service"]["admission"]["global"] == [64 * 500000, 0]
+
+
+# ----------------------------------------------------------------------
+# Bookkeeping: what a kill -9 leaves, and what rolling compaction counts
+# ----------------------------------------------------------------------
+#: Enough distinct submissions to cross a small compaction threshold
+#: several times.
+MANY_MESSAGES = [_eml(i) for i in range(12)]
+
+
+def _serve_one_at_a_time(daemon, messages) -> dict:
+    """Submit ``messages`` to an in-process daemon, each after the
+    previous verdict, and return its /stats."""
+    with ServeClient("127.0.0.1", daemon.port, timeout=120) as client:
+        for raw in messages:
+            assert client.submit_bytes(raw, reporter="acme").accepted
+            client.wait_verdicts(timeout=120)
+        return client.stats()
+
+
+class TestKillNineRestart:
+    def test_kill_nine_then_restart_restores_the_ledger(self, tmp_path, monkeypatch):
+        baseline_dir = tmp_path / "baseline"
+        with _daemon(baseline_dir) as daemon:
+            _serve_one_at_a_time(daemon, MESSAGES)
+
+        # The daemon SIGKILLs itself right after its fifth durable line:
+        # no drain, no final manifest.
+        killed_dir = tmp_path / "killed"
+        monkeypatch.setenv("REPRO_KILL_AFTER_RECORDS", "5")
+        process = _launch_serve(killed_dir)
+        monkeypatch.delenv("REPRO_KILL_AFTER_RECORDS")
+        try:
+            endpoint = _wait_for_endpoint(killed_dir, process)
+            client = ServeClient(endpoint["host"], endpoint["port"], timeout=120)
+            with contextlib.suppress(OSError, EOFError):
+                for raw in MESSAGES:
+                    client.submit_bytes(raw, reporter="acme")
+                    client.wait_verdicts(timeout=120)
+            assert process.wait(timeout=240) == -signal.SIGKILL
+            with contextlib.suppress(Exception):
+                client.close(bye=False)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait(timeout=60)
+        assert len(_records_lines(killed_dir)) == 5
+
+        # The restart trusts the records over the stale manifest, and
+        # the replay continues from message 5.
+        (killed_dir / "endpoint.json").unlink()
+        process = _launch_serve(killed_dir)
+        try:
+            endpoint = _wait_for_endpoint(killed_dir, process)
+            with ServeClient(endpoint["host"], endpoint["port"], timeout=120) as client:
+                restored = client.stats()
+                assert [restored[key] for key in ("submitted", "accepted", "completed")] == [
+                    5, 5, 5
+                ]
+                outcomes = [client.submit_bytes(raw, reporter="acme") for raw in MESSAGES[5:]]
+                assert [o.message_index for o in outcomes] == [5, 6, 7]
+                client.wait_verdicts(timeout=120)
+                stats = client.stats()
+                _assert_reconciled(stats)
+                assert stats["completed"] == 8
+            os.killpg(process.pid, signal.SIGTERM)
+            assert process.wait(timeout=240) == 0
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait(timeout=60)
+
+        assert _records_lines(killed_dir) == _records_lines(baseline_dir)
+
+
+class TestRollingCompaction:
+    @pytest.mark.parametrize("retain", [None, 3])
+    def test_compaction_keeps_its_bookkeeping(self, tmp_path, retain):
+        with _daemon(tmp_path, compact_lines=4, retain=retain) as daemon:
+            stats = _serve_one_at_a_time(daemon, MANY_MESSAGES)
+        compactions = stats["checkpoint"]["compactions"]
+        assert compactions > 0
+        assert stats["checkpoint"]["lines"] == len(_records_lines(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["service"]["compactions"] == compactions
+        scan = CheckpointStore(tmp_path).scan()
+        assert scan.issues == []
+        expected = [9, 10, 11] if retain else list(range(len(MANY_MESSAGES)))
+        assert sorted(scan.indices) == expected
+
+    def test_compaction_waits_for_new_lines(self, tmp_path):
+        # Without --retain a compaction cannot shrink 11 distinct
+        # records below the threshold of 4: the next one waits for 4
+        # more lines instead of rewriting the file on every verdict.
+        with _daemon(tmp_path, compact_lines=4) as daemon:
+            stats = _serve_one_at_a_time(daemon, MANY_MESSAGES[:11])
+        assert 1 <= stats["checkpoint"]["compactions"] <= 2
+        assert stats["checkpoint"]["lines"] == 11

@@ -218,7 +218,7 @@ class TestDeadlines:
                 assert ops == ["accepted", "verdict"]
             finally:
                 conn.close()
-            assert daemon.completed == 1
+            assert daemon.totals["completed"] == 1
 
     def test_mid_line_disconnect_is_counted(self, tmp_path):
         with _daemon(tmp_path, **HARDENED) as daemon:
@@ -363,7 +363,7 @@ class TestDeadPeer:
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             conn.close()
             deadline = time.monotonic() + 60.0
-            while daemon.completed < 1:
+            while daemon.totals["completed"] < 1:
                 assert time.monotonic() < deadline, "verdict never completed"
                 time.sleep(0.1)
         records = pathlib.Path(tmp_path, "records.jsonl").read_bytes().splitlines()
