@@ -110,3 +110,51 @@ def bench_substrate_microbench(benchmark, comparison):
     assert hit_us < miss_us
 
     benchmark.pedantic(build_session, rounds=1, iterations=1)
+
+
+def _triage_images() -> list:
+    """Every image the parse stage scans in the triage-pool corpus
+    (``repro run --scale 0.1``, seed 1): inline and attached images and
+    rasterised PDF pages."""
+    from repro.dataset import CorpusGenerator
+    from repro.mail.parser import EmailParser
+
+    images = []
+
+    class Collector(EmailParser):
+        def _scan_image(self, image, *rest):
+            images.append(image)
+
+    parser = Collector()
+    for message in CorpusGenerator(seed=1, scale=0.1).generate().messages:
+        parser.parse(message)
+    return images
+
+
+def bench_image_scans(benchmark, comparison):
+    """OCR and QR decode, the two scans the parse stage runs per image."""
+    images = _triage_images()
+
+    def decode(image):
+        try:
+            return decode_qr_image(image)
+        except ValueError:  # QRLocateError / QRDecodeError: no symbol
+            return None
+
+    decoded = sum(decode(image) is not None for image in images)
+    rows = []
+    for label, scan in (("ocr_image", ocr_image), ("decode_qr_image", decode)):
+        per_image = [_per_call_us(lambda: scan(image), number=3, repeat=5) for image in images]
+        median_us, total_ms = statistics.median(per_image), sum(per_image) / 1000.0
+        rows.append((label, median_us, total_ms))
+        comparison.row(f"{label}, triage corpus images (median us/image)", "n/a", f"{median_us:.1f}")
+        comparison.row(f"{label}, one pass over them (ms)", "n/a", f"{total_ms:.1f}")
+        comparison.metric(f"{label}_median_us", median_us)
+        comparison.metric(f"{label}_pass_ms", total_ms)
+    sizes = sorted({(image.width, image.height) for image in images})
+    comparison.note(f"{len(images)} images ({decoded} QR symbols decode) from the seed-1 "
+                    f"scale-0.1 corpus; sizes {sizes}")
+    assert len(images) >= 10 and decoded > 0
+
+    benchmark.pedantic(lambda: [(ocr_image(image), decode(image)) for image in images],
+                       rounds=1, iterations=1)

@@ -14,14 +14,19 @@ The engine works in four steps:
 4. decode each grid cell by nearest-glyph template matching.
 
 Steps 3 and 4 are whole-array kernels.  One integral image (summed-area
-table) of the ink mask serves every scale; for one grid alignment a
-single fancy-indexed lookup of its corners yields the ink count of all
-7x5 font cells of every glyph cell on the line, with coordinates clipped
-to the mask exactly as array slicing clips a block.  A bit is set when
+table) of the ink mask serves every scale; one fancy-indexed lookup of
+its corners yields the ink count of all 7x5 font cells of every glyph
+cell of every grid alignment of a line, with coordinates clipped to the
+mask exactly as array slicing clips a block.  A bit is set when
 ``2 * ink >= area > 0``, the integer form of ``block.mean() >= 0.5``, so
 the bits equal a per-cell loop's (``tests/test_imaging_ocr.py`` keeps
-that loop as the reference).  All cells of the alignment are then matched
-against the glyph stack in one broadcast XOR.
+that loop as the reference).  Step 4 flattens each cell to a 35-vector
+``a`` and matches all cells of all alignments against the glyph stack
+``g`` in one matrix product: the Hamming distance is
+``|a| + |g| - 2 * a . g``.  Every term is a 0/1 product and every
+partial sum an integer of at most 35, exact in floating point whatever
+order the product sums in, so the distances, and the first-minimum
+glyph ``argmin`` picks, equal a broadcast XOR's.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ _GLYPH_ITEMS = sorted(GLYPHS.items())
 _GLYPH_STACK = np.stack([glyph for _, glyph in _GLYPH_ITEMS])
 _GLYPH_CHARS = [char for char, _ in _GLYPH_ITEMS]
 _SPACE = _GLYPH_CHARS.index(" ")
+#: The glyphs as the columns of a ``(35, G)`` matrix, and their ink counts.
+_GLYPH_MATRIX = _GLYPH_STACK.reshape(len(_GLYPH_STACK), -1).T.astype(np.float32)
+_GLYPH_INK = _GLYPH_MATRIX.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -71,11 +79,11 @@ def _run_lengths(mask: np.ndarray) -> Counter:
     """
     lengths = []
     for axis_mask in (mask, mask.T):
-        padded = np.zeros((axis_mask.shape[0], axis_mask.shape[1] + 2), dtype=np.int8)
+        padded = np.zeros((axis_mask.shape[0], axis_mask.shape[1] + 2), dtype=bool)
         padded[:, 1:-1] = axis_mask
-        diff = np.diff(padded, axis=1)
-        # Row-major order pairs the k-th run start with the k-th run end.
-        lengths.append(np.nonzero(diff == -1)[1] - np.nonzero(diff == 1)[1])
+        # Row-major, each line's edges alternate run start, run end.
+        edges = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+        lengths.append(edges[1::2] - edges[::2])
     return Counter(np.concatenate(lengths).tolist())
 
 
@@ -117,73 +125,95 @@ def _line_bands(mask: np.ndarray, scale: int) -> list[tuple[int, int]]:
 
 
 def _grid_bits(
-    integral: np.ndarray, x_origins: np.ndarray, y_origin: int, scale: int
+    integral: np.ndarray, x_origins: np.ndarray, y_origin, scale: int
 ) -> np.ndarray:
     """Downsample the glyph cells at ``(x_origins[i], y_origin)`` to 7x5 bits.
 
-    Returns an ``(n, 7, 5)`` boolean array.  Each bit is the majority
-    vote of its ``scale x scale`` block, clipped to the mask; a block
-    that lies wholly outside the mask is unset.  The block sums come
-    from one fancy-indexed lookup of the integral image, and
-    ``2 * ink >= area`` is the exact integer form of ``mean >= 0.5``.
+    Returns an ``(n, 7, 5)`` boolean array, or ``(r, n, 7, 5)`` when
+    ``y_origin`` is an array of ``r`` rows: every row paired with every
+    x origin.  Each bit is the majority vote of its ``scale x scale``
+    block, clipped to the mask; a block that lies wholly outside the mask
+    is unset.  The block sums come from one fancy-indexed lookup of the
+    integral image, and ``2 * ink >= area`` is the exact integer form of
+    ``mean >= 0.5``.
     """
     height, width = integral.shape[0] - 1, integral.shape[1] - 1
-    ys = np.clip(y_origin + scale * np.arange(GLYPH_HEIGHT + 1), 0, height)
+    ys = np.clip(np.asarray(y_origin)[..., None] + scale * np.arange(GLYPH_HEIGHT + 1), 0, height)
     xs = np.clip(x_origins[:, None] + scale * np.arange(GLYPH_WIDTH + 1), 0, width)
-    corners = integral[ys[:, None, None], xs[None, :, :]]  # (8, n, 6)
-    ink = corners[1:, :, 1:] - corners[:-1, :, 1:] - corners[1:, :, :-1] + corners[:-1, :, :-1]
-    area = np.diff(ys)[:, None, None] * np.diff(xs, axis=1)[None, :, :]
-    return ((area > 0) & (2 * ink >= area)).transpose(1, 0, 2)
+    corners = integral[ys[..., :, None, None], xs]  # (..., 8, n, 6)
+    ink = (corners[..., 1:, :, 1:] - corners[..., :-1, :, 1:]
+           - corners[..., 1:, :, :-1] + corners[..., :-1, :, :-1])
+    area = np.diff(ys)[..., :, None, None] * np.diff(xs, axis=1)
+    return np.moveaxis((area > 0) & (2 * ink >= area), -3, -2)
 
 
 def _match_glyphs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest glyph index and similarity in [0, 1] for each ``(7, 5)`` cell.
 
-    A cell with no ink is at distance 0 from the all-blank space glyph
-    only (glyphs are distinct), so it reads as a space with similarity 1.
+    The Hamming distance of a flattened cell ``a`` to glyph ``g`` is
+    ``|a| + |g| - 2 * a . g``, one matrix product for all cells; its
+    entries are integers of at most 35, exact in float32.  A cell with no
+    ink is at distance 0 from the all-blank space glyph only (glyphs are
+    distinct), so it reads as a space with similarity 1.
     """
-    distances = np.logical_xor(_GLYPH_STACK, bits[:, None]).sum(axis=(2, 3))
+    cells = bits.reshape(len(bits), -1).astype(np.float32)
+    distances = cells.sum(axis=1)[:, None] + _GLYPH_INK - 2 * (cells @ _GLYPH_MATRIX)
     best = distances.argmin(axis=1)
-    similarity = 1.0 - distances[np.arange(len(best)), best] / (GLYPH_WIDTH * GLYPH_HEIGHT)
-    return best, similarity
+    nearest = distances[np.arange(len(best)), best].astype(np.int64)
+    return best, 1.0 - nearest / (GLYPH_WIDTH * GLYPH_HEIGHT)
 
 
 def _decode_line(
     mask: np.ndarray, integral: np.ndarray, band: tuple[int, int], scale: int
 ) -> tuple[str, float]:
-    """Decode one line band, searching grid alignments for the best fit."""
+    """Decode one line band, searching grid alignments for the best fit.
+
+    A glyph may have blank leading columns (e.g. "!") and blank top rows
+    (e.g. "_"), so the cell grid is tried at small offsets in both axes:
+    each row offset whose 7-cell grid still covers the band, times each
+    column offset.  All alignments are read and matched in one kernel
+    call, then ranked in search order (row offset, then column offset) by
+    ``(mean score, ink characters, -row offset)``: ties on score prefer
+    (a) alignments that decode more ink characters (an all-blank reading
+    of "..." also scores perfectly) and (b) deeper row offsets (a lone
+    bottom-row stroke is "_", not a mid-row "-").  Each mean is
+    ``np.add.reduce`` over the alignment's own contiguous scores divided
+    by their count, which is how ``np.mean`` computes it.
+    """
     top, bottom = band
-    col_has_ink = mask[top:bottom].any(axis=0)
-    inked = np.flatnonzero(col_has_ink)
+    row_offsets = [row for row in range(GLYPH_HEIGHT)
+                   if (GLYPH_HEIGHT - row) * scale >= bottom - top]
+    if not row_offsets:  # taller than one line at this scale
+        return "", -1.0
+    inked = np.flatnonzero(mask[top:bottom].any(axis=0))
     if inked.size == 0:
         return "", 1.0
     x_first, x_last = int(inked[0]), int(inked[-1])
-    band_height = bottom - top
     pitch = _CELL_WIDTH * scale
+    # One run of cells per column offset; every start is <= x_last, so
+    # each alignment has at least one cell.
+    alignments = []
+    for col_offset in range(GLYPH_WIDTH):
+        x_origin = x_first - col_offset * scale
+        alignments.append(x_origin + pitch * np.arange(-(-(x_last + 1 - x_origin) // pitch)))
+    bounds = np.cumsum([0] + [len(x_origins) for x_origins in alignments]).tolist()
+    y_origins = top - scale * np.array(row_offsets)
+    bits = _grid_bits(integral, np.concatenate(alignments), y_origins, scale)
+    glyphs, scores = _match_glyphs(bits.reshape(-1, GLYPH_HEIGHT, GLYPH_WIDTH))
+    glyphs = glyphs.reshape(len(row_offsets), -1)
+    scores = scores.reshape(len(row_offsets), -1)
 
     best_text = ""
     best_key: tuple[float, int, int] = (-1.0, -1, -1)
-    # A glyph may have blank leading columns (e.g. "!") and blank top rows
-    # (e.g. "_"), so try small offsets of the cell grid in both axes.  Ties
-    # on score prefer (a) alignments that decode more ink characters (an
-    # all-blank reading of "..." also scores perfectly) and (b) deeper row
-    # offsets (a lone bottom-row stroke is "_", not a mid-row "-").
-    for row_offset in range(GLYPH_HEIGHT):
-        y_origin = top - row_offset * scale
-        if band_height > GLYPH_HEIGHT * scale and row_offset > 0:
-            break
-        if y_origin + GLYPH_HEIGHT * scale < bottom:
-            continue
-        for col_offset in range(GLYPH_WIDTH):
-            x_origin = x_first - col_offset * scale
-            n_cells = -(-(x_last + 1 - x_origin) // pitch)  # >= 1: x_origin <= x_last
-            x_origins = x_origin + pitch * np.arange(n_cells)
-            glyphs, scores = _match_glyphs(_grid_bits(integral, x_origins, y_origin, scale))
-            mean_score = float(np.mean(scores))
-            key = (mean_score, int(np.count_nonzero(glyphs != _SPACE)), -row_offset)
+    for row, row_offset in enumerate(row_offsets):
+        for start, stop in zip(bounds, bounds[1:]):
+            mean_score = float(np.add.reduce(scores[row, start:stop]) / (stop - start))
+            n_ink = int(np.count_nonzero(glyphs[row, start:stop] != _SPACE))
+            key = (mean_score, n_ink, -row_offset)
             if key > best_key:
                 best_key = key
-                best_text = "".join(_GLYPH_CHARS[index] for index in glyphs.tolist()).rstrip()
+                best_text = "".join(
+                    _GLYPH_CHARS[index] for index in glyphs[row, start:stop].tolist()).rstrip()
     return best_text, best_key[0]
 
 

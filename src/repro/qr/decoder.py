@@ -14,8 +14,7 @@ from repro.qr.bits import BitBuffer
 from repro.qr.gf256 import ReedSolomonError, rs_decode
 from repro.qr.matrix import (
     apply_mask,
-    build_function_patterns,
-    data_module_coordinates,
+    function_layout,
     read_format_information,
 )
 from repro.qr.tables import (
@@ -59,9 +58,7 @@ def _deinterleave(codewords: list[int], version: int, ec_level) -> list[int]:
 
 def _parse_segments(data: list[int], version: int) -> str:
     """Parse the decoded bit stream into its textual payload."""
-    buffer = BitBuffer()
-    for byte in data:
-        buffer.append_bits(byte, 8)
+    buffer = BitBuffer(np.unpackbits(np.array(data, dtype=np.uint8)).tolist())
 
     parts: list[str] = []
     while buffer.remaining >= 4:
@@ -119,18 +116,10 @@ def decode_qr_matrix(matrix: np.ndarray) -> str:
     except ValueError as exc:
         raise QRDecodeError(str(exc)) from exc
 
-    _, reserved = build_function_patterns(version)
-    unmasked = apply_mask(matrix, reserved, mask_id)
-
-    coordinates = data_module_coordinates(version)
-    bits = [bool(unmasked[row, col]) for row, col in coordinates]
-    total_codewords = len(bits) // 8
-    codewords = []
-    for index in range(total_codewords):
-        value = 0
-        for bit in bits[index * 8 : index * 8 + 8]:
-            value = (value << 1) | int(bit)
-        codewords.append(value)
+    layout = function_layout(version)
+    unmasked = apply_mask(matrix, layout.reserved, mask_id)
+    bits = unmasked[layout.rows, layout.cols]
+    codewords = np.packbits(bits[: len(bits) // 8 * 8]).tolist()
 
     data = _deinterleave(codewords, version, ec_level)
     return _parse_segments(data, version)

@@ -14,8 +14,7 @@ from repro.qr.bits import BitBuffer
 from repro.qr.gf256 import rs_encode
 from repro.qr.matrix import (
     apply_mask,
-    build_function_patterns,
-    data_module_coordinates,
+    function_layout,
     penalty_score,
     place_format_information,
     place_version_information,
@@ -147,22 +146,17 @@ def encode_qr(payload: str, ec_level: ECLevel = ECLevel.M, version: int | None =
         version = select_version(payload, ec_level)
     codewords = build_codewords(payload, version, ec_level)
 
-    matrix, reserved = build_function_patterns(version)
-    coordinates = data_module_coordinates(version)
-    bit_stream: list[bool] = []
-    for codeword in codewords:
-        for shift in range(7, -1, -1):
-            bit_stream.append(bool((codeword >> shift) & 1))
+    layout = function_layout(version)
+    matrix = layout.matrix.copy()
+    bits = np.unpackbits(np.array(codewords, dtype=np.uint8)).astype(bool)
     # Remainder bits (if any) stay light.
-    bit_stream.extend([False] * (len(coordinates) - len(bit_stream)))
-    for (row, col), bit in zip(coordinates, bit_stream):
-        matrix[row, col] = bit
+    matrix[layout.rows[: len(bits)], layout.cols[: len(bits)]] = bits
 
     best_matrix = None
     best_mask = 0
     best_penalty = None
     for mask_id in range(8):
-        candidate = apply_mask(matrix, reserved, mask_id)
+        candidate = apply_mask(matrix, layout.reserved, mask_id)
         place_format_information(candidate, ec_level, mask_id)
         place_version_information(candidate, version)
         score = penalty_score(candidate)

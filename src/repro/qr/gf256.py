@@ -9,6 +9,10 @@ Forney algorithm), so the decoder genuinely corrects corrupted modules.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 PRIMITIVE_POLY = 0x11D
 FIELD_SIZE = 256
 
@@ -26,6 +30,10 @@ for _power in range(FIELD_SIZE - 1):
 for _power in range(FIELD_SIZE - 1, FIELD_SIZE * 2):
     EXP_TABLE[_power] = EXP_TABLE[_power - (FIELD_SIZE - 1)]
 del _value, _power
+
+#: The tables as arrays, for the whole-block syndrome kernel.
+_EXP = np.array(EXP_TABLE[: FIELD_SIZE - 1], dtype=np.int64)
+_LOG = np.array(LOG_TABLE, dtype=np.int64)
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -92,18 +100,26 @@ def rs_generator_poly(n_ec: int) -> list[int]:
     return gen
 
 
+@lru_cache(maxsize=None)
+def _generator_terms(n_ec: int) -> tuple[tuple[int, int], ...]:
+    """``(j, log g_j)`` for the non-zero coefficients of the generator, built once."""
+    return tuple((j, LOG_TABLE[coeff]) for j, coeff in enumerate(rs_generator_poly(n_ec)) if coeff)
+
+
 def rs_encode(data: list[int], n_ec: int) -> list[int]:
     """Compute the ``n_ec`` Reed–Solomon parity codewords for ``data``."""
     if n_ec <= 0:
         raise ValueError("n_ec must be positive")
-    gen = rs_generator_poly(n_ec)
+    terms = _generator_terms(n_ec)
     remainder = list(data) + [0] * n_ec
     for i in range(len(data)):
         factor = remainder[i]
         if factor == 0:
             continue
-        for j, coeff in enumerate(gen):
-            remainder[i + j] ^= gf_mul(coeff, factor)
+        # gf_mul(g_j, factor) for non-zero g_j, from the tables directly.
+        log_factor = LOG_TABLE[factor]
+        for j, log_coeff in terms:
+            remainder[i + j] ^= EXP_TABLE[log_coeff + log_factor]
     return remainder[len(data):]
 
 
@@ -112,8 +128,19 @@ class ReedSolomonError(ValueError):
 
 
 def _syndromes(codeword: list[int], n_ec: int) -> list[int]:
-    """Syndromes S_j = C(alpha^j) for j in 0..n_ec-1 (QR uses b = 0)."""
-    return [poly_eval(codeword, gf_pow(2, power)) for power in range(n_ec)]
+    """Syndromes S_j = C(alpha^j) for j in 0..n_ec-1 (QR uses b = 0).
+
+    With ``c_i`` the coefficient of ``x^p``, ``S_j`` is the XOR over the
+    non-zero ``c_i`` of ``alpha^((log c_i + j * p) mod 255)``: one table
+    lookup per term for all ``j`` at once, the same field elements that
+    ``poly_eval`` reaches by Horner's scheme (``tests/test_qr_gf256.py``
+    checks the two agree).
+    """
+    coefficients = np.asarray(codeword, dtype=np.int64)
+    nonzero = np.flatnonzero(coefficients)
+    powers = len(coefficients) - 1 - nonzero
+    exponents = (_LOG[coefficients[nonzero]] + np.arange(n_ec)[:, None] * powers) % (FIELD_SIZE - 1)
+    return np.bitwise_xor.reduce(_EXP[exponents], axis=1).tolist()
 
 
 def _poly_add_low(p: list[int], q: list[int]) -> list[int]:

@@ -81,13 +81,17 @@ def _ratio_units(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finder_windows(rows: np.ndarray, lengths: np.ndarray, values: np.ndarray):
-    """Indices ``i`` of the finder-like windows ``runs[i:i + 5]`` on one line."""
+    """Indices ``i`` of the finder-like windows ``runs[i:i + 5]`` on one line.
+
+    Maximal runs on one line alternate in colour, so a window on one
+    line reads dark, light, dark, light, dark exactly when its first run
+    is dark; only those windows take the ratio test.
+    """
     if len(lengths) < 5:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    colours = (sliding_window_view(values, 5) == _FINDER_COLOURS).all(axis=1)
-    match, unit = _ratio_units(sliding_window_view(lengths, 5))
-    index = np.flatnonzero((rows[:-4] == rows[4:]) & colours & match)
-    return index, unit[index]
+    index = np.flatnonzero((rows[:-4] == rows[4:]) & values[:-4])
+    match, unit = _ratio_units(sliding_window_view(lengths, 5)[index])
+    return index[match], unit[match]
 
 
 def find_finder_candidates(mask: np.ndarray) -> list[FinderCandidate]:
@@ -135,12 +139,19 @@ def find_finder_candidates(mask: np.ndarray) -> list[FinderCandidate]:
     ]
 
 
-def _centroid(cluster: list[FinderCandidate]) -> tuple[float, float, float]:
-    return (
-        float(np.mean([c.x for c in cluster])),
-        float(np.mean([c.y for c in cluster])),
-        float(np.median([c.module_size for c in cluster])),
-    )
+def _centroid(xs: list[float], ys: list[float], units: list[float]) -> tuple[float, float, float]:
+    """``np.mean`` of the xs and ys and ``np.median`` of the units, cheaply.
+
+    ``np.mean`` of a float64 array is ``np.add.reduce`` over it divided by
+    its length, so that is what runs, without ``np.mean``'s wrapper.
+    ``np.median`` is the middle element of the sorted values, or the mean
+    of the middle two, ``(low + high) / 2`` in float64 as Python computes it.
+    """
+    n = len(xs)
+    middle = sorted(units)
+    unit = middle[n // 2] if n % 2 else (middle[n // 2 - 1] + middle[n // 2]) / 2
+    return (float(np.add.reduce(np.array(xs)) / n),
+            float(np.add.reduce(np.array(ys)) / n), unit)
 
 
 def _cluster(candidates: list[FinderCandidate]) -> list[FinderCandidate]:
@@ -150,25 +161,28 @@ def _cluster(candidates: list[FinderCandidate]) -> list[FinderCandidate]:
     its finder core (horizontally and vertically), so all rows of a real
     finder land on nearly the same point: a one-module radius suffices,
     and clusters need at least two supporting rows.  A cluster's
-    centroid is recomputed, with the same ``np.mean``/``np.median``, only
+    centroid (the mean centre and median module size) is recomputed only
     when it grows.
     """
-    clusters: list[list[FinderCandidate]] = []
+    members: list[tuple[list[float], list[float], list[float]]] = []
     centroids: list[tuple[float, float, float]] = []
     for candidate in candidates:
         for index, (centroid_x, centroid_y, unit) in enumerate(centroids):
             limit = max(unit, candidate.module_size) * 1.0
             if abs(candidate.x - centroid_x) <= limit and abs(candidate.y - centroid_y) <= limit:
-                clusters[index].append(candidate)
-                centroids[index] = _centroid(clusters[index])
+                xs, ys, units = members[index]
+                xs.append(candidate.x)
+                ys.append(candidate.y)
+                units.append(candidate.module_size)
+                centroids[index] = _centroid(xs, ys, units)
                 break
         else:
-            clusters.append([candidate])
+            members.append(([candidate.x], [candidate.y], [candidate.module_size]))
             centroids.append((candidate.x, candidate.y, candidate.module_size))
     return [
         FinderCandidate(*centroid)
-        for cluster, centroid in zip(clusters, centroids)
-        if len(cluster) >= 2
+        for (xs, _, _), centroid in zip(members, centroids)
+        if len(xs) >= 2
     ]
 
 

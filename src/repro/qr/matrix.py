@@ -2,9 +2,17 @@
 
 Matrices are numpy boolean arrays (True = dark module) indexed
 ``[row, column]`` with (0, 0) at the top-left, as in ISO/IEC 18004.
+
+A version's function patterns, reserved modules and data-module order
+are pure functions of the version: :func:`function_layout` builds them
+once per version and hands out read-only arrays, so no caller can change
+what the next encode or decode of that version sees.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,13 +49,8 @@ def _place_alignment(matrix: np.ndarray, reserved: np.ndarray, row: int, col: in
             reserved[row + r, col + c] = True
 
 
-def build_function_patterns(version: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (matrix, reserved) with all function patterns placed.
-
-    ``reserved`` marks every module that does not carry data: finder,
-    separator, timing and alignment patterns, the dark module, and the
-    format/version information areas.
-    """
+def _place_function_patterns(version: int) -> tuple[np.ndarray, np.ndarray]:
+    """Build (matrix, reserved) with all function patterns placed."""
     size = matrix_size(version)
     matrix = np.zeros((size, size), dtype=bool)
     reserved = np.zeros((size, size), dtype=bool)
@@ -97,15 +100,14 @@ def build_function_patterns(version: int) -> tuple[np.ndarray, np.ndarray]:
     return matrix, reserved
 
 
-def data_module_coordinates(version: int) -> list[tuple[int, int]]:
-    """Data-module (row, col) coordinates in QR placement order.
+def _data_module_order(reserved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Data-module (rows, cols) in QR placement order.
 
     The zigzag starts at the bottom-right, walks column pairs right to
     left, alternating upward/downward, and skips the vertical timing
     pattern in column 6.
     """
-    size = matrix_size(version)
-    _, reserved = build_function_patterns(version)
+    size = reserved.shape[0]
     coordinates: list[tuple[int, int]] = []
     col = size - 1
     upward = True
@@ -119,7 +121,52 @@ def data_module_coordinates(version: int) -> list[tuple[int, int]]:
                     coordinates.append((row, col + dc))
         upward = not upward
         col -= 2
-    return coordinates
+    return tuple(np.array(axis, dtype=np.intp) for axis in zip(*coordinates))
+
+
+class FunctionLayout(NamedTuple):
+    """One version's module layout; every array is read-only.
+
+    ``matrix`` holds the function patterns (data modules light),
+    ``reserved`` marks every module that does not carry data, and
+    ``rows``/``cols`` list the data modules in placement order.
+    """
+
+    matrix: np.ndarray
+    reserved: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def function_layout(version: int) -> FunctionLayout:
+    """The layout of ``version``, built on first use and shared thereafter.
+
+    The arrays are read-only: a caller that needs to write copies first,
+    so the shared layout always equals a fresh build.
+    """
+    matrix, reserved = _place_function_patterns(version)
+    layout = FunctionLayout(matrix, reserved, *_data_module_order(reserved))
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def build_function_patterns(version: int) -> tuple[np.ndarray, np.ndarray]:
+    """Return fresh (matrix, reserved) arrays with all function patterns placed.
+
+    ``reserved`` marks every module that does not carry data: finder,
+    separator, timing and alignment patterns, the dark module, and the
+    format/version information areas.
+    """
+    layout = function_layout(version)
+    return layout.matrix.copy(), layout.reserved.copy()
+
+
+def data_module_coordinates(version: int) -> list[tuple[int, int]]:
+    """Data-module (row, col) coordinates in QR placement order."""
+    layout = function_layout(version)
+    return list(zip(layout.rows.tolist(), layout.cols.tolist()))
 
 
 def mask_condition(mask_id: int, row: int, col: int) -> bool:
@@ -143,7 +190,15 @@ def mask_condition(mask_id: int, row: int, col: int) -> bool:
     raise ValueError(f"invalid mask id {mask_id}")
 
 
+@lru_cache(maxsize=None)
 def _mask_matrix(size: int, mask_id: int) -> np.ndarray:
+    """The read-only ``(size, size)`` pattern of one mask, built once."""
+    pattern = _mask_pattern(size, mask_id)
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _mask_pattern(size: int, mask_id: int) -> np.ndarray:
     rows, cols = np.indices((size, size))
     if mask_id == 0:
         return (rows + cols) % 2 == 0

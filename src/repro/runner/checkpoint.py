@@ -37,7 +37,11 @@ parse:
 
 - **torn tail** — the *final* line is incomplete because the writer was
   killed mid-append.  Expected and tolerated: the interrupted record is
-  simply re-analyzed on resume.
+  simply re-analyzed on resume.  Before its first append after opening,
+  the store ends the file on a newline (:meth:`CheckpointStore.land`):
+  it cuts a torn tail back to the byte after the last newline, or
+  terminates a final line that is intact but lost only its newline, so
+  the next line never glues onto the torn bytes.
 - **interior corruption** — a non-final line fails its CRC or does not
   parse (bit rot, truncation followed by further appends, hostile
   editing).  Silent data loss if ignored: resume would re-analyze the
@@ -135,6 +139,31 @@ def parse_record_line(line: str) -> tuple[dict | None, str | None]:
     except (ValueError, RecursionError):
         # ValueError covers JSONDecodeError and over-long integers.
         return None, "bad-json"
+
+
+def read_record_line(chunk: bytes) -> tuple[str | None, dict | None, str | None]:
+    """The one validity rule for a ``records.jsonl`` line -> ``(text, data, issue)``.
+
+    ``text`` is the stripped decoded line (None when it is not UTF-8,
+    issue ``bad-encoding``).  ``data`` is the record dict of an intact
+    line: its CRC matches (or it is v1), it parses to a JSON object and
+    its ``message_index`` is an integer.  Otherwise ``issue`` names the
+    defect (``crc-mismatch`` | ``bad-json`` | ``missing-index``); a blank
+    line has neither data nor issue.
+    """
+    try:
+        text = chunk.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return None, None, "bad-encoding"
+    if not text:
+        return text, None, None
+    data, issue = parse_record_line(text)
+    if issue is not None:
+        return text, None, issue
+    index = data.get("message_index") if isinstance(data, dict) else None
+    if type(index) is not int:
+        return text, None, "missing-index"
+    return text, data, None
 
 
 @dataclass(frozen=True)
@@ -309,6 +338,10 @@ class CheckpointStore:
         self.worst_streak = 0
         self.recoveries = 0
         self.last_error: OSError | None = None
+        #: Set once the file is known to end on a newline (see
+        #: _end_on_newline); torn or unterminated tails repaired so far.
+        self._tail_settled = False
+        self.tail_repairs = 0
 
     # ------------------------------------------------------------------
     # Records
@@ -335,9 +368,35 @@ class CheckpointStore:
         # truncated the partial write, so the retry appends onto a
         # clean tail); a persistent failure propagates to the caller.
         with self._lock:
+            if not self._tail_settled:
+                self._end_on_newline()
             retrying(lambda: self._durable.append(data + b"\n"))
             self.lines += 1
         note_durable_record()
+
+    def _end_on_newline(self) -> None:
+        """End ``records.jsonl`` on a newline before the first append.
+
+        A process killed mid-append leaves a final line without its
+        newline; appending after it would glue the next line onto those
+        bytes, turning a tolerated torn tail into interior corruption
+        and losing the next record too.  By :func:`read_record_line`,
+        the rule :meth:`scan` applies, an intact final line (the kill
+        fell between its payload and its newline; resume already
+        counted it) gets its newline, and anything else is cut back to
+        the byte after the last newline.  Either repair is synced and
+        counted in :meth:`health`.
+        """
+        data = self.records_path.read_bytes() if self.records_path.exists() else b""
+        offset = data.rfind(b"\n") + 1
+        if offset < len(data):
+            if read_record_line(data[offset:])[1] is not None:
+                retrying(lambda: self._durable.append(b"\n"))
+            else:
+                retrying(lambda: self._durable.truncate(offset))
+            retrying(self._durable.sync)
+            self.tail_repairs += 1
+        self._tail_settled = True
 
     def land(self, wire: bytes) -> None:
         """Land one record line behind any parked ones, in order.
@@ -391,6 +450,7 @@ class CheckpointStore:
                 "pending_appends": len(self._parked),
                 "append_errors": self.failures,
                 "recoveries": self.recoveries,
+                "tail_repairs": self.tail_repairs,
                 "last_error": None if self.last_error is None else str(self.last_error),
             }
 
@@ -428,34 +488,27 @@ class CheckpointStore:
             self.lines = 0
             return scan
         chunks = self.records_path.read_bytes().split(b"\n")
-        if chunks and not chunks[-1]:
+        terminated = not chunks[-1]
+        if terminated:
             chunks.pop()  # trailing newline, not an empty final line
-        scan.total_lines = self.lines = len(chunks)
-        lines: list[tuple[int, str | None, bytes]] = []
-        for line_number, chunk in enumerate(chunks, start=1):
-            try:
-                text = chunk.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                text = None
-            if text != "":
-                lines.append((line_number, text, chunk))
+        scan.total_lines = len(chunks)
+        lines = [(line_number, chunk, *read_record_line(chunk))
+                 for line_number, chunk in enumerate(chunks, start=1)]
+        lines = [line for line in lines if line[2] != ""]
         last_line_number = lines[-1][0] if lines else 0
-        for line_number, text, chunk in lines:
-            torn_tail = line_number == last_line_number
-            if text is None:
-                kind, detail = "bad-encoding", repr(chunk[:60])
-            else:
-                data, kind = parse_record_line(text)
-                detail = text[:80]
-                if kind is None:
-                    index = data.get("message_index") if isinstance(data, dict) else None
-                    if type(index) is int:
-                        scan.entries.append(data)
-                        # A v2 line minus its CRC suffix, or a whole v1 line.
-                        scan.payloads[index] = text.rpartition(_CRC_SEPARATOR)[0] or text
-                        continue
-                    kind, torn_tail = "missing-index", False
+        for line_number, chunk, text, data, kind in lines:
+            if data is not None:
+                scan.entries.append(data)
+                # A v2 line minus its CRC suffix, or a whole v1 line.
+                scan.payloads[data["message_index"]] = text.rpartition(_CRC_SEPARATOR)[0] or text
+                continue
+            detail = repr(chunk[:60]) if text is None else text[:80]
+            torn_tail = line_number == last_line_number and kind != "missing-index"
             scan.issues.append(LineIssue(line_number, kind, detail, torn_tail))
+        # The next append cuts an unterminated final line that is not
+        # intact (see _end_on_newline), so it is not counted.
+        torn = bool(chunks) and not terminated and read_record_line(chunks[-1])[1] is None
+        self.lines = len(chunks) - torn
         return scan
 
     def load_records(self) -> list[MessageRecord]:

@@ -243,9 +243,11 @@ class InjectedFault:
         self.kind = parts[0]
         self.index = int(parts[1])
         self.times = int(parts[2]) if self.kind == "transient" and len(parts) > 2 else 1
-        self.seen = 0
 
-    def fire(self, index: int, batcher: ResultBatcher) -> None:
+    def fire(self, index: int, attempt: int, batcher: ResultBatcher) -> None:
+        """Fire at ``index`` on its ``attempt``-th delivery, counted by the
+        scheduler, so a retry that lands on another worker process
+        counts on."""
         if index != self.index:
             return
         if self.kind == "wedge":
@@ -266,13 +268,15 @@ class InjectedFault:
             batcher.outq.close()
             batcher.outq.join_thread()
             os._exit(13)
-        self.seen += 1
-        if self.seen <= self.times:
-            raise TransientFault(f"injected fault attempt {self.seen}")
+        if attempt <= self.times:
+            raise TransientFault(f"injected fault attempt {attempt}")
 
 
-def analyse_batch(box, indices, message_at, batcher: ResultBatcher, fault=None):
+def analyse_batch(box, indices, message_at, batcher: ResultBatcher, fault=None, attempt=1):
     """Analyse ``indices`` in order and report each through ``batcher``.
+
+    ``attempt`` is the dispatch's attempt number (see
+    :meth:`Scheduler._dispatch`); only an injected fault reads it.
 
     ``message_at(index)`` turns an index into a message (a corpus slot,
     or an ingested ``.eml``); a raise anywhere — fetching the message,
@@ -291,7 +295,7 @@ def analyse_batch(box, indices, message_at, batcher: ResultBatcher, fault=None):
         timings.stage_seconds.clear()
         try:
             if fault is not None:
-                fault.fire(index, batcher)
+                fault.fire(index, attempt, batcher)
             record, wire = box.analyze_to_wire(message_at(index), message_index=index)
         except BaseException as error:  # noqa: BLE001 - routed to the scheduler
             batcher.fail(index, error)
@@ -334,7 +338,7 @@ def _worker_main(worker_id: int, config: RunnerConfig, world, messages, inq, out
             indices, message_at = list(raws), lambda index: ingest_eml_bytes(raws[index])
         else:
             indices, message_at = command[1], messages.__getitem__
-        for _ in analyse_batch(box, indices, message_at, batcher, fault):
+        for _ in analyse_batch(box, indices, message_at, batcher, fault, command[2]):
             pass
 
 
@@ -406,7 +410,7 @@ class InlineTransport:
                 self._out.append(("wake", -1))
                 continue
             self._batch = analyse_batch(
-                self.box, indices, self.message_at, self._batcher, self.fault
+                self.box, indices, self.message_at, self._batcher, self.fault, command[2]
             )
         return self._out.popleft()
 
@@ -535,14 +539,20 @@ class Scheduler:
         return indices
 
     def _dispatch(self, worker_id: int) -> bool:
-        """Give ``worker_id`` its next batch; False leaves it idle."""
+        """Give ``worker_id`` its next batch; False leaves it idle.
+
+        The command carries the dispatch's attempt number: 1 for a
+        fresh batch, ``n`` for the ``n``-th delivery of an isolated
+        retry, whichever worker it lands on.
+        """
         indices = self._take()
         if not indices:
             self.idle.add(worker_id)
             return False
         self.idle.discard(worker_id)
         self.inflight.setdefault(worker_id, set()).update(indices)
-        self.pool.send(worker_id, self.command(indices))
+        attempt = self.attempts.get(indices[0], 0) + 1
+        self.pool.send(worker_id, self.command(indices) + (attempt,))
         return True
 
     def _dispatch_idle(self) -> None:

@@ -272,6 +272,13 @@ class DurableFile:
         except OSError:
             pass  # torn tail it is — scan() tolerates exactly this
 
+    def truncate(self, offset: int) -> None:
+        """Cut the file back to ``offset`` bytes (a torn tail the owner
+        found); the next append writes from there."""
+        handle = self._open()
+        handle.flush()
+        handle.truncate(offset)
+
     def _checked_sync(self, handle) -> None:
         self._unsynced = 0
         _checked_fsync(handle, self.path)

@@ -285,3 +285,37 @@ def test_ocr_image_matches_reference_decode(lines, scale, noise, inverted, crop,
 def test_ocr_image_matches_reference_on_examples(text, scale):
     image = render_text(text, scale=scale)
     assert ocr_image(image) == _ocr_reference(image)
+
+
+# ----------------------------------------------------------------------
+# The images the parse stage scans: QR symbols and corpus images
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("version", range(1, 11))
+@pytest.mark.parametrize("scale", [1, 2, 3, 4])
+def test_ocr_image_matches_reference_on_qr_symbols(version, scale):
+    """A QR symbol is no text, but every alignment of its bands is still
+    read and ranked; the batched kernels must rank them as the loops do."""
+    from repro.qr.encoder import encode_qr
+
+    matrix = encode_qr(f"HTTPS://X.RU/{version}", version=version)
+    image = Image.from_bool_matrix(matrix, scale=scale, border=4)
+    assert ocr_image(image) == _ocr_reference(image)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ocr_image_matches_reference_on_every_corpus_image(seed, monkeypatch):
+    """Every image the parse stage scans in a scale-0.1 corpus (inline and
+    attached images, rasterised PDF pages) reads as the loops read it."""
+    from repro.dataset import CorpusGenerator
+    from repro.mail.parser import EmailParser
+
+    images = []
+    monkeypatch.setattr(
+        EmailParser, "_scan_image", lambda self, image, *rest: images.append(image))
+    parser = EmailParser()
+    for message in CorpusGenerator(seed=seed, scale=0.1).generate().messages:
+        parser.parse(message)
+    assert len(images) >= 10
+    assert any(ocr_image(image).text for image in images)
+    for image in images:
+        assert ocr_image(image) == _ocr_reference(image)

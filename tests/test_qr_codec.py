@@ -281,3 +281,54 @@ def test_penalty_score_matches_reference_on_every_mask(version):
         reference_scores.append(_penalty_score_reference(candidate))
         assert penalty_score(candidate) == reference_scores[-1], mask_id
     assert chosen == reference_scores.index(min(reference_scores))
+
+
+def _data_module_coordinates_reference(version):
+    """The zigzag placement walk, module by module."""
+    from repro.qr.matrix import _place_function_patterns
+
+    size = matrix_size(version)
+    _, reserved = _place_function_patterns(version)
+    coordinates = []
+    col, upward = size - 1, True
+    while col > 0:
+        if col == 6:
+            col -= 1
+        for row in (range(size - 1, -1, -1) if upward else range(size)):
+            for dc in (0, -1):
+                if not reserved[row, col + dc]:
+                    coordinates.append((row, col + dc))
+        upward = not upward
+        col -= 2
+    return coordinates
+
+
+class TestLayoutMemo:
+    @pytest.mark.parametrize("version", range(1, 11))
+    def test_shared_layout_equals_a_fresh_build(self, version):
+        from repro.qr.matrix import _place_function_patterns, function_layout
+
+        layout = function_layout(version)
+        fresh_matrix, fresh_reserved = _place_function_patterns(version)
+        assert np.array_equal(layout.matrix, fresh_matrix)
+        assert np.array_equal(layout.reserved, fresh_reserved)
+        assert data_module_coordinates(version) == _data_module_coordinates_reference(version)
+        assert function_layout(version) is layout
+
+    def test_mutating_a_returned_layout_leaves_the_next_encode_alone(self):
+        from repro.qr.matrix import function_layout
+
+        before = encode_qr("LAYOUT", ECLevel.Q, version=7)
+        matrix, reserved = build_function_patterns(7)
+        matrix[:] = True
+        reserved[:] = False
+        coordinates = data_module_coordinates(7)
+        coordinates.reverse()
+        coordinates.clear()
+        for array in function_layout(7):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+        after = encode_qr("LAYOUT", ECLevel.Q, version=7)
+        assert np.array_equal(after, before)
+        assert decode_qr_matrix(after) == "LAYOUT"
+        assert build_function_patterns(7)[0].flags.writeable

@@ -143,3 +143,18 @@ def test_rs_roundtrip_property(data, n_ec, seed):
     for position in rng.sample(range(len(codeword)), n_errors):
         corrupted[position] ^= rng.randrange(1, 256)
     assert rs_decode(corrupted, n_ec) == data
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    codeword=st.lists(
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=255)), min_size=1, max_size=255),
+    n_ec=st.integers(min_value=1, max_value=68),
+)
+def test_table_syndromes_match_horner(codeword, n_ec):
+    """The log/antilog syndrome kernel equals Horner's scheme with scalar
+    ``gf_mul``, zero coefficients and all-zero blocks included."""
+    from repro.qr.gf256 import _syndromes
+
+    expected = [poly_eval(codeword, gf_pow(2, power)) for power in range(n_ec)]
+    assert _syndromes(codeword, n_ec) == expected

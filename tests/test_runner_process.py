@@ -244,6 +244,20 @@ class TestWorkerCrash:
         assert indices.count(flaky) == 1
         assert sorted(indices) == list(range(8))
 
+    def test_injected_fault_counts_the_schedulers_attempts(self):
+        # Each worker process holds its own InjectedFault; the attempt
+        # number travels with the dispatch, so a retry that lands on a
+        # fresh worker still knows it is the second delivery.
+        from repro.runner.executor import InjectedFault, TransientFault
+
+        first_worker, second_worker = InjectedFault("transient:2:2"), InjectedFault("transient:2:2")
+        first_worker.fire(1, 1, batcher=None)  # another index: no fault
+        with pytest.raises(TransientFault, match="attempt 1"):
+            first_worker.fire(2, 1, batcher=None)
+        with pytest.raises(TransientFault, match="attempt 2"):
+            second_worker.fire(2, 2, batcher=None)
+        first_worker.fire(2, 3, batcher=None)  # the third delivery succeeds
+
 
 # ----------------------------------------------------------------------
 # Hard wedges: the stall watchdog reaps into quarantine
